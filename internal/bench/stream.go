@@ -216,15 +216,7 @@ func streamCell(w Workload, name string, alg skewjoin.Algorithm, limit int, frac
 // time-to-limit superiority and no-limit parity, both subject to the
 // noise floor on the blocking control.
 func checkStreamGroup(group []StreamCell, rep *StreamReport) {
-	var ssj, cbase *StreamCell
-	for i := range group {
-		switch group[i].Operator {
-		case "ssj":
-			ssj = &group[i]
-		case "cbase":
-			cbase = &group[i]
-		}
-	}
+	ssj, cbase := streamPair(group)
 	if ssj == nil || cbase == nil {
 		return
 	}
@@ -248,8 +240,25 @@ func checkStreamGroup(group []StreamCell, rep *StreamReport) {
 	}
 }
 
+// streamPair picks the streaming operator's and the blocking control's
+// cells out of one (zipf, limit) group; either is nil when absent.
+func streamPair(group []StreamCell) (ssj, cbase *StreamCell) {
+	for i := range group {
+		switch group[i].Operator {
+		case "ssj":
+			ssj = &group[i]
+		case "cbase":
+			cbase = &group[i]
+		}
+	}
+	return ssj, cbase
+}
+
 // Fprint renders the report: one block per (zipf, fraction) group, one
-// line per operator with the milestone clocks.
+// line per operator with the milestone clocks. A limited group ends with
+// the blocking-over-streaming ratio on both clocks: time-to-limit, which
+// the gate reads, and the caller's wall clock (total), which also counts
+// SSJ's set-up before its milestone clock starts.
 func (rep *StreamReport) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "== streaming symmetric join benchmark (n=%d, threads=%d, best of %d) ==\n",
 		rep.Tuples, rep.Threads, rep.Repeats)
@@ -257,19 +266,21 @@ func (rep *StreamReport) Fprint(w io.Writer) {
 		streamGateFraction*100, streamGateRatio)
 	for _, z := range rep.Zipfs {
 		for _, limit := range rep.Limits {
-			header := false
+			var group []StreamCell
 			for _, c := range rep.Cells {
-				if c.Zipf != z || c.Limit != limit {
-					continue
+				if c.Zipf == z && c.Limit == limit {
+					group = append(group, c)
 				}
-				if !header {
-					if limit == 0 {
-						fmt.Fprintf(w, "-- zipf %.2f, full join --\n", z)
-					} else {
-						fmt.Fprintf(w, "-- zipf %.2f, limit %d (%.3f%% of output) --\n", z, limit, c.Fraction*100)
-					}
-					header = true
-				}
+			}
+			if len(group) == 0 {
+				continue
+			}
+			if limit == 0 {
+				fmt.Fprintf(w, "-- zipf %.2f, full join --\n", z)
+			} else {
+				fmt.Fprintf(w, "-- zipf %.2f, limit %d (%.3f%% of output) --\n", z, limit, group[0].Fraction*100)
+			}
+			for _, c := range group {
 				line := fmt.Sprintf("%-7s first %10s  total %10s  staged %d",
 					c.Operator, FormatDuration(time.Duration(c.TimeToFirstNS)),
 					FormatDuration(time.Duration(c.TotalNS)), c.Staged)
@@ -280,6 +291,11 @@ func (rep *StreamReport) Fprint(w io.Writer) {
 						FormatDuration(time.Duration(c.TotalNS)), c.Staged)
 				}
 				fmt.Fprintln(w, line)
+			}
+			if ssj, cbase := streamPair(group); limit > 0 && ssj != nil && cbase != nil && ssj.TimeToLimitNS > 0 {
+				fmt.Fprintf(w, "cbase/ssj  to-limit %.1fx  total %.1fx\n",
+					float64(cbase.TimeToLimitNS)/float64(ssj.TimeToLimitNS),
+					float64(cbase.TotalNS)/float64(ssj.TotalNS))
 			}
 		}
 	}

@@ -165,13 +165,16 @@ type PlannerInfo struct {
 
 // StreamInfo reports a join's incremental-delivery milestones: present
 // for the streaming symmetric join (always) and for blocking CPU joins
-// that ran with a limit.
+// that ran with a limit. The streaming join's clock starts after its
+// set-up, when streaming starts; a blocking join's starts before its
+// partition and build (see skewjoin.StreamStats).
 type StreamInfo struct {
-	// FirstResultMS is the time from join start to the first staged
-	// result (0 when the join output is empty).
+	// FirstResultMS is the time from the milestone clock's start to the
+	// first staged result (0 when the join output is empty).
 	FirstResultMS float64 `json:"first_result_ms"`
-	// LimitMS is the time from join start until the request's limit was
-	// reached (0 when no limit was set or it was never reached).
+	// LimitMS is the time from the milestone clock's start until the
+	// request's limit was reached (0 when no limit was set or it was
+	// never reached).
 	LimitMS float64 `json:"limit_ms,omitempty"`
 	// LimitHit reports the join stopped early at the requested limit;
 	// matches/checksum then digest a partial prefix of the join.

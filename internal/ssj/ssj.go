@@ -35,6 +35,7 @@ package ssj
 
 import (
 	"context"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,8 +52,9 @@ type Config struct {
 	// Threads is the number of worker threads.
 	Threads int
 	// ChunkSize is the number of tuples per input chunk — the unit of
-	// streaming arrival and of cancellation latency (default 4096). A
-	// cancelled run stops within one chunk per worker.
+	// streaming arrival and of cancellation latency (default 4096). Each
+	// side's first chunks ramp up to it from 256 tuples. A cancelled run
+	// stops within one chunk per worker.
 	ChunkSize int
 	// Lanes is the number of lane shards (rounded up to a power of two;
 	// default 4×Threads, minimum 8). Each lane holds one R-table and one
@@ -112,11 +114,15 @@ type Stats struct {
 	// exceed Limit by up to one chunk per worker (bounded overshoot) and
 	// equals Summary.Count.
 	Staged uint64
-	// FirstResultNs is the time from run start to the first staged
-	// result batch, in nanoseconds (0 when the join is empty).
+	// FirstResultNs is the time from the start of the "stream" phase to
+	// the first staged result batch, in nanoseconds (0 when the join is
+	// empty). The clock starts once the lane tables, task queue and output
+	// buffers are set up: set-up shows on the caller's wall clock, not in
+	// either milestone or in the phase.
 	FirstResultNs int64
-	// LimitNs is the time from run start until Staged crossed
-	// Config.Limit (0 when no limit was set or it was never reached).
+	// LimitNs is the time from the start of the "stream" phase until
+	// Staged crossed Config.Limit (0 when no limit was set or it was never
+	// reached).
 	LimitNs int64
 	// LimitHit reports that Config.Limit was reached; the Summary is a
 	// valid partial prefix digest, not the full join.
@@ -225,14 +231,23 @@ func Join(r, s relation.Relation, cfg Config) Result {
 
 	lanes := make([]lane, cfg.Lanes)
 	laneMask := uint32(cfg.Lanes - 1)
-	// Size each lane's tables for an even key spread; a skewed lane just
-	// doubles a few extra times. Locked for the lock-discipline invariant
-	// even though no worker is running yet.
+	// A full scan inserts every tuple, so it sizes each lane's tables for
+	// an even key spread up front (a skewed lane just doubles a few extra
+	// times). A limited run usually stops after a few chunks: its tables
+	// start at the minimum size and grow with the prefix it streams, so
+	// allocating and clearing the bucket heads — and the MaxChain sweep
+	// over them below — costs in proportion to that prefix, not to
+	// |R|+|S|. Locked for the lock-discipline invariant even though no
+	// worker is running yet.
+	capR, capS := r.Len()/cfg.Lanes, s.Len()/cfg.Lanes
+	if cfg.Limit > 0 {
+		capR, capS = 0, 0
+	}
 	for i := range lanes {
 		ln := &lanes[i]
 		ln.mu.Lock()
-		ln.r = chainedtable.NewIncremental(r.Len() / cfg.Lanes)
-		ln.s = chainedtable.NewIncremental(s.Len() / cfg.Lanes)
+		ln.r = chainedtable.NewIncremental(capR)
+		ln.s = chainedtable.NewIncremental(capS)
 		ln.mu.Unlock()
 	}
 
@@ -311,32 +326,36 @@ func Join(r, s relation.Relation, cfg Config) Result {
 	return res
 }
 
-// interleave cuts both inputs into ChunkSize tasks and alternates them
-// R, S, R, S, … so the two tables fill at matching rates regardless of
-// which side is larger (the longer side's tail runs unpaired).
+// firstChunk is the size of each side's first chunk (see interleave).
+const firstChunk = 256
+
+// interleave cuts both inputs into tasks and alternates them R, S, R, S,
+// … so the two tables fill at matching rates regardless of which side is
+// larger (the longer side's tail runs unpaired). Each side's chunks start
+// at firstChunk tuples and double up to chunk: the first results and the
+// first limit check then come after a few hundred tuples per side rather
+// than a full chunk, while a long scan runs at full size after a few
+// tasks.
 func interleave(nr, ns, chunk int) []task {
-	tasks := make([]task, 0, (nr+ns)/chunk+2)
+	first := min(firstChunk, chunk)
+	// Each side's ramp adds at most bits.Len(chunk/first) tasks to its
+	// full-size chunks, and its tail one more.
+	tasks := make([]task, 0, (nr+ns)/chunk+2*bits.Len(uint(chunk/first))+2)
 	var lr, ls int
+	cr, cs := first, first
 	for lr < nr || ls < ns {
 		if lr < nr {
-			hi := min(lr+chunk, nr)
+			hi := min(lr+cr, nr)
 			tasks = append(tasks, task{side: 0, lo: int32(lr), hi: int32(hi)})
-			lr = hi
+			lr, cr = hi, min(2*cr, chunk)
 		}
 		if ls < ns {
-			hi := min(ls+chunk, ns)
+			hi := min(ls+cs, ns)
 			tasks = append(tasks, task{side: 1, lo: int32(ls), hi: int32(hi)})
-			ls = hi
+			ls, cs = hi, min(2*cs, chunk)
 		}
 	}
 	return tasks
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // stream processes one chunk: route its tuples to lanes, then for each

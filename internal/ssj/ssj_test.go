@@ -2,6 +2,7 @@ package ssj
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -245,4 +246,62 @@ func TestInterleave(t *testing.T) {
 	if got := interleave(0, 0, 10); len(got) != 0 {
 		t.Fatalf("empty inputs produced tasks: %+v", got)
 	}
+
+	// The ramp: each side's chunks start at min(firstChunk, chunk),
+	// double, then stay at chunk; together they tile the side exactly
+	// once, and the sides alternate while both have tuples left.
+	for _, tc := range []struct{ nr, ns, chunk int }{
+		{100000, 70000, DefaultChunkSize},
+		{5000, 300, 1000},
+		{300, 5000, 64},
+		{256, 256, DefaultChunkSize},
+		{1, 9000, DefaultChunkSize},
+	} {
+		tasks := interleave(tc.nr, tc.ns, tc.chunk)
+		n := [2]int{tc.nr, tc.ns}
+		var covered [2]int
+		want := [2]int{min(firstChunk, tc.chunk), min(firstChunk, tc.chunk)}
+		for i, tk := range tasks {
+			sd := tk.side
+			if i > 0 && tasks[i-1].side == sd && covered[1-sd] < n[1-sd] {
+				t.Fatalf("%+v: task %d repeats side %d while the other has tuples left: %+v", tc, i, sd, tasks)
+			}
+			if int(tk.lo) != covered[sd] {
+				t.Fatalf("%+v: task %d %+v starts at %d, side covered to %d", tc, i, tk, tk.lo, covered[sd])
+			}
+			size := int(tk.hi - tk.lo)
+			if size != want[sd] && (int(tk.hi) != n[sd] || size > want[sd] || size <= 0) {
+				t.Fatalf("%+v: task %d %+v has %d tuples, want %d (or a shorter tail)", tc, i, tk, size, want[sd])
+			}
+			covered[sd] = int(tk.hi)
+			want[sd] = min(2*want[sd], tc.chunk)
+		}
+		if covered != n {
+			t.Fatalf("%+v: tasks cover %v, want %v", tc, covered, n)
+		}
+	}
+}
+
+// TestJoinLimitSetupIndependentOfInput checks a limited run pays for the
+// prefix it streams, not for the whole input: the heap it allocates must
+// not grow with |R|+|S| once the limit is met within the first chunks.
+func TestJoinLimitSetupIndependentOfInput(t *testing.T) {
+	alloc := func(n int) uint64 {
+		r, s := genPair(t, n, 0.9, 42)
+		cfg := Config{Threads: 2, Limit: 1000}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := Join(r, s, cfg)
+		runtime.ReadMemStats(&after)
+		if !res.Stats.LimitHit {
+			t.Fatalf("n=%d: limit 1000 not hit: %+v", n, res.Stats)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := alloc(1<<14), alloc(1<<18)
+	if large > 2*small {
+		t.Fatalf("limited join allocated %d B at 2^18 tuples per side vs %d B at 2^14 (%.1fx; want <= 2x)",
+			large, small, float64(large)/float64(small))
+	}
+	t.Logf("allocated %d B at 2^14, %d B at 2^18 tuples per side", small, large)
 }

@@ -23,12 +23,20 @@ const SSJ Algorithm = "ssj"
 // always present on SSJ results; on the blocking CPU algorithms it is
 // present when Options.Limit was set (measured at flush granularity, the
 // first moment a result batch reaches the consumer).
+//
+// The two kinds of run start their milestone clocks at different points.
+// SSJ starts its clock when streaming starts, after its tables and task
+// queue are set up, so its set-up is in neither milestone. The blocking
+// operators' limiter starts its clock before the operator does any work,
+// so their milestones include partitioning and building. Compare the two
+// on the caller's wall clock when set-up matters.
 type StreamStats struct {
-	// FirstResultNs is the time from join start to the first staged
-	// result, in nanoseconds (0 when the join is empty).
+	// FirstResultNs is the time from the milestone clock's start to the
+	// first staged result, in nanoseconds (0 when the join is empty).
 	FirstResultNs int64
-	// LimitNs is the time from join start until Options.Limit results
-	// were staged (0 when no limit was set or it was never reached).
+	// LimitNs is the time from the milestone clock's start until
+	// Options.Limit results were staged (0 when no limit was set or it
+	// was never reached).
 	LimitNs int64
 	// LimitHit reports that the run stopped early because Options.Limit
 	// was reached; Matches/Checksum then digest a partial prefix of the
