@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint lint-fixtures test-sanitize check fuzz bench bench-smoke bench-partition bench-join bench-gpu bench-coproc bench-coproc-smoke bench-shard bench-shard-smoke bench-stream bench-stream-smoke experiments examples serve-smoke cluster-smoke clean
+.PHONY: all build vet test race lint lint-fixtures test-sanitize check fuzz bench bench-smoke bench-gpu bench-coproc bench-coproc-smoke bench-shard bench-shard-smoke bench-stream bench-stream-smoke experiments examples serve-smoke cluster-smoke clean
 
 all: build vet test
 
@@ -50,16 +50,6 @@ bench:
 # compile or crash, without waiting for stable timings (CI runs this).
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x ./...
-
-# Partition-path A/B sweep (scatter x scheduler x skew); writes the
-# machine-readable perf baseline committed as BENCH_partition.json.
-bench-partition:
-	$(GO) run ./cmd/skewbench -exp partition -repeats 7 -out BENCH_partition.json
-
-# Join-path A/B sweep (probe mode x table layout x skew); writes the
-# machine-readable perf baseline committed as BENCH_join.json.
-bench-join:
-	$(GO) run ./cmd/skewbench -exp join -repeats 7 -out BENCH_join.json
 
 # GPU-simulation A/B sweep (algorithm x skew x HostParallelism); writes
 # the machine-readable perf baseline committed as BENCH_gpu.json.

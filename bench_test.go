@@ -44,15 +44,10 @@ func workloadPair(b *testing.B, n int, theta float64) (Relation, Relation) {
 
 func runJoin(b *testing.B, alg Algorithm, r, s Relation, phases ...string) {
 	b.Helper()
-	runJoinOpts(b, alg, r, s, nil, phases...)
-}
-
-func runJoinOpts(b *testing.B, alg Algorithm, r, s Relation, opts *Options, phases ...string) {
-	b.Helper()
 	var res Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = Join(alg, r, s, opts)
+		res, err = Join(alg, r, s, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -171,37 +166,6 @@ func BenchmarkSortVsHashExtension(b *testing.B) {
 				r, s := workloadPair(b, n, z)
 				runJoin(b, alg, r, s)
 			})
-		}
-	}
-}
-
-// BenchmarkPartitionVariants A/Bs the partitioner-overhaul knobs on the CPU
-// joins: the seed paths (direct scatter, mutex task queue) against each
-// mechanism in isolation and the shipped default (auto scatter, lock-free
-// queue). The partition-ms metric is the quantity under test; results/op
-// must be identical across variants (the golden tests pin bit-for-bit
-// output equivalence). cmd/skewbench -exp partition runs the same matrix
-// with a raw-partitioner sweep and machine-readable output.
-func BenchmarkPartitionVariants(b *testing.B) {
-	n := benchTuples()
-	variants := []struct {
-		name    string
-		scatter ScatterMode
-		sched   SchedMode
-	}{
-		{"seed=direct+mutex", ScatterDirect, SchedMutex},
-		{"wc+atomic", ScatterWC, SchedAtomic},
-		{"default=auto+atomic", ScatterAuto, SchedAtomic},
-	}
-	for _, alg := range []Algorithm{Cbase, CSH} {
-		for _, z := range []float64{0.0, 1.0} {
-			for _, v := range variants {
-				b.Run(fmt.Sprintf("%s/zipf=%.1f/%s", alg, z, v.name), func(b *testing.B) {
-					r, s := workloadPair(b, n, z)
-					opts := &Options{Scatter: v.scatter, Sched: v.sched}
-					runJoinOpts(b, alg, r, s, opts, "partition")
-				})
-			}
 		}
 	}
 }

@@ -1,12 +1,13 @@
 // Command skewbench regenerates the paper's evaluation — Figure 1,
 // Figures 4a/4b, Table I, the scale-up experiment and the headline speedup
 // summary — plus this repository's extension experiments: the §III skew
-// analysis, one-sided S skew (sskew), sort-vs-hash (sortvshash), per-join
-// memory footprints (memory) and the A/B sweeps of the three hot-path
-// overhauls (partition, join and gpu; excluded from "all" — run them
-// explicitly, typically via make bench-partition / make bench-join /
-// make bench-gpu, which write BENCH_partition.json / BENCH_join.json /
-// BENCH_gpu.json).
+// analysis, one-sided S skew (sskew), sort-vs-hash (sortvshash) and
+// per-join memory footprints (memory).
+//
+// The gpu experiment measures the host worker pool that executes the
+// simulated GPU's thread blocks against serial simulation (plus an A/A
+// control), writing BENCH_gpu.json via make bench-gpu. It and the sweeps
+// below are excluded from "all"; run them explicitly.
 //
 // The coproc experiment benchmarks the cost-model-driven CPU/GPU split
 // executor against its pinned single-backend controls on the coupled
@@ -21,7 +22,7 @@
 // Usage:
 //
 //	skewbench [-exp fig1|fig4a|fig4b|table1|speedup|large|
-//	                analysis|sskew|sortvshash|memory|partition|join|gpu|coproc|shard|stream|all]
+//	                analysis|sskew|sortvshash|memory|gpu|coproc|shard|stream|all]
 //	          [-n tuples] [-threads k] [-seed s] [-zipf list] [-shm KiB]
 //	          [-json] [-plot] [-out file.json]
 //
@@ -58,7 +59,7 @@ type plotter interface {
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: fig1, fig4a, fig4b, table1, speedup, large, analysis, sskew, sortvshash, memory, partition, join, gpu, coproc, shard, stream, or all")
+		exp     = flag.String("exp", "all", "experiment: fig1, fig4a, fig4b, table1, speedup, large, analysis, sskew, sortvshash, memory, gpu, coproc, shard, stream, or all")
 		tuples  = flag.Int("n", 0, "tuples per input table (default $SKEWJOIN_TUPLES or 262144)")
 		threads = flag.Int("threads", 0, "CPU worker threads (default all cores)")
 		seed    = flag.Int64("seed", 42, "workload seed")
@@ -68,7 +69,7 @@ func main() {
 		minWin  = flag.Int64("minwin", 0, "split planner absolute win floor in ms for -exp coproc (default 0 = engine default 25ms); smoke runs at tiny -n lower it to ~1ms")
 		asJSON  = flag.Bool("json", false, "emit reports as JSON instead of text tables")
 		plot    = flag.Bool("plot", false, "also render figure reports as log-scale ASCII charts")
-		outFile = flag.String("out", "", "also write the report as JSON to this file (e.g. BENCH_partition.json; single -exp runs only)")
+		outFile = flag.String("out", "", "also write the report as JSON to this file (e.g. BENCH_gpu.json; single -exp runs only)")
 	)
 	flag.Parse()
 
@@ -165,12 +166,6 @@ func run(name string, cfg bench.Config) (printer, bool, error) {
 		return rep, rep != nil && len(rep.Errors) > 0, err
 	case "memory":
 		rep, err := bench.Memory(cfg)
-		return rep, rep != nil && len(rep.Errors) > 0, err
-	case "partition":
-		rep, err := bench.PartitionBench(cfg)
-		return rep, rep != nil && len(rep.Errors) > 0, err
-	case "join":
-		rep, err := bench.JoinBench(cfg)
 		return rep, rep != nil && len(rep.Errors) > 0, err
 	case "gpu":
 		rep, err := bench.GPUBench(cfg)

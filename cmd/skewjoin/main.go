@@ -90,7 +90,8 @@ func main() {
 	}
 
 	algorithm := skewjoin.Algorithm(*alg)
-	opts := &skewjoin.Options{Threads: *threads, HostParallelism: *hostpar, Device: dev}
+	dev.HostParallelism = *hostpar
+	opts := &skewjoin.Options{Threads: *threads, Device: dev}
 	switch *backend {
 	case "":
 	case "split":
@@ -178,7 +179,9 @@ func compareAll(r, s skewjoin.Relation, threads, hostpar int, verify bool) {
 	fmt.Printf("%-11s %12s %8s %s\n", "algorithm", "total", "kind", "phases")
 	failed := false
 	for _, alg := range skewjoin.ExtendedAlgorithms() {
-		res, err := skewjoin.Join(alg, r, s, &skewjoin.Options{Threads: threads, HostParallelism: hostpar})
+		res, err := skewjoin.Join(alg, r, s, &skewjoin.Options{
+			Threads: threads, Device: skewjoin.DeviceConfig{HostParallelism: hostpar},
+		})
 		if err != nil {
 			fatal(err)
 		}

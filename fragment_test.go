@@ -11,8 +11,10 @@ import (
 // 25ms default doesn't mask the decision at a few thousand tuples.
 func fragmentOptions(fragments, hostpar int) Options {
 	cal := Calibration{BuildNsPerTuple: 10, ProbeNsPerUnit: 2.5}
+	dev := CoupledDevice()
+	dev.HostParallelism = hostpar
 	return Options{
-		Threads: 1, Device: CoupledDevice(), HostParallelism: hostpar,
+		Threads: 1, Device: dev,
 		Calibration: &cal, Fragments: fragments,
 		SplitMinWinNs: 1, SplitWinFraction: 0.01,
 	}

@@ -2,10 +2,11 @@ package skewjoin
 
 import "testing"
 
-// TestOptionsHostParallelism sweeps the public HostParallelism knob over
-// every GPU algorithm: any pool size — including the negative force-serial
-// setting and a pool far larger than the host — must reproduce the serial
-// result exactly, both the output summary and the modelled phase times.
+// TestOptionsHostParallelism sweeps Options.Device.HostParallelism over
+// every GPU algorithm: any pool size — including a negative value, which
+// means serial like 0, and a pool far larger than the host — must
+// reproduce the serial result exactly, both the output summary and the
+// modelled phase times.
 func TestOptionsHostParallelism(t *testing.T) {
 	r, s, err := GenerateZipfPair(1<<14, 0.9, 42)
 	if err != nil {
@@ -22,7 +23,9 @@ func TestOptionsHostParallelism(t *testing.T) {
 			t.Fatalf("%s serial: summary %+v, oracle %+v", alg, serial.Summary(), want)
 		}
 		for _, hp := range []int{-1, 1, 4, 64} {
-			res, err := Join(alg, r, s, &Options{Device: dev, HostParallelism: hp})
+			pool := dev
+			pool.HostParallelism = hp
+			res, err := Join(alg, r, s, &Options{Device: pool})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,28 +43,6 @@ func TestOptionsHostParallelism(t *testing.T) {
 					t.Errorf("%s hostpar=%d: phase %+v, serial %+v", alg, hp, res.Phases[i], serial.Phases[i])
 				}
 			}
-		}
-	}
-}
-
-// TestOptionsDeviceConfigOverride pins the override semantics: a positive
-// Options.HostParallelism wins over Device.HostParallelism, a negative one
-// forces serial even when the device config asks for a pool, and zero
-// defers to the device config.
-func TestOptionsDeviceConfigOverride(t *testing.T) {
-	cases := []struct {
-		opt, dev, want int
-	}{
-		{0, 0, 0},
-		{0, 3, 3},
-		{2, 3, 2},
-		{-1, 3, 0},
-		{5, 0, 5},
-	}
-	for _, c := range cases {
-		o := &Options{Device: DeviceConfig{HostParallelism: c.dev}, HostParallelism: c.opt}
-		if got := o.deviceConfig().HostParallelism; got != c.want {
-			t.Errorf("opt=%d dev=%d: resolved HostParallelism %d, want %d", c.opt, c.dev, got, c.want)
 		}
 	}
 }

@@ -167,14 +167,15 @@ func CoprocBench(cfg Config) (*CoprocReport, error) {
 			return nil, err
 		}
 		for _, hostpar := range coprocHostpars {
+			dev := device
+			dev.HostParallelism = hostpar
 			group := make([]CoprocCell, 0, len(coprocPolicies))
 			for _, policy := range coprocPolicies {
 				cell := CoprocCell{Zipf: z, Policy: string(policy), HostParallelism: hostpar}
 				for it := 0; it < cfg.Repeats; it++ {
 					res, err := skewjoin.Join(skewjoin.Split, w.R, w.S, &skewjoin.Options{
-						Threads: threads, Device: device,
-						HostParallelism: hostpar,
-						SplitPolicy:     policy, Calibration: &cal,
+						Threads: threads, Device: dev,
+						SplitPolicy: policy, Calibration: &cal,
 						SplitMinWinNs: cfg.SplitMinWinNs,
 					})
 					if err != nil {

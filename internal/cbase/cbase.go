@@ -26,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"skewjoin/internal/chainedtable"
 	"skewjoin/internal/exec"
 	"skewjoin/internal/joinphase"
 	"skewjoin/internal/outbuf"
@@ -52,20 +51,6 @@ type Config struct {
 	// buffers (the volcano model's upper operator); the final partial
 	// batch is delivered before Join returns.
 	Flush func(worker int) outbuf.FlushFunc
-	// Scatter selects the partitioner's scatter strategy (default
-	// radix.ScatterAuto); both strategies are output-equivalent.
-	Scatter radix.ScatterMode
-	// Sched selects the dynamic task queue used by partition pass 2 and
-	// the join phase (default radix.SchedAtomic).
-	Sched radix.SchedMode
-	// Probe selects the join phase's probe strategy (default
-	// chainedtable.ProbeScalar; ProbeGrouped advances GroupSize chain walks
-	// in lock-step). Output-equivalent.
-	Probe chainedtable.ProbeMode
-	// Layout selects the join phase's build-table layout (default
-	// chainedtable.LayoutChained; LayoutCompact stores buckets
-	// contiguously). Output-equivalent.
-	Layout chainedtable.Layout
 	// Ctx optionally cancels the run (nil = never). Cancellation is
 	// checked at phase boundaries and between join tasks; a cancelled run
 	// reports Result.Canceled and its summary must be discarded.
@@ -121,8 +106,7 @@ func Join(r, s relation.Relation, cfg Config) Result {
 	var res Result
 	var timer exec.PhaseTimer
 	rcfg := radix.Config{
-		Threads: cfg.Threads, Bits1: cfg.Bits1, Bits2: cfg.Bits2,
-		Scatter: cfg.Scatter, Sched: cfg.Sched, Ctx: cfg.Ctx,
+		Threads: cfg.Threads, Bits1: cfg.Bits1, Bits2: cfg.Bits2, Ctx: cfg.Ctx,
 	}
 
 	// The R and S partitioning passes are independent, so they run
@@ -167,9 +151,6 @@ func Join(r, s relation.Relation, cfg Config) Result {
 		res.Stats.Join = joinphase.Run(pr, ps, joinphase.Config{
 			Threads:    cfg.Threads,
 			SkewFactor: cfg.SkewFactor,
-			Sched:      cfg.Sched,
-			Probe:      cfg.Probe,
-			Layout:     cfg.Layout,
 			Ctx:        cfg.Ctx,
 		}, bufs)
 		for _, b := range bufs {

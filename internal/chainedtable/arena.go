@@ -2,58 +2,44 @@ package chainedtable
 
 import "skewjoin/internal/relation"
 
-// Arena recycles build-table scratch across the per-task Build calls of a
-// join phase. A join phase runs one build per partition pair — thousands of
-// tasks at realistic fanouts — and the seed allocated fresh heads/next
-// slices for every one. An Arena is owned by exactly one worker: each Build
-// reuses the previous table's scratch in place, so after the first few
-// tasks grow the buffers to the high-water mark, the steady state allocates
-// nothing.
+// Arena recycles build-table scratch across the per-task builds of a join
+// phase. A join phase runs one build per partition pair — thousands of
+// tasks at realistic fanouts — and allocating fresh arrays for every one
+// costs more than the small builds themselves. An Arena is owned by
+// exactly one worker: each Build reuses the previous table's scratch in
+// place, so after the first few tasks grow the buffers to the high-water
+// mark, the steady state allocates nothing.
 //
 // The returned table is only valid until the worker's next Build through
 // the same arena. When a table must outlive that — joinphase hands split
 // sub-tasks sharing one built table to other workers — call Detach first:
 // the arena forgets the table and the next Build allocates fresh scratch.
 //
-// A nil *Arena is valid and simply allocates per build (the seed
-// behaviour), so callers without reuse needs pass nil.
+// A nil *Arena is valid and simply allocates per build, so callers without
+// reuse needs pass nil.
 type Arena struct {
-	chained *Table
-	compact *CompactTable
+	table *CompactTable
 }
 
-// Build constructs a table over tuples in the requested layout, reusing the
-// arena's scratch from the previous same-layout build when possible.
+// Build constructs a compact table over tuples, reusing the arena's
+// scratch from the previous build when possible.
 //
 //skewlint:hotpath
-func (a *Arena) Build(tuples []relation.Tuple, layout Layout) HashTable {
-	if layout == LayoutCompact {
-		if a == nil {
-			return BuildCompact(tuples)
-		}
-		if a.compact == nil {
-			a.compact = &CompactTable{}
-		}
-		t := a.compact
-		t.rebuild(tuples, t.starts, t.entries)
-		return t
-	}
+func (a *Arena) Build(tuples []relation.Tuple) *CompactTable {
 	if a == nil {
-		return Build(tuples)
+		return BuildCompact(tuples)
 	}
-	if a.chained == nil {
-		a.chained = &Table{}
+	if a.table == nil {
+		a.table = &CompactTable{}
 	}
-	t := a.chained
-	t.rebuild(tuples, t.heads, t.next)
-	return t
+	a.table.rebuild(tuples)
+	return a.table
 }
 
-// Detach releases the arena's claim on the tables it handed out, so they
-// stay valid indefinitely. The next Build allocates fresh scratch.
+// Detach releases the arena's claim on the table it handed out, so it
+// stays valid indefinitely. The next Build allocates fresh scratch.
 func (a *Arena) Detach() {
 	if a != nil {
-		a.chained = nil
-		a.compact = nil
+		a.table = nil
 	}
 }

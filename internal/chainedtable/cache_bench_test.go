@@ -53,8 +53,8 @@ func BenchmarkChainWalkVsSequentialScan(b *testing.B) {
 	}
 }
 
-// BenchmarkBuild measures table construction across partition sizes — the
-// per-task cost the join phase pays before probing.
+// BenchmarkBuild measures compact-table construction across partition
+// sizes — the per-task cost the join phase pays before probing.
 func BenchmarkBuild(b *testing.B) {
 	for _, size := range []int{1 << 10, 1 << 14, 1 << 18} {
 		tuples := make([]relation.Tuple, size)
@@ -64,17 +64,17 @@ func BenchmarkBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
 			b.SetBytes(int64(size) * relation.TupleSize)
 			for i := 0; i < b.N; i++ {
-				Build(tuples)
+				BuildCompact(tuples)
 			}
 		})
 	}
 }
 
 // BenchmarkProbe guards the probe loop itself against regressions: a
-// mixed-key workload (every tuple distinct key, ~1 node per visit) and a
-// fully skewed one (every probe walks the whole chain). The joins spend
-// most of their join phase inside Table.Probe, so any extra work per chain
-// node shows up here immediately.
+// mixed-key workload (every tuple distinct key, ~1 entry per visit) and a
+// fully skewed one (every probe scans the whole bucket). Cbase and CSH
+// spend most of their join phase inside CompactTable.Probe, so any extra
+// work per bucket entry shows up here immediately.
 func BenchmarkProbe(b *testing.B) {
 	const size = 1 << 14
 	b.Run("distinct-keys", func(b *testing.B) {
@@ -82,7 +82,7 @@ func BenchmarkProbe(b *testing.B) {
 		for i := range tuples {
 			tuples[i] = relation.Tuple{Key: relation.Key(i * 2654435761), Payload: relation.Payload(i)}
 		}
-		table := Build(tuples)
+		table := BuildCompact(tuples)
 		b.SetBytes(int64(size) * relation.TupleSize)
 		var sink relation.Payload
 		b.ResetTimer()
@@ -98,7 +98,7 @@ func BenchmarkProbe(b *testing.B) {
 		for i := range tuples {
 			tuples[i] = relation.Tuple{Key: 42, Payload: relation.Payload(i)}
 		}
-		table := Build(tuples)
+		table := BuildCompact(tuples)
 		b.SetBytes(int64(size) * relation.TupleSize)
 		var sink relation.Payload
 		b.ResetTimer()
@@ -109,8 +109,8 @@ func BenchmarkProbe(b *testing.B) {
 	})
 }
 
-// BenchmarkMaxChain pins the max-chain scan, which runs once per join task
-// right after Build: it must stay a pure walk with no allocation.
+// BenchmarkMaxChain pins the largest-bucket scan, which runs once per join
+// task right after the build: it must stay a pure scan with no allocation.
 func BenchmarkMaxChain(b *testing.B) {
 	for _, skewed := range []bool{false, true} {
 		name := "distinct-keys"
@@ -127,7 +127,7 @@ func BenchmarkMaxChain(b *testing.B) {
 				}
 				tuples[i] = relation.Tuple{Key: k, Payload: relation.Payload(i)}
 			}
-			table := Build(tuples)
+			table := BuildCompact(tuples)
 			b.ReportAllocs()
 			b.ResetTimer()
 			sink := 0

@@ -1,32 +1,28 @@
-// Package chainedtable implements the bucket-chained hash tables used by
-// the baseline joins.
+// Package chainedtable implements the hash tables the joins build.
 //
 // Both Cbase and Gbase use chained hashing (§III). All tuples with the same
-// key hash into the same bucket, so a popular key produces one long chain;
-// probing it costs one dependent memory access per chain node plus a key
-// comparison per node. That behaviour — the paper's central criticism of
-// the baselines under skew — is reproduced faithfully here: chains are
-// index-linked, probes walk them node by node, and every node visit does a
-// key comparison.
+// key hash into the same bucket, so a popular key produces one long bucket;
+// probing it costs one key comparison per entry. That behaviour — the
+// paper's central criticism of the baselines under skew — is what every
+// table here reproduces: a probe inspects its key's whole bucket, and the
+// visit count it returns is the bucket's length.
 //
-// Two variants are provided:
+// Four tables share one bucketing (the high bits of the mixed key):
 //
-//   - Table: single-owner table built over one partition (Cbase join tasks,
-//     GSH/Gbase NM-join blocks build one per task), and
-//   - Concurrent: a latch-free shared table built by many threads with CAS
-//     head insertion (cbase-npj builds one over the whole of R).
+//   - CompactTable (compact.go): each bucket stored as one contiguous run.
+//     The CPU join phase (Cbase, CSH's NM-join and the split executor's
+//     CPU leg) builds one per join task through a per-worker Arena
+//     (arena.go) that recycles its scratch across tasks;
+//   - Table: the paper's index-linked chains, built by the simulated GPU
+//     kernels (gpupart.ProbeJoinBlock), which model the chain walk;
+//   - Concurrent: a latch-free shared chained table built by many threads
+//     with CAS head insertion (cbase-npj builds one over the whole of R);
+//   - Incremental (incremental.go): a growable chained table for the
+//     streaming symmetric join.
 //
-// Beyond the faithful baseline, the package carries the join-phase hot-path
-// machinery the CPU joins A/B-test against it:
-//
-//   - grouped probing (ProbeGroup): S tuples are probed in fixed-size
-//     groups whose chain walks advance in lock-step, so the dependent loads
-//     of different probes overlap instead of serialising (the AMAC /
-//     software-pipelining idea);
-//   - a compact bucket-array layout (CompactTable, see compact.go) that
-//     stores each bucket contiguously for sequential probe scans; and
-//   - an Arena (see arena.go) that recycles build scratch across the
-//     thousands of per-task builds of a join phase.
+// A CompactTable and a Table over the same tuples have the same buckets
+// with the same members, so probe visit counts and the largest bucket
+// (MaxChain) agree between them.
 package chainedtable
 
 import (
@@ -56,8 +52,21 @@ type Table struct {
 //
 //skewlint:hotpath
 func Build(tuples []relation.Tuple) *Table {
-	t := &Table{}
-	t.rebuild(tuples, nil, nil)
+	nb := bucketCount(len(tuples))
+	t := &Table{
+		shift:  32 - hashfn.Log2(nb),
+		heads:  make([]int32, nb),
+		next:   make([]int32, len(tuples)),
+		tuples: tuples,
+	}
+	for b := range t.heads {
+		t.heads[b] = -1
+	}
+	for i, tp := range tuples {
+		b := hashfn.Mix32(uint32(tp.Key)) >> t.shift
+		t.next[i] = t.heads[b]
+		t.heads[b] = int32(i)
+	}
 	return t
 }
 
@@ -72,38 +81,6 @@ func bucketCount(n int) int {
 		nb = 1
 	}
 	return nb
-}
-
-// rebuild (re)initialises t over tuples, reusing the supplied heads/next
-// scratch when it has capacity and allocating otherwise. Build passes nil
-// scratch; Arena passes the previous build's slices so the steady-state
-// join phase allocates nothing.
-//
-//skewlint:hotpath
-func (t *Table) rebuild(tuples []relation.Tuple, heads, next []int32) {
-	nb := bucketCount(len(tuples))
-	if cap(heads) >= nb {
-		heads = heads[:nb]
-	} else {
-		heads = make([]int32, nb)
-	}
-	if cap(next) >= len(tuples) {
-		next = next[:len(tuples)]
-	} else {
-		next = make([]int32, len(tuples))
-	}
-	t.shift = 32 - hashfn.Log2(nb)
-	t.heads = heads
-	t.next = next
-	t.tuples = tuples
-	for b := range heads {
-		heads[b] = -1
-	}
-	for i, tp := range tuples {
-		b := hashfn.Mix32(uint32(tp.Key)) >> t.shift
-		next[i] = heads[b]
-		heads[b] = int32(i)
-	}
 }
 
 // Probe walks the chain of k's bucket, invoking fn for every tuple whose
@@ -125,118 +102,6 @@ func (t *Table) Probe(k relation.Key, fn func(pr relation.Payload)) int {
 	}
 	return visited
 }
-
-// ProbeGroup probes every S tuple in ts, invoking fn(i, payload) for each
-// match of ts[i], and returns the total chain nodes visited. Tuples are
-// processed in groups of GroupSize: each group's bucket heads are loaded
-// up front, then all in-flight chain walks advance one node per round in
-// lock-step, with finished lanes compacted out. The dependent loads of up
-// to GroupSize chains are therefore in flight together instead of one
-// probe serialising behind the previous one — the gain grows with chain
-// length, exactly the regime skew produces.
-//
-// Matches are emitted in round order (interleaved across the group), not
-// in S order; the match multiset per S tuple is identical to scalar
-// probing, which is what the order-independent output summaries consume.
-//
-//skewlint:hotpath
-func (t *Table) ProbeGroup(ts []relation.Tuple, fn func(i int, pr relation.Payload)) int {
-	visited := 0
-	for lo := 0; lo < len(ts); lo += GroupSize {
-		hi := lo + GroupSize
-		if hi > len(ts) {
-			hi = len(ts)
-		}
-		visited += t.probeGroup(ts[lo:hi], lo, fn)
-	}
-	return visited
-}
-
-// probeGroup advances one group (len(ts) <= GroupSize) in lock-step; base
-// is the group's offset within the caller's S slice, added to the lane
-// index fn receives.
-//
-//skewlint:hotpath
-func (t *Table) probeGroup(ts []relation.Tuple, base int, fn func(i int, pr relation.Payload)) int {
-	var cur, slot [GroupSize]int32
-	m := 0
-	for j := range ts {
-		if h := t.heads[hashfn.Mix32(uint32(ts[j].Key))>>t.shift]; h >= 0 {
-			cur[m], slot[m] = h, int32(j)
-			m++
-		}
-	}
-	visited := 0
-	rounds := 0
-	for m > 0 {
-		rounds++
-		if sanitize.Enabled && rounds > len(t.tuples) {
-			sanitize.Failf("chainedtable: cycle in bucket chain during grouped probe (round %d, table holds %d tuples)",
-				rounds, len(t.tuples))
-		}
-		k := 0
-		for l := 0; l < m; l++ {
-			i, j := cur[l], slot[l]
-			visited++
-			if t.tuples[i].Key == ts[j].Key {
-				fn(base+int(j), t.tuples[i].Payload)
-			}
-			if nx := t.next[i]; nx >= 0 {
-				cur[k], slot[k] = nx, j
-				k++
-			}
-		}
-		m = k
-	}
-	return visited
-}
-
-// ChainLength returns the length of the chain that key k hashes into
-// (matching and colliding tuples alike). The GPU simulator uses it to
-// compute warp divergence without re-walking chains.
-//
-//skewlint:hotpath
-func (t *Table) ChainLength(k relation.Key) int {
-	n := 0
-	for i := t.heads[hashfn.Mix32(uint32(k))>>t.shift]; i >= 0; i = t.next[i] {
-		n++
-		if sanitize.Enabled && n > len(t.tuples) {
-			sanitize.Failf("chainedtable: cycle in bucket chain for key %d (visited %d nodes, table holds %d tuples)",
-				k, n, len(t.tuples))
-		}
-	}
-	return n
-}
-
-// MaxChain returns the longest chain in the table, a direct measure of how
-// badly skew degrades chained hashing. Chains are walked with a running
-// maximum — no per-bucket allocation; the join phase calls this once per
-// build, so it sits on the task hot path.
-//
-//skewlint:hotpath
-func (t *Table) MaxChain() int {
-	max := 0
-	for b := range t.heads {
-		n := 0
-		for i := t.heads[b]; i >= 0; i = t.next[i] {
-			n++
-			if sanitize.Enabled && n > len(t.tuples) {
-				sanitize.Failf("chainedtable: cycle in bucket %d's chain (visited %d nodes, table holds %d tuples)",
-					b, n, len(t.tuples))
-			}
-		}
-		if n > max {
-			max = n
-		}
-	}
-	return max
-}
-
-// Len returns the number of tuples in the table.
-func (t *Table) Len() int { return len(t.tuples) }
-
-// Buckets returns the number of buckets.
-func (t *Table) Buckets() int { return len(t.heads) }
 
 // Concurrent is a shared chained hash table built by multiple threads.
 // Insertion pushes onto the bucket head with a CAS loop, the standard
@@ -295,59 +160,6 @@ func (c *Concurrent) Probe(k relation.Key, fn func(pr relation.Payload)) int {
 		if c.tuples[i].Key == k {
 			fn(c.tuples[i].Payload)
 		}
-	}
-	return visited
-}
-
-// ProbeGroup is Table.ProbeGroup for the shared table: S tuples are probed
-// in lock-stepped groups of GroupSize. It must not run concurrently with
-// Insert; the head loads still go through the atomics so the race detector
-// sees the build/probe ordering.
-//
-//skewlint:hotpath
-func (c *Concurrent) ProbeGroup(ts []relation.Tuple, fn func(i int, pr relation.Payload)) int {
-	visited := 0
-	for lo := 0; lo < len(ts); lo += GroupSize {
-		hi := lo + GroupSize
-		if hi > len(ts) {
-			hi = len(ts)
-		}
-		visited += c.probeGroup(ts[lo:hi], lo, fn)
-	}
-	return visited
-}
-
-//skewlint:hotpath
-func (c *Concurrent) probeGroup(ts []relation.Tuple, base int, fn func(i int, pr relation.Payload)) int {
-	var cur, slot [GroupSize]int32
-	m := 0
-	for j := range ts {
-		if h := c.heads[hashfn.Mix32(uint32(ts[j].Key))>>c.shift].Load(); h >= 0 {
-			cur[m], slot[m] = h, int32(j)
-			m++
-		}
-	}
-	visited := 0
-	rounds := 0
-	for m > 0 {
-		rounds++
-		if sanitize.Enabled && rounds > len(c.tuples) {
-			sanitize.Failf("chainedtable: cycle in bucket chain during grouped probe (round %d, table holds %d tuples)",
-				rounds, len(c.tuples))
-		}
-		k := 0
-		for l := 0; l < m; l++ {
-			i, j := cur[l], slot[l]
-			visited++
-			if c.tuples[i].Key == ts[j].Key {
-				fn(base+int(j), c.tuples[i].Payload)
-			}
-			if nx := c.next[i]; nx >= 0 {
-				cur[k], slot[k] = nx, j
-				k++
-			}
-		}
-		m = k
 	}
 	return visited
 }

@@ -71,20 +71,17 @@ func TestVisitsAtLeastMatches(t *testing.T) {
 		if visits < matches {
 			t.Fatalf("key %d: %d visits < %d matches", k, visits, matches)
 		}
-		if cl := table.ChainLength(k); cl != visits {
-			t.Fatalf("key %d: ChainLength %d != probe visits %d", k, cl, visits)
-		}
 	}
 }
 
 func TestSkewProducesLongChain(t *testing.T) {
-	// All tuples share one key: the chain must span the whole table — the
-	// pathology of §III.
+	// All tuples share one key: the bucket the join phase builds must span
+	// the whole table — the pathology of §III.
 	tuples := make([]relation.Tuple, 1000)
 	for i := range tuples {
 		tuples[i] = relation.Tuple{Key: 77, Payload: relation.Payload(i)}
 	}
-	table := Build(tuples)
+	table := BuildCompact(tuples)
 	if mc := table.MaxChain(); mc != 1000 {
 		t.Errorf("MaxChain = %d, want 1000", mc)
 	}
@@ -94,12 +91,12 @@ func TestSkewProducesLongChain(t *testing.T) {
 }
 
 func TestUniformKeysShortChains(t *testing.T) {
-	// Distinct keys with one bucket per tuple: chains stay short.
+	// Distinct keys with one bucket per tuple: buckets stay short.
 	tuples := make([]relation.Tuple, 4096)
 	for i := range tuples {
 		tuples[i] = relation.Tuple{Key: relation.Key(i), Payload: relation.Payload(i)}
 	}
-	table := Build(tuples)
+	table := BuildCompact(tuples)
 	if mc := table.MaxChain(); mc > 12 {
 		t.Errorf("MaxChain = %d for distinct keys", mc)
 	}
@@ -111,7 +108,7 @@ func TestBucketsPowerOfTwo(t *testing.T) {
 	// for buckets they cannot fill.
 	wantBuckets := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 100: 128, 4096: 4096}
 	for _, n := range []int{0, 1, 2, 3, 100, 4096} {
-		table := Build(randomTuples(n, 10, 4))
+		table := BuildCompact(randomTuples(n, 10, 4))
 		b := table.Buckets()
 		if b&(b-1) != 0 || b < 1 {
 			t.Errorf("n=%d: buckets = %d", n, b)
@@ -122,8 +119,8 @@ func TestBucketsPowerOfTwo(t *testing.T) {
 		if table.Len() != n {
 			t.Errorf("n=%d: Len = %d", n, table.Len())
 		}
-		if cb := BuildCompact(randomTuples(n, 10, 4)); cb.Buckets() != b {
-			t.Errorf("n=%d: compact buckets = %d, chained %d", n, cb.Buckets(), b)
+		if cb := len(Build(randomTuples(n, 10, 4)).heads); cb != b {
+			t.Errorf("n=%d: chained buckets = %d, compact %d", n, cb, b)
 		}
 	}
 }
@@ -131,18 +128,16 @@ func TestBucketsPowerOfTwo(t *testing.T) {
 func TestSingleBucketTableProbes(t *testing.T) {
 	// A 1-tuple partition gets a single bucket (shift 32 → every key maps
 	// to bucket 0); probing must still find the tuple and reject others.
-	for _, build := range []func([]relation.Tuple) HashTable{
-		func(ts []relation.Tuple) HashTable { return Build(ts) },
-		func(ts []relation.Tuple) HashTable { return BuildCompact(ts) },
-	} {
-		table := build([]relation.Tuple{{Key: 42, Payload: 7}})
-		if table.Buckets() != 1 {
-			t.Fatalf("buckets = %d, want 1", table.Buckets())
-		}
-		if got := probeAll(table.Probe, 42); len(got) != 1 || got[0] != 7 {
+	tuples := []relation.Tuple{{Key: 42, Payload: 7}}
+	chained, compact := Build(tuples), BuildCompact(tuples)
+	if len(chained.heads) != 1 || compact.Buckets() != 1 {
+		t.Fatalf("buckets = %d chained, %d compact, want 1", len(chained.heads), compact.Buckets())
+	}
+	for _, probe := range []func(relation.Key, func(relation.Payload)) int{chained.Probe, compact.Probe} {
+		if got := probeAll(probe, 42); len(got) != 1 || got[0] != 7 {
 			t.Errorf("probe(42) = %v", got)
 		}
-		if got := probeAll(table.Probe, 43); len(got) != 0 {
+		if got := probeAll(probe, 43); len(got) != 0 {
 			t.Errorf("probe(43) matched %d tuples", len(got))
 		}
 	}

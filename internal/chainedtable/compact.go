@@ -6,13 +6,14 @@ import (
 	"skewjoin/internal/sanitize"
 )
 
-// CompactTable is the bucket-array alternative to the index-linked Table:
-// every bucket's entries are stored contiguously in one tuple array, with
-// starts[b] marking where bucket b begins (starts has len buckets+1, so
-// bucket b occupies entries[starts[b]:starts[b+1]]). Building costs one
-// extra counting pass over the tuples; probing replaces the chained walk's
-// dependent load per node with a sequential scan of one cache-resident run —
-// the chained-vs-array tension of the paper made selectable (LayoutCompact).
+// CompactTable is the CPU join phase's build table: every bucket's entries
+// are stored contiguously in one tuple array, with starts[b] marking where
+// bucket b begins (starts has len buckets+1, so bucket b occupies
+// entries[starts[b]:starts[b+1]]). Buckets are exactly Table's — same
+// hash, same bucket count, same members — so a probe inspects the entries
+// a chain walk would visit, but as a sequential scan of one run instead of
+// one dependent load per node. Building costs one extra counting pass over
+// the tuples.
 type CompactTable struct {
 	shift   uint32
 	starts  []int32
@@ -25,17 +26,19 @@ type CompactTable struct {
 //skewlint:hotpath
 func BuildCompact(tuples []relation.Tuple) *CompactTable {
 	t := &CompactTable{}
-	t.rebuild(tuples, nil, nil)
+	t.rebuild(tuples)
 	return t
 }
 
-// rebuild (re)initialises t over tuples, reusing the supplied starts/entries
-// scratch when it has capacity. Counting pass → exclusive prefix sum →
-// scatter → shift-down to restore starts.
+// rebuild (re)initialises t over tuples, reusing t's previous starts and
+// entries arrays when they have the capacity (an Arena's steady state) and
+// allocating otherwise. Counting pass → exclusive prefix sum → scatter →
+// shift-down to restore starts.
 //
 //skewlint:hotpath
-func (t *CompactTable) rebuild(tuples []relation.Tuple, starts []int32, entries []relation.Tuple) {
+func (t *CompactTable) rebuild(tuples []relation.Tuple) {
 	nb := bucketCount(len(tuples))
+	starts, entries := t.starts, t.entries
 	if cap(starts) >= nb+1 {
 		starts = starts[:nb+1]
 	} else {
@@ -84,7 +87,7 @@ func (t *CompactTable) rebuild(tuples []relation.Tuple, starts []int32, entries 
 // Probe scans k's bucket sequentially, invoking fn for every matching
 // tuple, and returns the number of entries inspected. A probe inspects the
 // whole bucket — exactly the entries a chained walk of the same bucket
-// would visit — so visit counts are layout-independent.
+// would visit — so visit counts equal a Table's over the same tuples.
 //
 //skewlint:hotpath
 func (t *CompactTable) Probe(k relation.Key, fn func(pr relation.Payload)) int {
@@ -98,58 +101,9 @@ func (t *CompactTable) Probe(k relation.Key, fn func(pr relation.Payload)) int {
 	return int(hi - lo)
 }
 
-// ProbeGroup is Table.ProbeGroup for the compact layout: S tuples are
-// probed in lock-stepped groups of GroupSize, each lane advancing one entry
-// of its bucket run per round. For short buckets the sequential scan already
-// prefetches well, but under skew the lock-step keeps many hot-bucket scans
-// in flight and preserves the mode's emit order across layouts.
-//
-//skewlint:hotpath
-func (t *CompactTable) ProbeGroup(ts []relation.Tuple, fn func(i int, pr relation.Payload)) int {
-	visited := 0
-	for lo := 0; lo < len(ts); lo += GroupSize {
-		hi := lo + GroupSize
-		if hi > len(ts) {
-			hi = len(ts)
-		}
-		visited += t.probeGroup(ts[lo:hi], lo, fn)
-	}
-	return visited
-}
-
-//skewlint:hotpath
-func (t *CompactTable) probeGroup(ts []relation.Tuple, base int, fn func(i int, pr relation.Payload)) int {
-	var cur, end, slot [GroupSize]int32
-	m := 0
-	visited := 0
-	for j := range ts {
-		b := hashfn.Mix32(uint32(ts[j].Key)) >> t.shift
-		lo, hi := t.starts[b], t.starts[b+1]
-		visited += int(hi - lo)
-		if lo < hi {
-			cur[m], end[m], slot[m] = lo, hi, int32(j)
-			m++
-		}
-	}
-	for m > 0 {
-		k := 0
-		for l := 0; l < m; l++ {
-			i, j := cur[l], slot[l]
-			if t.entries[i].Key == ts[j].Key {
-				fn(base+int(j), t.entries[i].Payload)
-			}
-			if i+1 < end[l] {
-				cur[k], end[k], slot[k] = i+1, end[l], j
-				k++
-			}
-		}
-		m = k
-	}
-	return visited
-}
-
-// MaxChain returns the largest bucket's entry count (the compact analogue
-// of the longest chain).
+// MaxChain returns the largest bucket's entry count: the length of the
+// longest chain the same tuples would form in a Table, and the §III skew
+// symptom the join phase reports.
 //
 //skewlint:hotpath
 func (t *CompactTable) MaxChain() int {

@@ -8,7 +8,7 @@ import (
 
 // Incremental is a bucket-chained hash table that grows as tuples arrive,
 // the build structure of the streaming symmetric hash join: neither input
-// is complete when probing starts, so the one-shot Build/rebuild path
+// is complete when probing starts, so the one-shot Build path
 // (which sizes its bucket array from a finished partition) cannot be used.
 // Tuples are appended one at a time; when the load factor reaches one the
 // bucket array doubles and every chain is relinked in place — amortised

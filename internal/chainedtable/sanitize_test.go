@@ -54,20 +54,6 @@ func TestSanitizeProbeDetectsCycle(t *testing.T) {
 	})
 }
 
-func TestSanitizeChainLengthDetectsCycle(t *testing.T) {
-	tb, key := corruptTable(t)
-	mustPanicWithCycle(t, func() {
-		tb.ChainLength(key)
-	})
-}
-
-func TestSanitizeMaxChainDetectsCycle(t *testing.T) {
-	tb, _ := corruptTable(t)
-	mustPanicWithCycle(t, func() {
-		tb.MaxChain()
-	})
-}
-
 func TestSanitizeConcurrentProbeDetectsCycle(t *testing.T) {
 	tuples := make([]relation.Tuple, 8)
 	for i := range tuples {
@@ -106,7 +92,7 @@ func TestSanitizeCleanTableUnaffected(t *testing.T) {
 	if matches != 2 || visited < 2 {
 		t.Fatalf("probe under sanitize returned matches=%d visited=%d", matches, visited)
 	}
-	if got := tb.MaxChain(); got < 1 {
-		t.Fatalf("MaxChain under sanitize = %d", got)
+	if got := BuildCompact(tuples).MaxChain(); got < 2 {
+		t.Fatalf("compact MaxChain under sanitize = %d", got)
 	}
 }

@@ -175,7 +175,7 @@ func (q *Queue[T]) Len() int {
 // Drain runs fn on every task using `threads` workers until the queue is
 // fully drained, including tasks pushed by fn itself while draining.
 func (q *Queue[T]) Drain(threads int, fn func(worker int, t T)) {
-	if drainQueue[T](q, nil, threads, fn) != nil {
+	if drainQueue(q, nil, threads, fn) != nil {
 		panic("exec: drain with no done channel cannot be cancelled")
 	}
 }
@@ -186,24 +186,18 @@ func (q *Queue[T]) Drain(threads int, fn func(worker int, t T)) {
 // already being executed when ctx fires runs to completion — cancellation
 // is between-task, so a cancelled drain never leaves a task half-applied.
 func (q *Queue[T]) DrainCtx(ctx context.Context, threads int, fn func(worker int, t T)) error {
-	if drainQueue[T](q, ctx.Done(), threads, fn) != nil {
+	if drainQueue(q, ctx.Done(), threads, fn) != nil {
 		return ctx.Err()
 	}
 	return nil
 }
 
-// nexter is the dequeue interface drainQueue needs; Queue and MutexQueue
-// both provide it.
-type nexter[T any] interface {
-	Next() (T, bool)
-}
-
-// drainQueue implements Drain/DrainCtx for both queue variants. The
-// in-flight counter makes the termination condition exact: the queue is
-// done when it is empty and no worker is still executing a task that could
-// push more. done (may be nil = never) stops workers between tasks; the
-// return value is non-nil iff the drain was cut short.
-func drainQueue[T any](q nexter[T], done <-chan struct{}, threads int, fn func(worker int, t T)) error {
+// drainQueue implements Drain/DrainCtx. The in-flight counter makes the
+// termination condition exact: the queue is done when it is empty and no
+// worker is still executing a task that could push more. done (may be nil
+// = never) stops workers between tasks; the return value is non-nil iff
+// the drain was cut short.
+func drainQueue[T any](q *Queue[T], done <-chan struct{}, threads int, fn func(worker int, t T)) error {
 	var inflight atomic.Int64
 	var stopped atomic.Bool
 	Parallel(threads, func(worker int) {
@@ -262,64 +256,6 @@ func backoff(idle int) {
 		shift = 6
 	}
 	time.Sleep(time.Microsecond << shift)
-}
-
-// MutexQueue is the seed implementation of the dynamic task queue: one
-// mutex guards both the task list and the dequeue cursor. It is retained
-// solely as the baseline the lock-free Queue is benchmarked against (see
-// internal/bench's partition report and BenchmarkQueueDrain); the join
-// algorithms select it via radix.SchedMutex.
-type MutexQueue[T any] struct {
-	mu    sync.Mutex
-	tasks []T //skewlint:guarded-by mu
-	next  int //skewlint:guarded-by mu
-}
-
-// NewMutexQueue returns a mutex-guarded queue pre-loaded with tasks.
-func NewMutexQueue[T any](tasks []T) *MutexQueue[T] {
-	return &MutexQueue[T]{tasks: tasks}
-}
-
-// Push appends a task; safe concurrently with Next.
-func (q *MutexQueue[T]) Push(t T) {
-	q.mu.Lock()
-	q.tasks = append(q.tasks, t)
-	q.mu.Unlock()
-}
-
-// Next dequeues one task under the queue mutex.
-func (q *MutexQueue[T]) Next() (t T, ok bool) {
-	q.mu.Lock()
-	if q.next < len(q.tasks) {
-		t = q.tasks[q.next]
-		q.next++
-		ok = true
-	}
-	q.mu.Unlock()
-	return t, ok
-}
-
-// Len returns the total number of tasks ever pushed.
-func (q *MutexQueue[T]) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.tasks)
-}
-
-// Drain runs fn on every task using `threads` workers until the queue is
-// fully drained, including tasks pushed by fn itself while draining.
-func (q *MutexQueue[T]) Drain(threads int, fn func(worker int, t T)) {
-	if drainQueue[T](q, nil, threads, fn) != nil {
-		panic("exec: drain with no done channel cannot be cancelled")
-	}
-}
-
-// DrainCtx is Drain with between-task cancellation; see Queue.DrainCtx.
-func (q *MutexQueue[T]) DrainCtx(ctx context.Context, threads int, fn func(worker int, t T)) error {
-	if drainQueue[T](q, ctx.Done(), threads, fn) != nil {
-		return ctx.Err()
-	}
-	return nil
 }
 
 // PhaseTimer records named phase durations for an algorithm run, which is

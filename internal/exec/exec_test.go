@@ -204,38 +204,6 @@ func TestQueueConcurrentDequeueUnique(t *testing.T) {
 	}
 }
 
-func TestMutexQueueDrainProcessesEveryTask(t *testing.T) {
-	tasks := make([]int, 1000)
-	for i := range tasks {
-		tasks[i] = i
-	}
-	q := NewMutexQueue(tasks)
-	var seen [1000]atomic.Int32
-	q.Drain(4, func(w, task int) { seen[task].Add(1) })
-	for i := range seen {
-		if got := seen[i].Load(); got != 1 {
-			t.Fatalf("task %d processed %d times", i, got)
-		}
-	}
-}
-
-func TestMutexQueueDrainWithDynamicPushes(t *testing.T) {
-	q := NewMutexQueue([]int{0})
-	var processed atomic.Int32
-	const depth = 6
-	q.Drain(4, func(w, task int) {
-		processed.Add(1)
-		if task < depth {
-			q.Push(task + 1)
-			q.Push(task + 1)
-		}
-	})
-	want := int32(1<<(depth+1) - 1)
-	if got := processed.Load(); got != want {
-		t.Errorf("processed %d tasks, want %d", got, want)
-	}
-}
-
 func TestQueuePushBeforeAndDuringDrain(t *testing.T) {
 	// Tasks pushed before Drain starts (after NewQueue) live in the
 	// overflow list; they must be drained alongside the snapshot.
@@ -312,53 +280,17 @@ func TestSplitThreads(t *testing.T) {
 	}
 }
 
-func TestMutexQueueMatchesQueueSemantics(t *testing.T) {
-	// Differential check: both queue variants drain the same dynamic task
-	// tree to the same multiset.
-	run := func(drain func(fn func(w, task int)), push func(int)) map[int]int {
-		var mu sync.Mutex
-		counts := make(map[int]int)
-		drain(func(w, task int) {
-			mu.Lock()
-			counts[task]++
-			mu.Unlock()
-			if task < 50 {
-				push(task*2 + 100)
-			}
-		})
-		return counts
-	}
-	init := []int{1, 2, 3, 4, 5}
-	a := NewQueue(append([]int(nil), init...))
-	b := NewMutexQueue(append([]int(nil), init...))
-	ca := run(func(fn func(w, task int)) { a.Drain(4, fn) }, a.Push)
-	cb := run(func(fn func(w, task int)) { b.Drain(4, fn) }, b.Push)
-	if len(ca) != len(cb) {
-		t.Fatalf("distinct tasks: %d vs %d", len(ca), len(cb))
-	}
-	for task, n := range ca {
-		if cb[task] != n {
-			t.Errorf("task %d: %d vs %d executions", task, n, cb[task])
-		}
-	}
-}
-
 func TestDrainCtxCompletesWithoutCancel(t *testing.T) {
 	tasks := make([]int, 500)
 	for i := range tasks {
 		tasks[i] = i
 	}
-	for name, drain := range map[string]func(context.Context, int, func(int, int)) error{
-		"atomic": NewQueue(append([]int(nil), tasks...)).DrainCtx,
-		"mutex":  NewMutexQueue(append([]int(nil), tasks...)).DrainCtx,
-	} {
-		var processed atomic.Int64
-		if err := drain(context.Background(), 4, func(w, task int) { processed.Add(1) }); err != nil {
-			t.Errorf("%s: DrainCtx = %v", name, err)
-		}
-		if got := processed.Load(); got != 500 {
-			t.Errorf("%s: processed %d tasks, want 500", name, got)
-		}
+	var processed atomic.Int64
+	if err := NewQueue(tasks).DrainCtx(context.Background(), 4, func(w, task int) { processed.Add(1) }); err != nil {
+		t.Errorf("DrainCtx = %v", err)
+	}
+	if got := processed.Load(); got != 500 {
+		t.Errorf("processed %d tasks, want 500", got)
 	}
 }
 
@@ -386,7 +318,7 @@ func TestDrainCtxStopsEarly(t *testing.T) {
 func TestDrainCtxAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	q := NewMutexQueue([]int{1, 2, 3})
+	q := NewQueue([]int{1, 2, 3})
 	var processed atomic.Int64
 	err := q.DrainCtx(ctx, 2, func(w, task int) { processed.Add(1) })
 	if !errors.Is(err, context.Canceled) {

@@ -10,14 +10,11 @@
 // the table is built once and the S side is re-enqueued as smaller probe
 // sub-tasks.
 //
-// The hot path carries two output-identical A/B knobs mirroring the
-// partitioner's Scatter/Sched pair:
-//
-//   - Config.Probe selects scalar probing (one S tuple at a time, the seed
-//     path) or grouped probing (chainedtable.ProbeGroup: GroupSize chain
-//     walks advanced in lock-step so their dependent loads overlap);
-//   - Config.Layout selects the chained table or the compact bucket-array
-//     layout (chainedtable.LayoutCompact).
+// The build table is chainedtable.CompactTable: each bucket is one
+// contiguous run, so a probe scans its key's bucket sequentially. Its
+// buckets are exactly the paper's chains (same hash, same members), so
+// visit counts and the longest bucket — Stats.ProbeVisits and MaxChain,
+// the §III symptoms — are the ones a chained table would report.
 //
 // Build scratch is recycled through a per-worker chainedtable.Arena, so
 // after the first few tasks grow each worker's buffers the steady-state
@@ -43,18 +40,6 @@ type Config struct {
 	// average S partition size is split into probe sub-tasks. <= 0 disables
 	// splitting.
 	SkewFactor float64
-	// Sched selects the task-queue implementation (default radix.SchedAtomic,
-	// the lock-free fetch-add queue; radix.SchedMutex restores the seed's
-	// mutex-guarded queue for A/B benchmarks).
-	Sched radix.SchedMode
-	// Probe selects the probe strategy (default chainedtable.ProbeScalar,
-	// the seed's one-probe-at-a-time walk; chainedtable.ProbeGrouped
-	// advances GroupSize chain walks in lock-step).
-	Probe chainedtable.ProbeMode
-	// Layout selects the build-table representation (default
-	// chainedtable.LayoutChained, the paper's index-linked chains;
-	// chainedtable.LayoutCompact stores buckets contiguously).
-	Layout chainedtable.Layout
 	// Ctx optionally cancels the phase between join tasks (nil = never).
 	// A cancelled run reports Stats.Canceled and its output is partial.
 	Ctx context.Context
@@ -79,15 +64,6 @@ type ProbeRange struct {
 	Part, Lo, Hi int
 }
 
-// taskQueue abstracts the two queue variants; the per-task dispatch cost is
-// negligible next to building and probing a hash table.
-type taskQueue interface {
-	Push(task)
-	Len() int
-	Drain(threads int, fn func(worker int, t task))
-	DrainCtx(ctx context.Context, threads int, fn func(worker int, t task)) error
-}
-
 // Stats reports what happened inside the join phase.
 type Stats struct {
 	Tasks         int    // join tasks drained, including probe sub-tasks
@@ -101,30 +77,23 @@ type Stats struct {
 }
 
 type task struct {
-	part   int                    // partition index; -1 for a probe sub-task
-	lo, hi int                    // probe-range restriction when hi > lo
-	table  chainedtable.HashTable // pre-built R table for probe sub-tasks
-	sPart  []relation.Tuple       // S tuples to probe for probe sub-tasks
+	part   int                        // partition index; -1 for a probe sub-task
+	lo, hi int                        // probe-range restriction when hi > lo
+	table  *chainedtable.CompactTable // pre-built R table for probe sub-tasks
+	sPart  []relation.Tuple           // S tuples to probe for probe sub-tasks
 }
 
 // worker holds one thread's output buffer, build arena, emit state and
-// stat counters. The emit closures are created once per worker (not per
-// task, let alone per probe) so the hot loops never allocate.
+// stat counters. The emit closure is created once per worker (not per
+// task, let alone per probe) so the hot loop never allocates.
 type worker struct {
 	buf   *outbuf.Buffer
 	arena *chainedtable.Arena
 
-	// scalar emit state: the S tuple currently being probed.
-	curKey     relation.Key
-	curPS      relation.Payload
-	emitScalar func(pr relation.Payload)
-
-	// grouped emit state: the task's S side plus a staging batch flushed
-	// through outbuf.PushBatch one probe group at a time.
-	sSide       []relation.Tuple
-	batch       [chainedtable.GroupSize]outbuf.Result
-	bn          int
-	emitGrouped func(i int, pr relation.Payload)
+	// emit state: the S tuple currently being probed.
+	curKey relation.Key
+	curPS  relation.Payload
+	emit   func(pr relation.Payload)
 
 	maxChain      int
 	probeVisits   uint64
@@ -134,52 +103,22 @@ type worker struct {
 	probeNs       int64
 }
 
-// probeScalar probes sSide one tuple at a time (the seed path).
+// probe probes sSide one tuple at a time.
 //
 //skewlint:hotpath
-func (w *worker) probeScalar(table chainedtable.HashTable, sSide []relation.Tuple) {
+func (w *worker) probe(table *chainedtable.CompactTable, sSide []relation.Tuple) {
 	for _, ts := range sSide {
 		w.curKey, w.curPS = ts.Key, ts.Payload
-		w.probeVisits += uint64(table.Probe(ts.Key, w.emitScalar))
-	}
-}
-
-// probeGrouped probes sSide through the lock-step group walk, staging
-// matches in w.batch and emitting them a batch at a time.
-//
-//skewlint:hotpath
-func (w *worker) probeGrouped(table chainedtable.HashTable, sSide []relation.Tuple) {
-	w.sSide = sSide
-	w.probeVisits += uint64(table.ProbeGroup(sSide, w.emitGrouped))
-	if w.bn > 0 {
-		w.buf.PushBatch(w.batch[:w.bn])
-		w.bn = 0
-	}
-	w.sSide = nil
-}
-
-// stage records one grouped-probe match in the staging batch, flushing a
-// full batch through the buffer's batch fast path.
-//
-//skewlint:hotpath
-func (w *worker) stage(i int, pr relation.Payload) {
-	s := &w.sSide[i]
-	w.batch[w.bn] = outbuf.Result{Key: s.Key, PayloadR: pr, PayloadS: s.Payload}
-	w.bn++
-	if w.bn == len(w.batch) {
-		w.buf.PushBatch(w.batch[:])
-		w.bn = 0
+		w.probeVisits += uint64(table.Probe(ts.Key, w.emit))
 	}
 }
 
 // runner carries the per-phase constants every task shares.
 type runner struct {
 	pr, ps         *radix.Partitioned
-	probe          chainedtable.ProbeMode
-	layout         chainedtable.Layout
 	avg            int
 	splitThreshold int
-	q              taskQueue
+	q              *exec.Queue[task]
 }
 
 // doTask executes one join task on worker w: build (arena-recycled, timed),
@@ -191,12 +130,12 @@ type runner struct {
 // the busy measurement the cost model calibrates against. exec.Parallel
 // pins each drain worker to its OS thread, so the deltas are well-defined.
 func (r *runner) doTask(w *worker, t task) {
-	var table chainedtable.HashTable
+	var table *chainedtable.CompactTable
 	var sSide []relation.Tuple
 
 	if t.part >= 0 {
 		t0 := exec.ThreadCPUNs()
-		table = w.arena.Build(r.pr.Part(t.part), r.layout)
+		table = w.arena.Build(r.pr.Part(t.part))
 		w.buildNs += exec.ThreadCPUNs() - t0
 		if mc := table.MaxChain(); mc > w.maxChain {
 			w.maxChain = mc
@@ -231,11 +170,7 @@ func (r *runner) doTask(w *worker, t task) {
 
 	before := w.buf.Count()
 	t1 := exec.ThreadCPUNs()
-	if r.probe == chainedtable.ProbeGrouped {
-		w.probeGrouped(table, sSide)
-	} else {
-		w.probeScalar(table, sSide)
-	}
+	w.probe(table, sSide)
 	w.probeNs += exec.ThreadCPUNs() - t1
 	if out := w.buf.Count() - before; out > w.maxTaskOutput {
 		w.maxTaskOutput = out
@@ -281,16 +216,9 @@ func Run(pr, ps *radix.Partitioned, cfg Config, bufs []*outbuf.Buffer) Stats {
 		}
 		tasks = append(tasks, task{part: pr2.Part, lo: pr2.Lo, hi: pr2.Hi})
 	}
-	var q taskQueue
-	if cfg.Sched == radix.SchedMutex {
-		q = exec.NewMutexQueue(tasks)
-	} else {
-		q = exec.NewQueue(tasks)
-	}
-
+	q := exec.NewQueue(tasks)
 	r := &runner{
 		pr: pr, ps: ps,
-		probe: cfg.Probe, layout: cfg.Layout,
 		avg: avg, splitThreshold: splitThreshold,
 		q: q,
 	}
@@ -299,8 +227,7 @@ func Run(pr, ps *radix.Partitioned, cfg Config, bufs []*outbuf.Buffer) Stats {
 		w := &ws[i]
 		w.buf = bufs[i]
 		w.arena = &chainedtable.Arena{}
-		w.emitScalar = func(pr relation.Payload) { w.buf.Push(w.curKey, pr, w.curPS) }
-		w.emitGrouped = w.stage
+		w.emit = func(pr relation.Payload) { w.buf.Push(w.curKey, pr, w.curPS) }
 	}
 
 	var drainErr error

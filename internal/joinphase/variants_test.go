@@ -2,14 +2,13 @@ package joinphase
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 	"time"
 
-	"skewjoin/internal/chainedtable"
 	"skewjoin/internal/oracle"
 	"skewjoin/internal/outbuf"
 	"skewjoin/internal/radix"
+	"skewjoin/internal/relation"
 	"skewjoin/internal/zipf"
 )
 
@@ -39,74 +38,58 @@ func collectRun(t *testing.T, pr, ps *radix.Partitioned, cfg Config) ([]outbuf.R
 	return all, outbuf.Summarize(bufs), st
 }
 
-func sortResults(rs []outbuf.Result) {
-	sort.Slice(rs, func(a, b int) bool {
-		if rs[a].Key != rs[b].Key {
-			return rs[a].Key < rs[b].Key
-		}
-		if rs[a].PayloadR != rs[b].PayloadR {
-			return rs[a].PayloadR < rs[b].PayloadR
-		}
-		return rs[a].PayloadS < rs[b].PayloadS
-	})
-}
-
-// TestJoinVariantsByteIdentical pins the overhaul's contract: every
-// (Probe × Layout) combination, over skewed and uniform inputs, with and
-// without task splitting, must produce byte-identical sorted output to the
-// seed scalar/chained path — not merely a matching checksum.
+// TestJoinVariantsByteIdentical pins the join phase record for record:
+// every shape of run — uniform and skewed input, with and without task
+// splitting, and a probe-range fragment of the hot partition as the split
+// executor's CPU leg runs it — must produce byte-identical sorted output
+// to the oracle's reference join, not merely a matching checksum.
 func TestJoinVariantsByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		theta      float64
 		skewFactor float64
+		fragment   bool // join only the middle half of the hot partition's S side
 	}{
-		{"uniform", 0, 4},
-		{"skewed", 1.0, 4},
-		{"skewed-nosplit", 1.0, -1},
+		{"uniform", 0, 4, false},
+		{"skewed", 1.0, 4, false},
+		{"skewed-nosplit", 1.0, -1, false},
+		{"ranges", 1.0, 4, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 10000
 			g := zipf.MustNew(zipf.Config{Theta: tc.theta, Universe: n, Seed: 42})
 			r, s := g.Pair(n)
-			want := oracle.Expected(r, s)
 			rcfg := radix.Config{Threads: 4, Bits1: 5, Bits2: 2}
 			pr := radix.Partition(r.Tuples, rcfg, nil)
 			ps := radix.Partition(s.Tuples, rcfg, nil)
 
-			base := Config{Threads: 4, SkewFactor: tc.skewFactor}
-			seed, seedSum, _ := collectRun(t, pr, ps, base)
-			if seedSum != want {
-				t.Fatalf("seed path summary %+v, oracle %+v", seedSum, want)
+			cfg := Config{Threads: 4, SkewFactor: tc.skewFactor}
+			if tc.fragment {
+				hot, size := ps.MaxPartition()
+				lo, hi := size/4, 3*size/4
+				cfg.Ranges = []ProbeRange{{Part: hot, Lo: lo, Hi: hi}}
+				r = relation.Relation{Tuples: pr.Part(hot)}
+				s = relation.Relation{Tuples: ps.Part(hot)[lo:hi]}
 			}
-			sortResults(seed)
-
-			for _, probe := range []chainedtable.ProbeMode{chainedtable.ProbeScalar, chainedtable.ProbeGrouped} {
-				for _, layout := range []chainedtable.Layout{chainedtable.LayoutChained, chainedtable.LayoutCompact} {
-					if probe == chainedtable.ProbeScalar && layout == chainedtable.LayoutChained {
-						continue // that is the seed path itself
-					}
-					cfg := base
-					cfg.Probe = probe
-					cfg.Layout = layout
-					name := fmt.Sprintf("%s/%s", probe, layout)
-					got, gotSum, st := collectRun(t, pr, ps, cfg)
-					if gotSum != want {
-						t.Errorf("%s: summary %+v, oracle %+v", name, gotSum, want)
-					}
-					if len(got) != len(seed) {
-						t.Fatalf("%s: %d results, seed %d", name, len(got), len(seed))
-					}
-					sortResults(got)
-					for i := range got {
-						if got[i] != seed[i] {
-							t.Fatalf("%s: result %d = %+v, seed %+v", name, i, got[i], seed[i])
-						}
-					}
-					if st.ProbeVisits == 0 {
-						t.Errorf("%s: zero probe visits", name)
-					}
+			want := oracle.ReferenceJoin(r, s)
+			got, gotSum, st := collectRun(t, pr, ps, cfg)
+			if wantSum := oracle.SummaryOf(want); gotSum != wantSum {
+				t.Errorf("summary %+v, reference %+v", gotSum, wantSum)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%d results, reference %d", len(got), len(want))
+			}
+			oracle.SortResults(got)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("result %d = %+v, reference %+v", i, got[i], want[i])
 				}
+			}
+			if st.ProbeVisits < uint64(len(want)) {
+				t.Errorf("%d probe visits for %d results", st.ProbeVisits, len(want))
+			}
+			if tc.skewFactor > 0 && tc.theta > 0 && st.SplitTasks == 0 {
+				t.Error("skewed run with splitting enabled split no task")
 			}
 		})
 	}
@@ -150,7 +133,7 @@ func TestStatsTimingSplit(t *testing.T) {
 // high skew with splitting enabled, tables shared by probe sub-tasks must
 // keep answering correctly while their origin worker's arena builds over
 // later tasks. A miss here corrupts results only under load, which is why
-// the byte-identical test above also covers the split path.
+// the record-level test above also covers the split path.
 func TestSplitTablesSurviveArenaReuse(t *testing.T) {
 	const n = 30000
 	g := zipf.MustNew(zipf.Config{Theta: 1.0, Universe: n, Seed: 9})
@@ -161,22 +144,20 @@ func TestSplitTablesSurviveArenaReuse(t *testing.T) {
 	rcfg := radix.Config{Threads: 1, Bits1: 5, Bits2: 0}
 	pr := radix.Partition(r.Tuples, rcfg, nil)
 	ps := radix.Partition(s.Tuples, rcfg, nil)
-	for _, layout := range []chainedtable.Layout{chainedtable.LayoutChained, chainedtable.LayoutCompact} {
-		bufs := []*outbuf.Buffer{outbuf.New(0)}
-		st := Run(pr, ps, Config{Threads: 1, SkewFactor: 2, Layout: layout}, bufs)
-		if st.SplitTasks == 0 {
-			t.Fatalf("%s: no splits at zipf 1.0", layout)
-		}
-		if got := outbuf.Summarize(bufs); got != want {
-			t.Errorf("%s: summary %+v, oracle %+v", layout, got, want)
-		}
+	bufs := []*outbuf.Buffer{outbuf.New(0)}
+	st := Run(pr, ps, Config{Threads: 1, SkewFactor: 2}, bufs)
+	if st.SplitTasks == 0 {
+		t.Fatal("no splits at zipf 1.0")
+	}
+	if got := outbuf.Summarize(bufs); got != want {
+		t.Errorf("summary %+v, oracle %+v", got, want)
 	}
 }
 
 // TestSteadyStateAllocsPerTask quantifies the arena payoff inside the real
-// phase: the seed allocated ≥3 objects per task (table struct + heads +
-// next); with per-worker arenas, amortised allocations per task must drop
-// below one (setup + high-water growth only).
+// phase: a fresh build allocates ≥3 objects per task (table struct +
+// starts + entries); with per-worker arenas, amortised allocations per
+// task must drop below one (setup + high-water growth only).
 func TestSteadyStateAllocsPerTask(t *testing.T) {
 	const n = 40000
 	g := zipf.MustNew(zipf.Config{Theta: 0.5, Universe: n, Seed: 5})
@@ -187,25 +168,21 @@ func TestSteadyStateAllocsPerTask(t *testing.T) {
 	bufs := []*outbuf.Buffer{outbuf.New(0)}
 
 	var tasks int
-	for _, probe := range []chainedtable.ProbeMode{chainedtable.ProbeScalar, chainedtable.ProbeGrouped} {
-		cfg := Config{Threads: 1, Probe: probe}
-		allocs := testing.AllocsPerRun(5, func() {
-			st := Run(pr, ps, cfg, bufs)
-			tasks = st.Tasks
-		})
-		if tasks == 0 {
-			t.Fatal("no tasks ran")
-		}
-		if perTask := allocs / float64(tasks); perTask >= 1 {
-			t.Errorf("%s: %.2f allocs/task over %d tasks (total %.0f), want < 1",
-				probe, perTask, tasks, allocs)
-		}
+	allocs := testing.AllocsPerRun(5, func() {
+		st := Run(pr, ps, Config{Threads: 1}, bufs)
+		tasks = st.Tasks
+	})
+	if tasks == 0 {
+		t.Fatal("no tasks ran")
+	}
+	if perTask := allocs / float64(tasks); perTask >= 1 {
+		t.Errorf("%.2f allocs/task over %d tasks (total %.0f), want < 1",
+			perTask, tasks, allocs)
 	}
 }
 
-// BenchmarkJoinPhase drives the full phase across the knob grid on a skewed
-// and a uniform workload; allocs/op makes the arena's task amortisation
-// visible next to the probe-mode timings.
+// BenchmarkJoinPhase drives the full phase on a uniform and a skewed
+// workload; allocs/op makes the arena's task amortisation visible.
 func BenchmarkJoinPhase(b *testing.B) {
 	const n = 1 << 16
 	for _, theta := range []float64{0, 1.0} {
@@ -215,16 +192,12 @@ func BenchmarkJoinPhase(b *testing.B) {
 		pr := radix.Partition(r.Tuples, rcfg, nil)
 		ps := radix.Partition(s.Tuples, rcfg, nil)
 		bufs := []*outbuf.Buffer{outbuf.New(0)}
-		for _, probe := range []chainedtable.ProbeMode{chainedtable.ProbeScalar, chainedtable.ProbeGrouped} {
-			for _, layout := range []chainedtable.Layout{chainedtable.LayoutChained, chainedtable.LayoutCompact} {
-				cfg := Config{Threads: 1, SkewFactor: 4, Probe: probe, Layout: layout}
-				b.Run(fmt.Sprintf("zipf=%g/%s/%s", theta, probe, layout), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						Run(pr, ps, cfg, bufs)
-					}
-				})
+		cfg := Config{Threads: 1, SkewFactor: 4}
+		b.Run(fmt.Sprintf("zipf=%g", theta), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Run(pr, ps, cfg, bufs)
 			}
-		}
+		})
 	}
 }

@@ -22,7 +22,7 @@ import (
 // The directive goes on the function declaration's doc comment:
 //
 //	//skewlint:hotpath
-//	func scatterDirect(...) { ... }
+//	func scatter(...) { ... }
 func analyzeHotPath(l *Loader, pkgs []*Package) []Finding {
 	var findings []Finding
 	for _, pkg := range pkgs {

@@ -96,8 +96,6 @@ func DefaultConfig() Config {
 			exec + ".ParallelCtx",
 			exec + ".Queue.Drain",
 			exec + ".Queue.DrainCtx",
-			exec + ".MutexQueue.Drain",
-			exec + ".MutexQueue.DrainCtx",
 			exec + ".Group.Go",
 			// The cluster router's shard fan-out spawns one goroutine per
 			// shard; every closure it runs must take and pass the ctx so
@@ -123,13 +121,7 @@ func DefaultConfig() Config {
 			// cancellable (e.g. oracle verification).
 			exec + ".Parallel",
 			exec + ".Queue.Drain",
-			exec + ".MutexQueue.Drain",
 			exec + ".Group.Go",
-			// The join-phase benchmark drives joinphase.Run directly to
-			// time it without option-plumbing overhead; benchmarks are
-			// batch CLI drivers that run to completion by design (^C is
-			// the cancellation story), so no ctx threads through them.
-			"skewjoin/internal/bench.JoinBench",
 		},
 		LockAcquirers: []string{
 			// The per-shard admission gate: Acquire blocks like a weighted

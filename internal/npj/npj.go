@@ -25,10 +25,6 @@ import (
 type Config struct {
 	// Threads is the number of worker threads.
 	Threads int
-	// Probe selects the probe strategy over the shared table (default
-	// chainedtable.ProbeScalar; ProbeGrouped advances GroupSize chain walks
-	// in lock-step per worker segment). Output-equivalent.
-	Probe chainedtable.ProbeMode
 	// OutBufCap is the per-thread output ring capacity (0 = default).
 	OutBufCap int
 	// Flush optionally installs a per-worker batch consumer on the output
@@ -112,23 +108,13 @@ func Join(r, s relation.Relation, cfg Config) Result {
 		exec.Parallel(cfg.Threads, func(w int) {
 			buf := bufs[w]
 			lo, hi := exec.Segment(s.Len(), cfg.Threads, w)
-			seg := s.Tuples[lo:hi]
 			var v uint64
-			if cfg.Probe == chainedtable.ProbeGrouped {
-				// Grouped probing over the worker's whole S segment: the
-				// shared table's chains are the longest in any CPU join here
-				// (no partitioning), so overlapping their dependent loads
-				// pays off most.
-				emit := func(i int, p relation.Payload) { buf.Push(seg[i].Key, p, seg[i].Payload) }
-				v = uint64(table.ProbeGroup(seg, emit))
-			} else {
-				var curKey relation.Key
-				var curPS relation.Payload
-				emit := func(p relation.Payload) { buf.Push(curKey, p, curPS) }
-				for _, ts := range seg {
-					curKey, curPS = ts.Key, ts.Payload
-					v += uint64(table.Probe(ts.Key, emit))
-				}
+			var curKey relation.Key
+			var curPS relation.Payload
+			emit := func(p relation.Payload) { buf.Push(curKey, p, curPS) }
+			for _, ts := range s.Tuples[lo:hi] {
+				curKey, curPS = ts.Key, ts.Payload
+				v += uint64(table.Probe(ts.Key, emit))
 			}
 			visits[w] = v
 			buf.Flush()

@@ -3,7 +3,6 @@ package npj
 import (
 	"testing"
 
-	"skewjoin/internal/chainedtable"
 	"skewjoin/internal/oracle"
 	"skewjoin/internal/relation"
 	"skewjoin/internal/zipf"
@@ -59,25 +58,5 @@ func TestPhasesRecorded(t *testing.T) {
 	}
 	if res.Stats.ProbeVisits < res.Summary.Count {
 		t.Errorf("probe visits %d < matches %d", res.Stats.ProbeVisits, res.Summary.Count)
-	}
-}
-
-func TestGroupedProbeEquivalent(t *testing.T) {
-	// Grouped probing over the shared table must match the scalar walk in
-	// summary AND visit count at every skew level (the chains here are the
-	// longest of any CPU join — no partitioning shortens them).
-	for _, theta := range []float64{0, 0.8, 1.0} {
-		r, s := workload(t, 20000, theta, 17)
-		want := oracle.Expected(r, s)
-		scalar := Join(r, s, Config{Threads: 4, Probe: chainedtable.ProbeScalar})
-		grouped := Join(r, s, Config{Threads: 4, Probe: chainedtable.ProbeGrouped})
-		if scalar.Summary != want || grouped.Summary != want {
-			t.Errorf("theta=%g: scalar %+v, grouped %+v, want %+v",
-				theta, scalar.Summary, grouped.Summary, want)
-		}
-		if scalar.Stats.ProbeVisits != grouped.Stats.ProbeVisits {
-			t.Errorf("theta=%g: scalar visited %d, grouped %d",
-				theta, scalar.Stats.ProbeVisits, grouped.Stats.ProbeVisits)
-		}
 	}
 }

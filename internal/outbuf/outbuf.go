@@ -155,11 +155,11 @@ func (b *Buffer) PushRun(k relation.Key, rps []relation.Payload, ps relation.Pay
 	b.checksum += coefPayloadR*prSum + n*(coefKey*uint64(k)+coefPayloadS*uint64(ps))
 }
 
-// PushBatch emits a staged batch of heterogeneous results in one call. The
-// grouped probe path stages up to one probe group's worth of matches and
-// hands them over together: one call, locals-cached ring cursor, and a
-// single count/checksum update per batch instead of per result. The batch
-// slice is the caller's scratch and is not retained.
+// PushBatch emits a staged batch of heterogeneous results in one call. A
+// Tape replays its staged single results through it: one call,
+// locals-cached ring cursor, and a single count/checksum update per batch
+// instead of per result. The batch slice is the caller's scratch and is
+// not retained.
 //
 //skewlint:hotpath
 func (b *Buffer) PushBatch(rs []Result) {

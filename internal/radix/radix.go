@@ -13,11 +13,6 @@
 // queue drains. Two passes keep the per-pass fanout low, which is the radix
 // join's TLB-miss optimisation.
 //
-// Both passes can scatter through software write-combining buffers
-// (Config.Scatter, see scatter.go) and pass 2's task queue is lock-free by
-// default (Config.Sched); both knobs keep the output bit-for-bit identical
-// and exist so the variants can be benchmarked against each other.
-//
 // CSH reuses this machinery with a Diverter: tuples whose key is in the
 // skew checkup table bypass radix partitioning entirely and are handed to a
 // callback instead (appended to a skewed partition for R; joined on the fly
@@ -41,15 +36,6 @@ type Config struct {
 	// Total fanout is 2^(Bits1+Bits2). Bits2 == 0 selects single-pass
 	// partitioning.
 	Bits1, Bits2 uint32
-	// Scatter selects the scatter strategy (default ScatterAuto). Both
-	// strategies produce bit-for-bit identical partitions; the knob exists
-	// so benchmarks can A/B software write-combining against the seed's
-	// direct scatter.
-	Scatter ScatterMode
-	// Sched selects the task-queue implementation draining pass 2 (default
-	// SchedAtomic, the lock-free fetch-add queue). SchedMutex restores the
-	// seed's mutex-guarded queue for A/B benchmarks.
-	Sched SchedMode
 	// Ctx optionally cancels partitioning between passes and, during pass
 	// 2, between partition tasks (nil = run to completion). A cancelled
 	// run returns an empty Partitioned with the configured fanout so the
@@ -205,14 +191,9 @@ func passOne(src []relation.Tuple, cfg Config, div *Diverter) *Partitioned {
 
 	// Second scan: contention-free scatter; diverted tuples are handled.
 	out := make([]relation.Tuple, pos)
-	useWC := cfg.Scatter.useWC(fanout)
 	exec.Parallel(threads, func(w int) {
 		lo, hi := exec.Segment(len(src), threads, w)
-		if useWC {
-			scatterWC(out, src, lo, hi, cursor[w], 0, cfg.Bits1, div, w, newWCBuf(fanout))
-		} else {
-			scatterDirect(out, src, lo, hi, cursor[w], 0, cfg.Bits1, div, w)
-		}
+		scatter(out, src, lo, hi, cursor[w], 0, cfg.Bits1, div, w)
 	})
 	return &Partitioned{Data: out, Offsets: offsets, fanout: fanout}
 }
@@ -290,7 +271,7 @@ func prefixSums(hist [][]int, fanout, threads int) (offsets []int, cursor [][]in
 
 // passTwo sub-partitions each pass-1 partition on the next Bits2 bits.
 func passTwo(p1 *Partitioned, cfg Config) *Partitioned {
-	return passNext(p1, cfg.Ctx, cfg.Bits1, cfg.Bits2, cfg.Threads, cfg.Scatter, cfg.Sched)
+	return passNext(p1, cfg.Ctx, cfg.Bits1, cfg.Bits2, cfg.Threads)
 }
 
 // passNext refines every partition of p on the radix bits
@@ -298,13 +279,13 @@ func passTwo(p1 *Partitioned, cfg Config) *Partitioned {
 // partition is a partitioning task in a dynamic queue (the paper: "Cbase
 // views each partition as a partition task and adds it into a task queue
 // in the second pass"); its output stays inside its contiguous region.
-// The queue never grows while draining, so with SchedAtomic every dequeue
-// takes the lock-free fetch-add fast path. A non-nil ctx cancels between
-// tasks; a cut-short drain leaves holes in subOffsets, so the pass then
-// returns the empty shape instead of reading them.
+// The queue never grows while draining, so every dequeue takes the
+// lock-free fetch-add fast path. A non-nil ctx cancels between tasks; a
+// cut-short drain leaves holes in subOffsets, so the pass then returns the
+// empty shape instead of reading them.
 //
 //skewlint:hotpath
-func passNext(p1 *Partitioned, ctx context.Context, shift, bits uint32, threads int, scatter ScatterMode, sched SchedMode) *Partitioned {
+func passNext(p1 *Partitioned, ctx context.Context, shift, bits uint32, threads int) *Partitioned {
 	fanPrev := p1.fanout
 	fanSub := 1 << bits
 	fanout := fanPrev * fanSub
@@ -318,13 +299,6 @@ func passNext(p1 *Partitioned, ctx context.Context, shift, bits uint32, threads 
 	}
 	subOffsets := make([][]int, fanPrev)
 
-	useWC := scatter.useWC(fanSub)
-	// Write-combining buffers are per worker, reused across tasks, and
-	// allocated lazily so idle workers cost nothing.
-	var wcBufs []*wcBuf
-	if useWC {
-		wcBufs = make([]*wcBuf, threads)
-	}
 	work := func(w int, t task) {
 		part := p1.Data[p1.Offsets[t.p]:p1.Offsets[t.p+1]]
 		base := p1.Offsets[t.p]
@@ -341,31 +315,15 @@ func passNext(p1 *Partitioned, ctx context.Context, shift, bits uint32, threads 
 		for s := range cur {
 			cur[s] = base + h[s]
 		}
-		if useWC {
-			buf := wcBufs[w]
-			if buf == nil {
-				buf = newWCBuf(fanSub)
-				wcBufs[w] = buf
-			}
-			scatterWC(out, part, 0, len(part), cur, shift, bits, nil, w, buf)
-		} else {
-			scatterDirect(out, part, 0, len(part), cur, shift, bits, nil, w)
-		}
+		scatter(out, part, 0, len(part), cur, shift, bits, nil, w)
 		subOffsets[t.p] = offs
 	}
-	var cut error
-	switch {
-	case sched == SchedMutex && ctx != nil:
-		cut = exec.NewMutexQueue(tasks).DrainCtx(ctx, threads, work)
-	case sched == SchedMutex:
-		exec.NewMutexQueue(tasks).Drain(threads, work)
-	case ctx != nil:
-		cut = exec.NewQueue(tasks).DrainCtx(ctx, threads, work)
-	default:
+	if ctx != nil {
+		if exec.NewQueue(tasks).DrainCtx(ctx, threads, work) != nil {
+			return emptyPartitioned(fanout)
+		}
+	} else {
 		exec.NewQueue(tasks).Drain(threads, work)
-	}
-	if cut != nil {
-		return emptyPartitioned(fanout)
 	}
 
 	for p := 0; p < fanPrev; p++ {
@@ -399,7 +357,7 @@ func MultiPass(src []relation.Tuple, threads int, bits []uint32, div *Diverter) 
 		if b == 0 {
 			continue
 		}
-		p = passNext(p, nil, shift, b, threads, ScatterAuto, SchedAtomic)
+		p = passNext(p, nil, shift, b, threads)
 		shift += b
 	}
 	return p

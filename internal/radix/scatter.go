@@ -1,18 +1,11 @@
-// Scatter strategies for the partition passes.
+// The scatter loop shared by every partition pass.
 //
-// The seed implementation scattered tuple-at-a-time: each tuple is written
-// straight to its partition's output cursor. At high fanout that touches
-// one distinct cache line (and TLB entry) per partition per write burst,
-// which is exactly the thrashing the radix join's multi-pass design tries
-// to avoid — and what software write-combining (SWWC) fixes. Balkesen et
-// al.'s radix join and He et al.'s coupled-architecture study (PAPERS.md)
-// both stage tuples in small per-thread, per-partition buffers and flush
-// them a cache line at a time, keeping the store stream sequential per
-// partition run.
-//
-// Both strategies write each thread's segment in scan order into each
-// partition, so partition contents are bit-for-bit identical between them
-// (radix_test.go's TestScatterVariantsBitIdentical pins this down).
+// Each tuple is written straight to its partition's output cursor, so each
+// thread's segment lands in scan order inside every partition. Software
+// write-combining (staging per-partition cache-line runs, as in Balkesen
+// et al.'s radix join) was measured against this loop and lost in every
+// cell of the raw-partitioner sweep at this repository's fanouts (2^5 to
+// 2^11 per pass); DESIGN.md §4 records the decision.
 package radix
 
 import (
@@ -21,106 +14,13 @@ import (
 	"skewjoin/internal/sanitize"
 )
 
-// ScatterMode selects the partition scatter strategy.
-type ScatterMode uint8
-
-const (
-	// ScatterAuto picks per pass: write-combining when the pass fanout is
-	// high enough that direct scatter thrashes caches, direct otherwise.
-	ScatterAuto ScatterMode = iota
-	// ScatterDirect writes each tuple straight to its partition cursor
-	// (the seed behaviour).
-	ScatterDirect
-	// ScatterWC stages tuples in per-thread, per-partition cache-line runs
-	// flushed in bulk (software write-combining).
-	ScatterWC
-)
-
-// String names the mode for benchmark labels and reports.
-func (m ScatterMode) String() string {
-	switch m {
-	case ScatterDirect:
-		return "direct"
-	case ScatterWC:
-		return "wc"
-	default:
-		return "auto"
-	}
-}
-
-// SchedMode selects the dynamic task queue implementation that drains the
-// later partition passes.
-type SchedMode uint8
-
-const (
-	// SchedAtomic dequeues with exec.Queue's lock-free fetch-add fast path
-	// (the default).
-	SchedAtomic SchedMode = iota
-	// SchedMutex dequeues through exec.MutexQueue, the seed's fully
-	// mutex-guarded queue, kept as the benchmark baseline.
-	SchedMutex
-)
-
-// String names the mode for benchmark labels and reports.
-func (m SchedMode) String() string {
-	if m == SchedMutex {
-		return "mutex"
-	}
-	return "atomic"
-}
-
-// wcTuples is the staging-run length: 8 tuples x 8 bytes = one 64-byte
-// cache line per partition.
-const wcTuples = 8
-
-// Auto-mode thresholds. Below wcAutoMinFanout the scatter's working set
-// (one cache line per partition) fits comfortably in cache and the staging
-// copy is pure overhead; above wcMaxFanout the per-thread staging buffers
-// (fanout x 64 B) would rival the data itself. The lower bound is set from
-// measurement, not theory: on the benchmark host direct scatter stayed
-// ahead of write-combining at every fanout up to 2^11 (BENCH_partition.json
-// and DESIGN.md "Partitioner performance"), so auto engages WC only beyond
-// the measured range, where direct scatter's open write streams outrun any
-// plausible L1-TLB. Re-tune on hosts where the wc variant wins earlier.
-const (
-	wcAutoMinFanout = 1 << 12
-	wcMaxFanout     = 1 << 16
-)
-
-// useWC resolves the mode for a pass with the given fanout.
-func (m ScatterMode) useWC(fanout int) bool {
-	switch m {
-	case ScatterDirect:
-		return false
-	case ScatterWC:
-		return true
-	default:
-		return fanout >= wcAutoMinFanout && fanout <= wcMaxFanout
-	}
-}
-
-// wcBuf is one worker's write-combining staging area: a cache-line-sized
-// run per partition plus per-partition fill counts. A worker reuses its
-// buffer across partition tasks (scatter leaves fill zeroed).
-type wcBuf struct {
-	runs []relation.Tuple // fanout x wcTuples, partition-major
-	fill []uint8          // tuples currently staged per partition
-}
-
-func newWCBuf(fanout int) *wcBuf {
-	return &wcBuf{
-		runs: make([]relation.Tuple, fanout*wcTuples),
-		fill: make([]uint8, fanout),
-	}
-}
-
-// scatterDirect copies src[lo:hi] to out tuple-at-a-time, advancing the
+// scatter copies src[lo:hi] to out tuple-at-a-time, advancing the
 // per-partition cursors cur (absolute indexes into out). div, if non-nil,
 // is consulted with the absolute source index; diverted tuples are handed
 // to div.Handle (worker id w) instead of being scattered.
 //
 //skewlint:hotpath
-func scatterDirect(out, src []relation.Tuple, lo, hi int, cur []int, shift, bits uint32, div *Diverter, w int) {
+func scatter(out, src []relation.Tuple, lo, hi int, cur []int, shift, bits uint32, div *Diverter, w int) {
 	for i := lo; i < hi; i++ {
 		t := src[i]
 		if div != nil {
@@ -151,50 +51,5 @@ func checkScatter(p, fanout int, cur []int, outLen int) {
 	if cur[p] < 0 || cur[p] >= outLen {
 		sanitize.Failf("radix: scatter cursor %d for partition %d outside output of %d tuples (region overrun)",
 			cur[p], p, outLen)
-	}
-}
-
-// scatterWC is scatterDirect with software write-combining: tuples are
-// staged in buf and flushed one cache-line run at a time, so the store
-// stream per partition is sequential bursts instead of isolated writes.
-// Within each partition tuples still land in src scan order, making the
-// output bit-for-bit identical to scatterDirect's. buf.fill is left zeroed
-// for reuse.
-//
-//skewlint:hotpath
-func scatterWC(out, src []relation.Tuple, lo, hi int, cur []int, shift, bits uint32, div *Diverter, w int, buf *wcBuf) {
-	runs, fill := buf.runs, buf.fill
-	for i := lo; i < hi; i++ {
-		t := src[i]
-		if div != nil {
-			if id := div.IDs[i]; id >= 0 {
-				if div.Handle != nil {
-					div.Handle(w, t, id)
-				}
-				continue
-			}
-		}
-		p := int(hashfn.Radix(t.Key, shift, bits))
-		if sanitize.Enabled {
-			checkScatter(p, len(cur), cur, len(out))
-		}
-		n := int(fill[p])
-		runs[p*wcTuples+n] = t
-		n++
-		if n == wcTuples {
-			copy(out[cur[p]:cur[p]+wcTuples], runs[p*wcTuples:p*wcTuples+wcTuples])
-			cur[p] += wcTuples
-			fill[p] = 0
-		} else {
-			fill[p] = uint8(n)
-		}
-	}
-	// Flush partial runs and reset the buffer for the next task.
-	for p := range fill {
-		if n := int(fill[p]); n > 0 {
-			copy(out[cur[p]:cur[p]+n], runs[p*wcTuples:p*wcTuples+n])
-			cur[p] += n
-			fill[p] = 0
-		}
 	}
 }

@@ -98,10 +98,11 @@ type JoinRequest struct {
 	// admission budget (default: the whole budget; clamped to it).
 	Threads int `json:"threads,omitempty"`
 	// HostParallelism sets the host worker-pool size for simulated-GPU
-	// block execution (gbase/gsh/gsmj): N>0 runs kernel launches on N
-	// host workers (clamped to the request's admitted thread weight),
-	// negative forces serial simulation, 0 keeps the server default.
-	// Output and modelled times are bit-identical either way.
+	// block execution (gbase/gsh/gsmj and split's GPU leg): N>0 runs
+	// kernel launches on N host workers (clamped to the request's admitted
+	// thread weight); 0 or negative simulates serially, as neither device
+	// profile sets a pool. Output and modelled times are bit-identical
+	// either way.
 	HostParallelism int `json:"host_parallelism,omitempty"`
 	// TimeoutMS bounds queue wait plus execution (default: the server's
 	// configured timeout). Expiry cancels the join and frees its workers.

@@ -66,7 +66,7 @@ func TestJoinHostParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := skewjoin.Join(skewjoin.GSH, r, s, &skewjoin.Options{HostParallelism: 4})
+	res, err := skewjoin.Join(skewjoin.GSH, r, s, &skewjoin.Options{Device: skewjoin.DeviceConfig{HostParallelism: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

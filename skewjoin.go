@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"skewjoin/internal/cbase"
-	"skewjoin/internal/chainedtable"
 	"skewjoin/internal/csh"
 	"skewjoin/internal/exec"
 	"skewjoin/internal/gbase"
@@ -48,7 +47,6 @@ import (
 	"skewjoin/internal/npj"
 	"skewjoin/internal/oracle"
 	"skewjoin/internal/outbuf"
-	"skewjoin/internal/radix"
 	"skewjoin/internal/relation"
 	"skewjoin/internal/smj"
 	"skewjoin/internal/ssj"
@@ -68,54 +66,6 @@ type (
 	Relation = relation.Relation
 	// DeviceConfig configures the simulated GPU for Gbase and GSH.
 	DeviceConfig = gpusim.Config
-	// ScatterMode selects the CPU partitioner's scatter strategy.
-	ScatterMode = radix.ScatterMode
-	// SchedMode selects the CPU dynamic-task-queue implementation.
-	SchedMode = radix.SchedMode
-	// ProbeMode selects the CPU join phase's probe strategy.
-	ProbeMode = chainedtable.ProbeMode
-	// Layout selects the CPU join phase's build-table layout.
-	Layout = chainedtable.Layout
-)
-
-// Partition scatter strategies (Options.Scatter). All strategies produce
-// bit-for-bit identical partitions; the knob exists for benchmarking.
-const (
-	// ScatterAuto picks write-combining at high pass fanouts, direct
-	// otherwise (the default).
-	ScatterAuto = radix.ScatterAuto
-	// ScatterDirect always writes tuples straight to their partitions.
-	ScatterDirect = radix.ScatterDirect
-	// ScatterWC always stages tuples in software write-combining buffers.
-	ScatterWC = radix.ScatterWC
-)
-
-// Task-queue implementations (Options.Sched).
-const (
-	// SchedAtomic is the lock-free fetch-add task queue (the default).
-	SchedAtomic = radix.SchedAtomic
-	// SchedMutex is the fully mutex-guarded baseline queue.
-	SchedMutex = radix.SchedMutex
-)
-
-// Probe strategies (Options.Probe). Both produce identical output; the knob
-// exists for benchmarking.
-const (
-	// ProbeScalar probes one S tuple at a time (the default).
-	ProbeScalar = chainedtable.ProbeScalar
-	// ProbeGrouped advances up to 64 chain walks in lock-step so their
-	// dependent loads overlap.
-	ProbeGrouped = chainedtable.ProbeGrouped
-)
-
-// Build-table layouts (Options.Layout). Both produce identical output.
-const (
-	// LayoutChained is the paper's index-linked bucket-chained table (the
-	// default).
-	LayoutChained = chainedtable.LayoutChained
-	// LayoutCompact stores each bucket's entries contiguously, trading an
-	// extra build pass for sequential probe scans.
-	LayoutCompact = chainedtable.LayoutCompact
 )
 
 // Algorithm selects a join implementation.
@@ -168,15 +118,12 @@ type Options struct {
 	SkewThreshold uint32
 	// TopK is GSH's per-large-partition skewed key count (default 3).
 	TopK int
-	// Device configures the simulated GPU (zero fields = A100).
+	// Device configures the simulated GPU (zero fields = A100). Its
+	// HostParallelism field sets the host worker pool that executes the
+	// simulated thread blocks (Gbase, GSH, GSMJ and Split's GPU leg; 0 =
+	// serial); parallel execution is bit-identical to serial and changes
+	// only the wall-clock cost of simulation.
 	Device DeviceConfig
-	// HostParallelism sets the host worker-pool size for executing the
-	// simulated GPU's thread blocks (Gbase, GSH, GSMJ). It overrides
-	// Device.HostParallelism when non-zero: N>0 runs launches on N host
-	// workers, negative forces the serial seed path. Parallel execution is
-	// bit-identical to serial — same output, stats and modelled times —
-	// and changes only the wall-clock cost of simulation.
-	HostParallelism int
 	// OutBufCap overrides the per-worker output ring capacity.
 	OutBufCap int
 	// Limit stops the run once at least this many results have been
@@ -195,18 +142,6 @@ type Options struct {
 	// partial batch before Join returns. Batches are ring-backed and must
 	// not be retained. The factory itself is called sequentially.
 	Consumer func(worker int) ResultConsumer
-	// Scatter selects the CPU partitioner's scatter strategy for Cbase and
-	// CSH (default ScatterAuto). Output is identical across strategies.
-	Scatter ScatterMode
-	// Sched selects the CPU dynamic-task-queue implementation for Cbase
-	// and CSH (default SchedAtomic).
-	Sched SchedMode
-	// Probe selects the CPU join phase's probe strategy for Cbase, CSH and
-	// CbaseNPJ (default ProbeScalar). Output is identical across modes.
-	Probe ProbeMode
-	// Layout selects the CPU join phase's build-table layout for Cbase and
-	// CSH (default LayoutChained). Output is identical across layouts.
-	Layout Layout
 	// Context optionally bounds the run: when it is cancelled or its
 	// deadline passes, Join returns ctx.Err() instead of a result. For
 	// Cbase and CSH cancellation is honoured at phase boundaries and
@@ -357,8 +292,7 @@ func Join(alg Algorithm, r, s Relation, opts *Options) (Result, error) {
 		res := cbase.Join(r, s, cbase.Config{
 			Threads: opts.Threads, Bits1: opts.Bits1, Bits2: opts.Bits2,
 			OutBufCap: limitBufCap(opts.OutBufCap, limit), Flush: flush,
-			Scatter: opts.Scatter, Sched: opts.Sched,
-			Probe: opts.Probe, Layout: opts.Layout, Ctx: runCtx,
+			Ctx: runCtx,
 		})
 		if res.Canceled && !lim.hit() {
 			return Result{}, ctxErr(ctx)
@@ -371,7 +305,7 @@ func Join(alg Algorithm, r, s Relation, opts *Options) (Result, error) {
 		lim, runCtx, flush, cancel := newLimiter(limit, ctx, opts.Consumer)
 		defer cancel()
 		res := npj.Join(r, s, npj.Config{
-			Threads: opts.Threads, Probe: opts.Probe,
+			Threads:   opts.Threads,
 			OutBufCap: limitBufCap(opts.OutBufCap, limit), Flush: flush,
 			Ctx: runCtx,
 		})
@@ -389,8 +323,7 @@ func Join(alg Algorithm, r, s Relation, opts *Options) (Result, error) {
 			Threads: opts.Threads, Bits1: opts.Bits1, Bits2: opts.Bits2,
 			SampleRate: opts.SampleRate, SkewThreshold: opts.SkewThreshold,
 			OutBufCap: limitBufCap(opts.OutBufCap, limit), Flush: flush,
-			Scatter: opts.Scatter, Sched: opts.Sched,
-			Probe: opts.Probe, Layout: opts.Layout, Ctx: runCtx,
+			Ctx: runCtx,
 		})
 		if res.Canceled && !lim.hit() {
 			return Result{}, ctxErr(ctx)
@@ -400,14 +333,14 @@ func Join(alg Algorithm, r, s Relation, opts *Options) (Result, error) {
 		lim.annotate(&out)
 		return out, nil
 	case Gbase:
-		res := gbase.Join(r, s, gbase.Config{Device: opts.deviceConfig(), Flush: opts.Consumer})
+		res := gbase.Join(r, s, gbase.Config{Device: opts.Device, Flush: opts.Consumer})
 		if err := ctxErr(ctx); err != nil {
 			return Result{}, err
 		}
 		return wrap(alg, res.Summary, phases(res.Phases), true), nil
 	case GSH:
 		res := gsh.Join(r, s, gsh.Config{
-			Device: opts.deviceConfig(), SampleRate: opts.SampleRate, TopK: opts.TopK,
+			Device: opts.Device, SampleRate: opts.SampleRate, TopK: opts.TopK,
 			Flush: opts.Consumer,
 		})
 		if err := ctxErr(ctx); err != nil {
@@ -446,7 +379,7 @@ func Join(alg Algorithm, r, s Relation, opts *Options) (Result, error) {
 	case Split:
 		return joinSplit(r, s, opts)
 	case GSMJ:
-		res := gsmj.Join(r, s, gsmj.Config{Device: opts.deviceConfig()})
+		res := gsmj.Join(r, s, gsmj.Config{Device: opts.Device})
 		if err := ctxErr(ctx); err != nil {
 			return Result{}, err
 		}
@@ -454,19 +387,6 @@ func Join(alg Algorithm, r, s Relation, opts *Options) (Result, error) {
 	default:
 		return Result{}, fmt.Errorf("skewjoin: unknown algorithm %q", alg)
 	}
-}
-
-// deviceConfig resolves the simulated-GPU configuration for a run,
-// applying the Options.HostParallelism override on top of Options.Device.
-func (o *Options) deviceConfig() DeviceConfig {
-	d := o.Device
-	switch {
-	case o.HostParallelism > 0:
-		d.HostParallelism = o.HostParallelism
-	case o.HostParallelism < 0:
-		d.HostParallelism = 0
-	}
-	return d
 }
 
 // ctxErr is ctx.Err() tolerating a nil context.

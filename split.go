@@ -137,13 +137,10 @@ func joinSplit(r, s Relation, opts *Options) (Result, error) {
 		bits1, bits2 = 6, 5
 	}
 	bits1, bits2 = radix.ClampBits(bits1, bits2)
-	dcfg := opts.deviceConfig().Defaults()
+	dcfg := opts.Device.Defaults()
 
 	var timer exec.PhaseTimer
-	rcfg := radix.Config{
-		Threads: threads, Bits1: bits1, Bits2: bits2,
-		Scatter: opts.Scatter, Sched: opts.Sched, Ctx: ctx,
-	}
+	rcfg := radix.Config{Threads: threads, Bits1: bits1, Bits2: bits2, Ctx: ctx}
 
 	// Shared prefix 1: partition R and S, overlapped like cbase.
 	var pr, ps *radix.Partitioned
@@ -228,7 +225,6 @@ func joinSplit(r, s Relation, opts *Options) (Result, error) {
 		}
 		cpuStats = joinphase.Run(pr, ps, joinphase.Config{
 			Threads: threads, SkewFactor: 4,
-			Sched: opts.Sched, Probe: opts.Probe, Layout: opts.Layout,
 			Ctx: ctx, Parts: plan.CPUParts, Ranges: cpuRanges,
 		}, bufs)
 		for _, b := range bufs {
@@ -336,7 +332,7 @@ type splitGPUTask struct {
 // (each re-probing its full S share, Gbase's skew behaviour the cost
 // model mirrors), and the D2H staging of the results. A fragment's
 // blocks replicate the full R side but probe only S[sLo:sHi). With
-// Options.HostParallelism > 0 the launch's blocks execute on a host
+// Options.Device.HostParallelism > 0 the launch's blocks execute on a host
 // worker pool, bit-identically to serial execution.
 //
 //skewlint:hotpath

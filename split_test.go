@@ -79,13 +79,12 @@ func TestSplitDifferential(t *testing.T) {
 			}
 			want := Expected(r, s)
 			cal := Calibration{BuildNsPerTuple: 10, ProbeNsPerUnit: 2.5}
-			base := Options{
-				Threads: 3, Device: CoupledDevice(), HostParallelism: hostpar,
-				Calibration: &cal,
-			}
+			dev := CoupledDevice()
+			dev.HostParallelism = hostpar
+			base := Options{Threads: 3, Device: dev, Calibration: &cal}
 
 			cpuRecs := joinRecords(t, Cbase, r, s, want, Options{Threads: 3})
-			gpuRecs := joinRecords(t, Gbase, r, s, want, Options{HostParallelism: hostpar})
+			gpuRecs := joinRecords(t, Gbase, r, s, want, Options{Device: DeviceConfig{HostParallelism: hostpar}})
 
 			for _, policy := range []SplitPolicy{SplitPolicyStatic, SplitPolicyModel, SplitPolicyCPU, SplitPolicyGPU} {
 				opts := base
