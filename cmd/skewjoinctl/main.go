@@ -276,7 +276,7 @@ func (c *client) join(args []string) error {
 	threads := fs.Int("threads", 0, "thread weight against the server budget (0 = whole budget)")
 	timeoutMS := fs.Int64("timeout-ms", 0, "request deadline in ms (0 = server default)")
 	consumer := fs.String("consumer", "", "result consumer: summary (default), count, topk, or groups")
-	k := fs.Int("k", 0, "heavy-hitter count for -consumer topk")
+	k := fs.Int("k", 0, "keys -consumer topk returns (0 = the server's default, 5)")
 	limit := fs.Int("limit", 0, "stop after at least N results (CPU operators only; 0 = full join)")
 	routing := fs.String("routing", "", "cluster routing policy: auto, hash or frag (router only; a plain daemon rejects it)")
 	args, err := splitPositional(fs, args, 2)

@@ -9,8 +9,9 @@
 //	JOIN   S ON r.key = s.key
 //
 // as a pipeline: scan→filter feeds the skew-conscious join, whose output
-// rings are drained batch-by-batch into a SUM aggregate and a heavy-hitter
-// tracker — no join output is ever materialised.
+// rings are drained batch-by-batch into a SUM aggregate and a GROUP BY
+// count, from which the top 5 keys are selected — no join output is ever
+// materialised.
 //
 //	go run ./examples/pipeline
 package main
@@ -36,16 +37,14 @@ func main() {
 		Materialize()
 	fmt.Printf("R: %d tuples after filter (from %d)\n", filtered.Len(), r.Len())
 
-	// Upper operators: a SUM aggregate and a top-5 heavy-hitter tracker,
-	// one instance per worker, merged after the join.
+	// Upper operators: a SUM aggregate and a per-key COUNT, one instance
+	// per worker, merged after the join.
 	sumExpr := func(res skewjoin.JoinResult) uint64 {
 		return uint64(res.PayloadR) + uint64(res.PayloadS)
 	}
 	sum := volcano.NewSum(sumExpr)
-	top := volcano.NewTopKeys(5)
 	groups := volcano.NewGroupSum(func(res skewjoin.JoinResult) uint64 { return 1 })
 	sumFactory, collectSum := volcano.Sink(sum, func() volcano.Consumer { return volcano.NewSum(sumExpr) })
-	topFactory, collectTop := volcano.Sink(top, func() volcano.Consumer { return volcano.NewTopKeys(5) })
 	grpFactory, collectGrp := volcano.Sink(groups, func() volcano.Consumer {
 		return volcano.NewGroupSum(func(res skewjoin.JoinResult) uint64 { return 1 })
 	})
@@ -53,11 +52,9 @@ func main() {
 	res, err := skewjoin.Join(skewjoin.CSH, filtered, s, &skewjoin.Options{
 		Consumer: func(worker int) skewjoin.ResultConsumer {
 			consumeSum := sumFactory(worker)
-			consumeTop := topFactory(worker)
 			consumeGrp := grpFactory(worker)
 			return func(batch []skewjoin.JoinResult) {
 				consumeSum(batch)
-				consumeTop(batch)
 				consumeGrp(batch)
 			}
 		},
@@ -66,7 +63,6 @@ func main() {
 		log.Fatal(err)
 	}
 	collectSum()
-	collectTop()
 	collectGrp()
 
 	fmt.Printf("join produced %d rows in %v (CSH)\n", res.Matches, res.Total)
@@ -76,8 +72,8 @@ func main() {
 	}
 	fmt.Printf("GROUP BY key produced %d groups\n", len(groups.Groups))
 	fmt.Println("top output keys by join-result count:")
-	for _, kw := range top.Heaviest() {
-		fmt.Printf("  key %-12d ~%d results (exact: %d)\n", kw.Key, kw.Weight, groups.Groups[kw.Key])
+	for _, kw := range volcano.SelectTop(groups.Groups, 5) {
+		fmt.Printf("  key %-12d %d results\n", kw.Key, kw.Weight)
 	}
 	fmt.Println("\nEvery batch was consumed from the overwriting output ring —")
 	fmt.Println("the full join result never existed in memory at once.")

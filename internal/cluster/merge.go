@@ -5,7 +5,6 @@ import (
 
 	"skewjoin/internal/relation"
 	"skewjoin/internal/service"
-	"skewjoin/internal/volcano"
 )
 
 // Partial is the merge-relevant slice of one shard call's join response.
@@ -15,12 +14,27 @@ type Partial struct {
 	Matches  uint64
 	Checksum uint64
 	Rows     *uint64
-	Groups   []service.KeyWeight
+	// Counts are per-key output counts: every group of a "groups" call,
+	// or the exact local top-k of a "topk" call.
+	Counts []service.KeyWeight
 }
 
 // PartialOf extracts the mergeable fields from a shard join response.
 func PartialOf(r service.JoinResponse) Partial {
-	return Partial{Matches: r.Matches, Checksum: r.Checksum, Rows: r.Rows, Groups: r.Groups}
+	counts := r.Groups
+	if r.TopKeys != nil {
+		counts = r.TopKeys
+	}
+	return Partial{Matches: r.Matches, Checksum: r.Checksum, Rows: r.Rows, Counts: counts}
+}
+
+// Merged is one fleet join's single-node-equivalent totals.
+type Merged struct {
+	Matches  uint64
+	Checksum uint64
+	Rows     *uint64
+	// Counts sums the partials' per-key counts; nil when none had any.
+	Counts map[relation.Key]uint64
 }
 
 // Merge combines the partials of one fleet join. The fragment pairs
@@ -28,13 +42,22 @@ func PartialOf(r service.JoinResponse) Partial {
 // so it appears in exactly one cold hash-fragment join or exactly one
 // replicated×split hot call — which makes matches, the order-independent
 // checksum, and streamed row counts plain sums (the checksum wraps mod
-// 2^64 exactly as the single-node accumulation does). Group counts merge
-// by key; the result keeps the ascending-key order the service emits.
-func Merge(parts []Partial) Partial {
-	var out Partial
+// 2^64 exactly as the single-node accumulation does). Per-key counts add
+// by key.
+//
+// For topk the partials are candidates, not every group: each cold call's
+// exact local top-k, and each hot call's groups (at most one per hot key).
+// volcano.SelectTop over their sum is the exact global top-k. A hot key
+// is excluded from every cold call, so its sum over the hot calls is its
+// whole count. A cold key's tuples all live on its one owner shard, so
+// its local count is its global count. And a cold key that missed its
+// shard's local top-k has k keys there that rank above it in the same
+// order (heavier, or as heavy and smaller), with the same counts fleet
+// wide, so it cannot be in the global top-k either.
+func Merge(parts []Partial) Merged {
+	var out Merged
 	var rows uint64
 	haveRows := false
-	groups := make(map[uint32]uint64)
 	for _, p := range parts {
 		out.Matches += p.Matches
 		out.Checksum += p.Checksum
@@ -42,46 +65,29 @@ func Merge(parts []Partial) Partial {
 			haveRows = true
 			rows += *p.Rows
 		}
-		for _, g := range p.Groups {
-			groups[g.Key] += g.Weight
+		if len(p.Counts) > 0 && out.Counts == nil {
+			out.Counts = make(map[relation.Key]uint64)
+		}
+		for _, c := range p.Counts {
+			out.Counts[relation.Key(c.Key)] += c.Weight
 		}
 	}
 	if haveRows {
 		out.Rows = &rows
 	}
-	if len(groups) > 0 {
-		out.Groups = sortedGroups(groups)
-	}
 	return out
 }
 
-// TopK selects the k heaviest keys of merged group counts, heaviest first
-// with ascending-key ties. Fleet top-k is computed this way — shards
-// return exact per-key counts and the router selects over the merged map —
-// so the result is exact and deterministic, unlike a single node's
-// Misra-Gries sketch whose counters depend on how workers interleave.
-func TopK(groups []service.KeyWeight, k int) []service.KeyWeight {
-	counts := make(map[relation.Key]uint64, len(groups))
-	for _, g := range groups {
-		counts[relation.Key(g.Key)] += g.Weight
-	}
-	top := volcano.SelectTop(counts, k)
-	out := make([]service.KeyWeight, 0, len(top))
-	for _, kw := range top {
-		out = append(out, service.KeyWeight{Key: uint32(kw.Key), Weight: kw.Weight})
-	}
-	return out
-}
-
-func sortedGroups(m map[uint32]uint64) []service.KeyWeight {
-	keys := make([]uint32, 0, len(m))
-	for k := range m {
+// sortedGroups lists counts in the ascending-key order the service emits.
+func sortedGroups(counts map[relation.Key]uint64) []service.KeyWeight {
+	keys := make([]relation.Key, 0, len(counts))
+	for k := range counts {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	out := make([]service.KeyWeight, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, service.KeyWeight{Key: k, Weight: m[k]})
+		out = append(out, service.KeyWeight{Key: uint32(k), Weight: counts[k]})
 	}
 	return out
 }

@@ -17,6 +17,7 @@ import (
 	"skewjoin"
 	"skewjoin/internal/relation"
 	"skewjoin/internal/service"
+	"skewjoin/internal/volcano"
 )
 
 // Config tunes the router. Zero values get sensible defaults; only
@@ -616,14 +617,9 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// topk is answered from exact merged group counts, so shards run the
-	// "groups" consumer on its behalf.
-	shardConsumer := req.Consumer
-	if req.Consumer == "topk" || req.Consumer == "summary" {
-		shardConsumer = ""
-	}
-	if req.Consumer == "topk" {
-		shardConsumer = "groups"
+	// Every cold call of a topk join selects the same k (see Merge).
+	if req.Consumer == "topk" && req.K <= 0 {
+		req.K = 5
 	}
 
 	type shardOut struct {
@@ -641,7 +637,7 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 	err = spawn(ctx, rt.shards, func(ctx context.Context, sh *shard) error {
 		out := &outs[sh.idx]
 		out.info.Shard = sh.idx
-		for _, call := range rt.callsFor(sh, req, shardConsumer, hot, fs) {
+		for _, call := range rt.callsFor(sh, req, hot, fs) {
 			var jr service.JoinResponse
 			start := time.Now()
 			if err := sh.client.do(ctx, "POST", "/join", call, &jr); err != nil {
@@ -703,13 +699,11 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 	case "count":
 		resp.Rows = merged.Rows
 	case "groups":
-		resp.Groups = merged.Groups
+		resp.Groups = sortedGroups(merged.Counts)
 	case "topk":
-		k := req.K
-		if k <= 0 {
-			k = 5
+		for _, kw := range volcano.SelectTop(merged.Counts, req.K) {
+			resp.TopKeys = append(resp.TopKeys, service.KeyWeight{Key: uint32(kw.Key), Weight: kw.Weight})
 		}
-		resp.TopKeys = TopK(merged.Groups, k)
 	}
 	rt.joins.Add(1)
 	writeJSON(w, http.StatusOK, resp)
@@ -718,14 +712,18 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 // callsFor builds the shard's per-join request list: the cold hash-
 // fragment join (hot keys excluded under frag), plus the replicated-build
 // × split-probe hot call where the shard's split fragment is non-empty.
-func (rt *Router) callsFor(sh *shard, req service.JoinRequest, shardConsumer string, hot hotSet, fs *fragSet) []service.JoinRequest {
+// A topk join asks the cold call for its exact local top-k and the hot
+// call for its groups, which hold at most the hot keys: Merge explains
+// why these candidates contain the global top-k.
+func (rt *Router) callsFor(sh *shard, req service.JoinRequest, hot hotSet, fs *fragSet) []service.JoinRequest {
 	base := service.JoinRequest{
 		Algorithm:       req.Algorithm,
 		Backend:         req.Backend,
 		Device:          req.Device,
 		Threads:         req.Threads,
 		HostParallelism: req.HostParallelism,
-		Consumer:        shardConsumer,
+		Consumer:        req.Consumer,
+		K:               req.K,
 	}
 	cold := base
 	cold.R, cold.S = req.R, req.S
@@ -734,6 +732,9 @@ func (rt *Router) callsFor(sh *shard, req service.JoinRequest, shardConsumer str
 	if fs != nil && fs.spl[sh.idx] != "" {
 		hotCall := base
 		hotCall.R, hotCall.S = fs.rep, fs.spl[sh.idx]
+		if hotCall.Consumer == "topk" {
+			hotCall.Consumer = "groups"
+		}
 		calls = append(calls, hotCall)
 	}
 	return calls

@@ -183,16 +183,28 @@ func TestClusterMatchesSingleNodeAndOracle(t *testing.T) {
 			}
 		}
 
-		// Top-k: the cluster's exact selection must equal selecting over
-		// the single-node exact groups.
-		wantTop := TopK(singleGroups.Groups, 5)
-		jr = clusterJoin(t, tc.routerTS.URL, service.JoinRequest{R: rName, S: sName, Routing: "auto", Consumer: "topk", K: 5})
-		if len(jr.TopKeys) != len(wantTop) {
-			t.Fatalf("theta=%g: topk returned %d keys, want %d", theta, len(jr.TopKeys), len(wantTop))
+		// Top-k: under every routing policy the fleet's candidate merge
+		// must return exactly the single node's exact top-k.
+		var singleTop service.JoinResponse
+		status, _, raw = doJSON(t, "POST", single.URL+"/join", service.JoinRequest{R: rName, S: sName, Consumer: "topk", K: 5})
+		if status != http.StatusOK {
+			t.Fatalf("single-node topk join: %d: %s", status, raw)
 		}
-		for i := range wantTop {
-			if jr.TopKeys[i] != wantTop[i] {
-				t.Errorf("theta=%g: topk[%d] = %+v, want %+v", theta, i, jr.TopKeys[i], wantTop[i])
+		if err := json.Unmarshal(raw, &singleTop); err != nil {
+			t.Fatal(err)
+		}
+		if len(singleTop.TopKeys) != 5 {
+			t.Fatalf("theta=%g: single-node topk returned %d keys, want 5", theta, len(singleTop.TopKeys))
+		}
+		for _, routing := range []string{"auto", "hash", "frag"} {
+			jr := clusterJoin(t, tc.routerTS.URL, service.JoinRequest{R: rName, S: sName, Routing: routing, Consumer: "topk", K: 5})
+			if len(jr.TopKeys) != len(singleTop.TopKeys) {
+				t.Fatalf("theta=%g routing=%s: topk returned %d keys, want %d", theta, routing, len(jr.TopKeys), len(singleTop.TopKeys))
+			}
+			for i, want := range singleTop.TopKeys {
+				if jr.TopKeys[i] != want {
+					t.Errorf("theta=%g routing=%s: topk[%d] = %+v, single-node %+v", theta, routing, i, jr.TopKeys[i], want)
+				}
 			}
 		}
 

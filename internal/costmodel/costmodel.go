@@ -450,10 +450,10 @@ type Plan struct {
 // backends.
 func (p *Plan) Fragmented() bool { return len(p.Fragments) > 0 }
 
-// BuildPlan assigns every costed partition to a backend. Heaviest partitions
-// (by their cheaper-backend cost) are placed first, each on the backend
-// that minimizes the resulting predicted makespan. When the hot partition
-// alone exceeds the balanced-makespan bound by FragmentFactor, a
+// BuildPlan assigns every costed partition to a backend. The heaviest
+// partitions (by their cheaper-backend cost) are placed first, each on the
+// backend that minimizes the resulting predicted makespan. When the hot
+// partition alone exceeds the balanced-makespan bound by FragmentFactor, a
 // fragmented plan — the hot partition's build side replicated to both
 // backends, its probe side split cost-proportionally — is priced too and
 // adopted if it predicts a strictly lower makespan. Afterwards the plan

@@ -116,13 +116,14 @@ type JoinRequest struct {
 	Fragments int `json:"fragments,omitempty"`
 	// Consumer selects the volcano upper operator consuming the output:
 	// "summary" (default; match count + checksum only), "count" (streamed
-	// row count through a volcano.Count sink), "topk" (heavy-hitter keys
-	// of the join output, Misra-Gries lower bounds), or "groups" (exact
-	// per-key output counts through a volcano.GroupSum sink; memory and
-	// response size are O(distinct output keys) — the cluster router
-	// merges these into exact fleet-wide top-k results).
+	// row count through a volcano.Count sink), "topk" (the exact K
+	// heaviest output keys, ties to the smaller key: per-key counts
+	// through a volcano.GroupSum sink, then volcano.SelectTop), or
+	// "groups" (every exact per-key output count). topk and groups both
+	// hold O(distinct output keys) memory on the node that runs them;
+	// only groups returns them all.
 	Consumer string `json:"consumer,omitempty"`
-	// K is the heavy-hitter count for Consumer "topk" (default 5).
+	// K is the number of keys Consumer "topk" returns (default 5).
 	K int `json:"k,omitempty"`
 	// Limit stops the join once at least this many results have been
 	// staged (0 = full join). Also settable as the ?limit=N query

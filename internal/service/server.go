@@ -409,40 +409,34 @@ func buildConsumer(req JoinRequest) (*consumerSink, error) {
 				resp.Rows = &rows
 			},
 		}, nil
-	case "topk":
-		k := req.K
-		if k <= 0 {
-			k = 5
-		}
-		root := volcano.NewTopKeys(k)
-		factory, collect := volcano.Sink(root, func() volcano.Consumer { return volcano.NewTopKeys(k) })
-		return &consumerSink{
-			factory: factory,
-			collect: collect,
-			finish: func(resp *JoinResponse) {
-				for _, kw := range root.Heaviest() {
-					resp.TopKeys = append(resp.TopKeys, KeyWeight{Key: uint32(kw.Key), Weight: kw.Weight})
-				}
-			},
-		}, nil
-	case "groups":
+	case "topk", "groups":
+		// Both group the whole output; topk then selects the k heaviest
+		// keys from the exact counts.
 		one := func(outbuf.Result) uint64 { return 1 }
 		root := volcano.NewGroupSum(one)
 		factory, collect := volcano.Sink(root, func() volcano.Consumer { return volcano.NewGroupSum(one) })
-		return &consumerSink{
-			factory: factory,
-			collect: collect,
-			finish: func(resp *JoinResponse) {
-				keys := make([]relation.Key, 0, len(root.Groups))
-				for k := range root.Groups {
-					keys = append(keys, k)
+		finish := func(resp *JoinResponse) {
+			keys := make([]relation.Key, 0, len(root.Groups))
+			for k := range root.Groups {
+				keys = append(keys, k)
+			}
+			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+			for _, k := range keys {
+				resp.Groups = append(resp.Groups, KeyWeight{Key: uint32(k), Weight: root.Groups[k]})
+			}
+		}
+		if req.Consumer == "topk" {
+			k := req.K
+			if k <= 0 {
+				k = 5
+			}
+			finish = func(resp *JoinResponse) {
+				for _, kw := range volcano.SelectTop(root.Groups, k) {
+					resp.TopKeys = append(resp.TopKeys, KeyWeight{Key: uint32(kw.Key), Weight: kw.Weight})
 				}
-				sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-				for _, k := range keys {
-					resp.Groups = append(resp.Groups, KeyWeight{Key: uint32(k), Weight: root.Groups[k]})
-				}
-			},
-		}, nil
+			}
+		}
+		return &consumerSink{factory: factory, collect: collect, finish: finish}, nil
 	default:
 		return nil, fmt.Errorf("unknown consumer %q (want summary, count, topk, or groups)", req.Consumer)
 	}

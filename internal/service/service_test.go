@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -249,22 +250,69 @@ func TestServiceConsumers(t *testing.T) {
 		t.Errorf("streamed row count %d != match summary %d", *resp.Rows, resp.Matches)
 	}
 
-	status, raw = doJSON(t, "POST", ts.URL+"/join", JoinRequest{R: "r", S: "s", Consumer: "topk", K: 3})
-	if status != http.StatusOK {
-		t.Fatalf("topk join: status %d: %s", status, raw)
-	}
-	resp = JoinResponse{}
-	if err := json.Unmarshal(raw, &resp); err != nil {
+	// topk is exact: keys and weights are the closed form's freqR·freqS,
+	// ties to the smaller key, at any thread count — so 1 and 2 threads
+	// return identical answers. The second k cuts between tied weights.
+	r, err := skewjoin.GenerateZipf(1<<14, 0.9, 3, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.TopKeys) == 0 || len(resp.TopKeys) > 3 {
-		t.Fatalf("topk returned %d keys, want 1..3", len(resp.TopKeys))
+	s, err := skewjoin.GenerateZipf(1<<14, 0.9, 3, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 1; i < len(resp.TopKeys); i++ {
-		if resp.TopKeys[i].Weight > resp.TopKeys[i-1].Weight {
-			t.Errorf("top keys not sorted by weight: %+v", resp.TopKeys)
+	order := closedFormOrder(r, s)
+	tie := 4
+	for order[tie-1].Weight != order[tie].Weight {
+		tie++
+	}
+	for _, k := range []int{3, tie} {
+		want := order[:k]
+		for _, threads := range []int{1, 2} {
+			status, raw = doJSON(t, "POST", ts.URL+"/join", JoinRequest{R: "r", S: "s", Consumer: "topk", K: k, Threads: threads})
+			if status != http.StatusOK {
+				t.Fatalf("topk join: status %d: %s", status, raw)
+			}
+			resp = JoinResponse{}
+			if err := json.Unmarshal(raw, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if len(resp.TopKeys) != len(want) {
+				t.Fatalf("k=%d threads=%d: topk returned %d keys, want %d", k, threads, len(resp.TopKeys), len(want))
+			}
+			for i := range want {
+				if resp.TopKeys[i] != want[i] {
+					t.Errorf("k=%d threads=%d: topk[%d] = %+v, oracle %+v", k, threads, i, resp.TopKeys[i], want[i])
+				}
+			}
 		}
 	}
+}
+
+// closedFormOrder ranks every key of the join output by its exact count
+// freqR·freqS, heaviest first, ties to the smaller key.
+func closedFormOrder(r, s skewjoin.Relation) []KeyWeight {
+	fr := map[skewjoin.Key]uint64{}
+	for _, t := range r.Tuples {
+		fr[t.Key]++
+	}
+	fs := map[skewjoin.Key]uint64{}
+	for _, t := range s.Tuples {
+		fs[t.Key]++
+	}
+	var all []KeyWeight
+	for key, a := range fr {
+		if b := fs[key]; b > 0 {
+			all = append(all, KeyWeight{Key: uint32(key), Weight: a * b})
+		}
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Weight != all[j].Weight {
+			return all[i].Weight > all[j].Weight
+		}
+		return all[i].Key < all[j].Key
+	})
+	return all
 }
 
 func TestServiceRequestTimeout(t *testing.T) {

@@ -147,11 +147,23 @@ func NewGroupSum(expr func(outbuf.Result) uint64) *GroupSum {
 	return &GroupSum{Expr: expr, Groups: make(map[relation.Key]uint64)}
 }
 
-// Consume implements Consumer.
+// Consume implements Consumer. Expr sees every result, but the map is
+// updated once per maximal run of equal keys: a hot key's cross product
+// leaves the join contiguously, so under skew a batch is a few long runs.
 func (g *GroupSum) Consume(batch []outbuf.Result) {
-	for _, r := range batch {
-		g.Groups[r.Key] += g.Expr(r)
+	if len(batch) == 0 {
+		return
 	}
+	groups, expr := g.Groups, g.Expr
+	key, sum := batch[0].Key, uint64(0)
+	for _, r := range batch {
+		if r.Key != key {
+			groups[key] += sum
+			key, sum = r.Key, 0
+		}
+		sum += expr(r)
+	}
+	groups[key] += sum
 }
 
 // Merge implements Consumer.
@@ -161,69 +173,21 @@ func (g *GroupSum) Merge(other Consumer) {
 	}
 }
 
-// TopKeys tracks the heaviest join keys in the output (count per key over
-// a bounded set of counters) — a cheap HeavyHitters upper operator using
-// the Misra-Gries summary, which is exact for the heavy keys skewed joins
-// produce.
-type TopKeys struct {
-	k        int
-	counters map[relation.Key]uint64
-}
-
-// NewTopKeys returns a heavy-hitter tracker with capacity k (counters for
-// up to 8k keys are kept between decrements).
-func NewTopKeys(k int) *TopKeys {
-	if k < 1 {
-		k = 1
-	}
-	return &TopKeys{k: k, counters: make(map[relation.Key]uint64, 8*k)}
-}
-
-// Consume implements Consumer (Misra-Gries update per result).
-func (t *TopKeys) Consume(batch []outbuf.Result) {
-	limit := 8 * t.k
-	for _, r := range batch {
-		if _, ok := t.counters[r.Key]; ok || len(t.counters) < limit {
-			t.counters[r.Key]++
-			continue
-		}
-		for key := range t.counters {
-			t.counters[key]--
-			if t.counters[key] == 0 {
-				delete(t.counters, key)
-			}
-		}
-	}
-}
-
-// Merge implements Consumer.
-func (t *TopKeys) Merge(other Consumer) {
-	for key, c := range other.(*TopKeys).counters {
-		t.counters[key] += c
-	}
-}
-
-// Heaviest returns up to k (key, weight) pairs with the largest retained
-// weights, heaviest first. Weights are Misra-Gries lower bounds, exact for
-// keys dominating the output.
-func (t *TopKeys) Heaviest() []KeyWeight {
-	return SelectTop(t.counters, t.k)
-}
-
 // SelectTop returns up to k (key, weight) pairs with the largest weights
 // in counts, heaviest first, ties broken towards the smaller key. It is
-// the deterministic top-k selection shared by TopKeys.Heaviest and the
-// cluster router's k-way heavy-hitter merge: applied to exact per-key
-// counts (e.g. merged GroupSum maps) the result is the exact top-k of the
-// join output, independent of how the output was partitioned.
+// the one top-k selection: the service's topk consumer applies it to a
+// GroupSum's exact counts, and the cluster router to the candidates its
+// shards return, so the answer is the exact top-k of the join output,
+// independent of how the output was partitioned or interleaved.
 func SelectTop(counts map[relation.Key]uint64, k int) []KeyWeight {
 	if k < 1 {
 		k = 1
 	}
 	// Bounded insertion into a k-sized list: counts may hold every distinct
 	// output key (exact group counts), so selection must stay O(n·k), not
-	// sort the whole map.
-	out := make([]KeyWeight, 0, k)
+	// sort the whole map. A k beyond the key count allocates no more than
+	// the keys need.
+	out := make([]KeyWeight, 0, min(k, len(counts)))
 	for key, c := range counts {
 		e := KeyWeight{Key: key, Weight: c}
 		if len(out) == k && !less(out[k-1], e) {
@@ -250,7 +214,7 @@ func less(a, b KeyWeight) bool {
 	return a.Key > b.Key
 }
 
-// KeyWeight is a heavy-hitter entry.
+// KeyWeight is one entry of a top-k answer.
 type KeyWeight struct {
 	Key    relation.Key
 	Weight uint64

@@ -1,6 +1,7 @@
 package volcano
 
 import (
+	"fmt"
 	"testing"
 
 	"skewjoin/internal/cbase"
@@ -211,38 +212,79 @@ func TestGroupSumMatchesClosedForm(t *testing.T) {
 	}
 }
 
-func TestTopKeysFindsHeavyHitter(t *testing.T) {
-	r, s := workload(t, 40000, 1.0)
-	top := relation.ComputeStats(r).MaxKey
-
-	root := NewTopKeys(3)
-	factory, collect := Sink(root, func() Consumer { return NewTopKeys(3) })
-	csh.Join(r, s, csh.Config{Threads: 2, Flush: factory})
-	collect()
-
-	heavy := root.Heaviest()
-	if len(heavy) == 0 {
-		t.Fatal("no heavy hitters found")
-	}
-	if heavy[0].Key != top {
-		t.Errorf("heaviest output key = %d, want R's top key %d", heavy[0].Key, top)
-	}
-	for i := 1; i < len(heavy); i++ {
-		if heavy[i].Weight > heavy[i-1].Weight {
-			t.Errorf("heaviest not sorted: %+v", heavy)
+// TestGroupSumCoalescesRuns checks the run-coalesced GroupSum.Consume
+// against a per-result reference on batches shaped around run boundaries,
+// and that Expr still sees every result.
+func TestGroupSumCoalescesRuns(t *testing.T) {
+	next := relation.Payload(0)
+	results := func(keys ...relation.Key) []outbuf.Result {
+		batch := make([]outbuf.Result, 0, len(keys))
+		for _, k := range keys {
+			next++
+			batch = append(batch, outbuf.Result{Key: k, PayloadR: next, PayloadS: 7 * next})
 		}
+		return batch
+	}
+	one := func(outbuf.Result) uint64 { return 1 }
+	for _, tc := range []struct {
+		name    string
+		expr    func(outbuf.Result) uint64
+		batches [][]outbuf.Result
+	}{
+		{"alternating keys", one, [][]outbuf.Result{results(1, 2, 1, 2, 1, 2, 3)}},
+		// As when the ring wraps mid-run: the run's first part is flushed,
+		// its rest opens the next batch.
+		{"run split across batches", one, [][]outbuf.Result{results(4, 7, 7, 7), results(7, 7, 9)}},
+		{"empty batch", one, [][]outbuf.Result{results(), results(5, 5), results(), results(5)}},
+		{"payload sum", sumExpr, [][]outbuf.Result{results(3, 3, 3, 8, 8, 3), results(3, 1, 1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			calls := 0
+			g := NewGroupSum(func(r outbuf.Result) uint64 {
+				calls++
+				return tc.expr(r)
+			})
+			want := map[relation.Key]uint64{}
+			n := 0
+			for _, b := range tc.batches {
+				g.Consume(b)
+				for _, r := range b {
+					want[r.Key] += tc.expr(r)
+				}
+				n += len(b)
+			}
+			if calls != n {
+				t.Errorf("Expr ran %d times over %d results", calls, n)
+			}
+			if len(g.Groups) != len(want) {
+				t.Fatalf("groups = %v, want %v", g.Groups, want)
+			}
+			for k, w := range want {
+				if got, ok := g.Groups[k]; !ok || got != w {
+					t.Errorf("key %d: group %d (present %v), want %d", k, got, ok, w)
+				}
+			}
+		})
 	}
 }
 
-func TestTopKeysMisraGriesBounded(t *testing.T) {
-	tk := NewTopKeys(2)
-	batch := make([]outbuf.Result, 0, 1000)
-	for i := 0; i < 1000; i++ {
-		batch = append(batch, outbuf.Result{Key: relation.Key(i)})
-	}
-	tk.Consume(batch)
-	if len(tk.counters) > 16 {
-		t.Errorf("counter set grew to %d (cap 16)", len(tk.counters))
+// BenchmarkGroupSumConsume times one ring-sized batch at run length 1,
+// where no two neighbours share a key and there is nothing to coalesce
+// (the worst case), and at run length 256, as a hot key's cross product
+// leaves the join.
+func BenchmarkGroupSumConsume(b *testing.B) {
+	for _, run := range []int{1, 256} {
+		b.Run(fmt.Sprintf("run=%d", run), func(b *testing.B) {
+			batch := make([]outbuf.Result, outbuf.DefaultCapacity)
+			for i := range batch {
+				batch[i].Key = relation.Key(i / run % 1024)
+			}
+			g := NewGroupSum(func(outbuf.Result) uint64 { return 1 })
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.Consume(batch)
+			}
+		})
 	}
 }
 

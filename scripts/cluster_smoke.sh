@@ -72,8 +72,14 @@ echo "== count and topk consumers =="
 rctl join r s -consumer count | grep '^rows' >"$BIN/cluster.rows"
 sctl join r s -consumer count | grep '^rows' >"$BIN/single.rows"
 diff "$BIN/cluster.rows" "$BIN/single.rows"
-rctl join r s -consumer topk -k 3 | grep '^topkey' >"$BIN/cluster.topk"
-[ "$(wc -l <"$BIN/cluster.topk")" -eq 3 ]
+# topk is exact on both tiers, so the fleet's candidate merge must list
+# the single node's keys and weights line for line.
+sctl join r s -consumer topk -k 3 | grep '^topkey' >"$BIN/single.topk"
+[ "$(wc -l <"$BIN/single.topk")" -eq 3 ]
+for routing in hash frag; do
+    rctl join r s -routing "$routing" -consumer topk -k 3 | grep '^topkey' >"$BIN/cluster-$routing.topk"
+    diff "$BIN/cluster-$routing.topk" "$BIN/single.topk"
+done
 
 echo "== cluster stats aggregate all three shards =="
 rctl cluster-stats | tee "$BIN/cluster-stats.out"
