@@ -33,10 +33,12 @@ func BenchmarkChainWalkVsSequentialScan(b *testing.B) {
 
 		b.Run(fmt.Sprintf("chainwalk/size=%d", size), func(b *testing.B) {
 			table := Build(tuples)
+			scratch := make([]relation.Payload, size)
 			b.SetBytes(int64(size) * relation.TupleSize)
-			var sink relation.Payload
+			sink := 0
 			for i := 0; i < b.N; i++ {
-				table.Probe(42, func(p relation.Payload) { sink += p })
+				m, _ := table.Matches(42, scratch)
+				sink += len(m)
 			}
 			_ = sink
 		})
@@ -73,52 +75,16 @@ func BenchmarkBuild(b *testing.B) {
 // BenchmarkProbe guards the probe loop itself against regressions: a
 // mixed-key workload (every tuple distinct key, ~1 entry per visit) and a
 // fully skewed one (every probe scans the whole bucket). Cbase and CSH
-// spend most of their join phase inside CompactTable.Probe, so any extra
+// spend most of their join phase inside CompactTable.Matches, so any extra
 // work per bucket entry shows up here immediately.
 func BenchmarkProbe(b *testing.B) {
 	const size = 1 << 14
-	b.Run("distinct-keys", func(b *testing.B) {
-		tuples := make([]relation.Tuple, size)
-		for i := range tuples {
-			tuples[i] = relation.Tuple{Key: relation.Key(i * 2654435761), Payload: relation.Payload(i)}
-		}
-		table := BuildCompact(tuples)
-		b.SetBytes(int64(size) * relation.TupleSize)
-		var sink relation.Payload
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, tp := range tuples {
-				table.Probe(tp.Key, func(p relation.Payload) { sink += p })
-			}
-		}
-		_ = sink
-	})
-	b.Run("one-hot-key", func(b *testing.B) {
-		tuples := make([]relation.Tuple, size)
-		for i := range tuples {
-			tuples[i] = relation.Tuple{Key: 42, Payload: relation.Payload(i)}
-		}
-		table := BuildCompact(tuples)
-		b.SetBytes(int64(size) * relation.TupleSize)
-		var sink relation.Payload
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			table.Probe(42, func(p relation.Payload) { sink += p })
-		}
-		_ = sink
-	})
-}
-
-// BenchmarkMaxChain pins the largest-bucket scan, which runs once per join
-// task right after the build: it must stay a pure scan with no allocation.
-func BenchmarkMaxChain(b *testing.B) {
 	for _, skewed := range []bool{false, true} {
 		name := "distinct-keys"
 		if skewed {
 			name = "one-hot-key"
 		}
 		b.Run(name, func(b *testing.B) {
-			const size = 1 << 14
 			tuples := make([]relation.Tuple, size)
 			for i := range tuples {
 				k := relation.Key(i * 2654435761)
@@ -127,12 +93,21 @@ func BenchmarkMaxChain(b *testing.B) {
 				}
 				tuples[i] = relation.Tuple{Key: k, Payload: relation.Payload(i)}
 			}
+			probes := tuples
+			if skewed {
+				probes = tuples[:1]
+			}
 			table := BuildCompact(tuples)
+			scratch := make([]relation.Payload, table.MaxChain())
+			b.SetBytes(int64(size) * relation.TupleSize)
 			b.ReportAllocs()
 			b.ResetTimer()
 			sink := 0
 			for i := 0; i < b.N; i++ {
-				sink += table.MaxChain()
+				for _, tp := range probes {
+					m, _ := table.Matches(tp.Key, scratch)
+					sink += len(m)
+				}
 			}
 			_ = sink
 		})

@@ -4,8 +4,17 @@
 // key hash into the same bucket, so a popular key produces one long bucket;
 // probing it costs one key comparison per entry. That behaviour — the
 // paper's central criticism of the baselines under skew — is what every
-// table here reproduces: a probe inspects its key's whole bucket, and the
-// visit count it returns is the bucket's length.
+// table here reproduces: a probe (Matches) compares every entry of its
+// key's bucket, collects the matching payloads into the caller's scratch,
+// and the visit count it returns is the bucket's length. The caller then
+// emits one probing tuple's matches as a single output run.
+//
+// Matches treats its dst argument as scratch: it overwrites dst from index
+// 0 up to its capacity and returns the filled prefix. A scratch too short
+// for one key's matches is replaced by a longer one (returned in its
+// place), so callers size their scratch outside the probe loop — to the
+// table's largest bucket, or to the build side's length — and the probe
+// itself allocates nothing.
 //
 // Four tables share one bucketing (the high bits of the mixed key):
 //
@@ -83,24 +92,50 @@ func bucketCount(n int) int {
 	return nb
 }
 
-// Probe walks the chain of k's bucket, invoking fn for every tuple whose
-// key equals k, and returns the number of chain nodes visited (the probe
-// cost, used by the GPU divergence model).
+// Matches collects the payload of every tuple in k's chain whose key
+// equals k into dst (see the package doc) and returns them with the
+// number of chain nodes visited — the probe cost the GPU divergence model
+// charges.
 //
 //skewlint:hotpath
-func (t *Table) Probe(k relation.Key, fn func(pr relation.Payload)) int {
-	visited := 0
-	for i := t.heads[hashfn.Mix32(uint32(k))>>t.shift]; i >= 0; i = t.next[i] {
+func (t *Table) Matches(k relation.Key, dst []relation.Payload) ([]relation.Payload, int) {
+	return matchChain(t.heads[hashfn.Mix32(uint32(k))>>t.shift], t.next, t.tuples, k, dst)
+}
+
+// matchChain walks the index-linked chain that starts at i, collecting
+// the payload of every tuple whose key equals k into dst, and returns the
+// matches with the number of nodes visited. It is the chain walk of every
+// chained table (Table, Concurrent, Incremental). Under the sanitize tag a
+// walk longer than the table aborts: a cycle in the next links would
+// otherwise spin forever.
+//
+//skewlint:hotpath
+func matchChain(i int32, next []int32, tuples []relation.Tuple, k relation.Key, dst []relation.Payload) ([]relation.Payload, int) {
+	dst = dst[:cap(dst)]
+	n, visited := 0, 0
+	for ; i >= 0; i = next[i] {
 		visited++
-		if sanitize.Enabled && visited > len(t.tuples) {
+		if sanitize.Enabled && visited > len(tuples) {
 			sanitize.Failf("chainedtable: cycle in bucket chain for key %d (visited %d nodes, table holds %d tuples)",
-				k, visited, len(t.tuples))
+				k, visited, len(tuples))
 		}
-		if t.tuples[i].Key == k {
-			fn(t.tuples[i].Payload)
+		if tuples[i].Key == k {
+			if n == len(dst) {
+				dst = grow(dst)
+			}
+			dst[n] = tuples[i].Payload
+			n++
 		}
 	}
-	return visited
+	return dst[:n], visited
+}
+
+// grow returns a scratch twice as long as dst holding dst's entries: the
+// fallback for a caller whose scratch is shorter than one key's matches.
+func grow(dst []relation.Payload) []relation.Payload {
+	g := make([]relation.Payload, 2*len(dst)+16)
+	copy(g, dst)
+	return g
 }
 
 // Concurrent is a shared chained hash table built by multiple threads.
@@ -145,21 +180,11 @@ func (c *Concurrent) Insert(i int) {
 	}
 }
 
-// Probe walks the chain of k's bucket, invoking fn for matches, and returns
-// the number of nodes visited. Probe must not run concurrently with Insert.
+// Matches collects k's matches into dst (see the package doc) and returns
+// them with the number of chain nodes visited. It must not run
+// concurrently with Insert.
 //
 //skewlint:hotpath
-func (c *Concurrent) Probe(k relation.Key, fn func(pr relation.Payload)) int {
-	visited := 0
-	for i := c.heads[hashfn.Mix32(uint32(k))>>c.shift].Load(); i >= 0; i = c.next[i] {
-		visited++
-		if sanitize.Enabled && visited > len(c.tuples) {
-			sanitize.Failf("chainedtable: cycle in bucket chain for key %d (visited %d nodes, table holds %d tuples)",
-				k, visited, len(c.tuples))
-		}
-		if c.tuples[i].Key == k {
-			fn(c.tuples[i].Payload)
-		}
-	}
-	return visited
+func (c *Concurrent) Matches(k relation.Key, dst []relation.Payload) ([]relation.Payload, int) {
+	return matchChain(c.heads[hashfn.Mix32(uint32(k))>>c.shift].Load(), c.next, c.tuples, k, dst)
 }

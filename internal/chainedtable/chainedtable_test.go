@@ -2,10 +2,12 @@ package chainedtable
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"skewjoin/internal/exec"
+	"skewjoin/internal/hashfn"
 	"skewjoin/internal/relation"
 )
 
@@ -18,11 +20,16 @@ func randomTuples(n, keyRange int, seed int64) []relation.Tuple {
 	return ts
 }
 
-// probeAll collects every matching payload for k.
-func probeAll(probe func(relation.Key, func(relation.Payload)) int, k relation.Key) []relation.Payload {
-	var out []relation.Payload
-	probe(k, func(p relation.Payload) { out = append(out, p) })
-	return out
+// matcher is the probe primitive all four tables implement.
+type matcher interface {
+	Matches(k relation.Key, dst []relation.Payload) ([]relation.Payload, int)
+}
+
+// probeAll collects every matching payload for k, starting from no
+// scratch so the growth path runs too.
+func probeAll(m matcher, k relation.Key) []relation.Payload {
+	got, _ := m.Matches(k, nil)
+	return got
 }
 
 func TestProbeFindsAllMatches(t *testing.T) {
@@ -36,7 +43,7 @@ func TestProbeFindsAllMatches(t *testing.T) {
 		want[tp.Key][tp.Payload] = true
 	}
 	for k, ps := range want {
-		got := probeAll(table.Probe, k)
+		got := probeAll(table, k)
 		if len(got) != len(ps) {
 			t.Fatalf("key %d: %d matches, want %d", k, len(got), len(ps))
 		}
@@ -50,15 +57,15 @@ func TestProbeFindsAllMatches(t *testing.T) {
 
 func TestProbeAbsentKey(t *testing.T) {
 	table := Build(randomTuples(100, 50, 2))
-	if got := probeAll(table.Probe, relation.Key(1<<30)); len(got) != 0 {
+	if got := probeAll(table, relation.Key(1<<30)); len(got) != 0 {
 		t.Errorf("absent key matched %d tuples", len(got))
 	}
 }
 
 func TestProbeEmptyTable(t *testing.T) {
 	table := Build(nil)
-	if v := table.Probe(1, func(relation.Payload) { t.Error("match in empty table") }); v != 0 {
-		t.Errorf("visited %d nodes in empty table", v)
+	if m, v := table.Matches(1, nil); len(m) != 0 || v != 0 {
+		t.Errorf("empty table: %d matches, %d nodes visited", len(m), v)
 	}
 }
 
@@ -66,10 +73,9 @@ func TestVisitsAtLeastMatches(t *testing.T) {
 	tuples := randomTuples(2000, 20, 3)
 	table := Build(tuples)
 	for k := relation.Key(0); k < 20; k++ {
-		matches := 0
-		visits := table.Probe(k, func(relation.Payload) { matches++ })
-		if visits < matches {
-			t.Fatalf("key %d: %d visits < %d matches", k, visits, matches)
+		m, visits := table.Matches(k, nil)
+		if visits < len(m) {
+			t.Fatalf("key %d: %d visits < %d matches", k, visits, len(m))
 		}
 	}
 }
@@ -85,7 +91,7 @@ func TestSkewProducesLongChain(t *testing.T) {
 	if mc := table.MaxChain(); mc != 1000 {
 		t.Errorf("MaxChain = %d, want 1000", mc)
 	}
-	if got := probeAll(table.Probe, 77); len(got) != 1000 {
+	if got := probeAll(table, 77); len(got) != 1000 {
 		t.Errorf("probe found %d of 1000", len(got))
 	}
 }
@@ -133,7 +139,7 @@ func TestSingleBucketTableProbes(t *testing.T) {
 	if len(chained.heads) != 1 || compact.Buckets() != 1 {
 		t.Fatalf("buckets = %d chained, %d compact, want 1", len(chained.heads), compact.Buckets())
 	}
-	for _, probe := range []func(relation.Key, func(relation.Payload)) int{chained.Probe, compact.Probe} {
+	for _, probe := range []matcher{chained, compact} {
 		if got := probeAll(probe, 42); len(got) != 1 || got[0] != 7 {
 			t.Errorf("probe(42) = %v", got)
 		}
@@ -154,8 +160,8 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 		}
 	})
 	for k := relation.Key(0); k < 300; k++ {
-		a := probeAll(seq.Probe, k)
-		b := probeAll(con.Probe, k)
+		a := probeAll(seq, k)
+		b := probeAll(con, k)
 		if len(a) != len(b) {
 			t.Fatalf("key %d: sequential %d matches, concurrent %d", k, len(a), len(b))
 		}
@@ -179,7 +185,7 @@ func TestConcurrentSingleThread(t *testing.T) {
 	}
 	total := 0
 	for k := relation.Key(0); k < 10; k++ {
-		total += len(probeAll(con.Probe, k))
+		total += len(probeAll(con, k))
 	}
 	if total != len(tuples) {
 		t.Errorf("found %d tuples, want %d", total, len(tuples))
@@ -197,9 +203,7 @@ func TestQuickTableEqualsMapSemantics(t *testing.T) {
 		table := Build(tuples)
 		for _, pk := range probeKeys {
 			k := relation.Key(pk)
-			n := 0
-			table.Probe(k, func(relation.Payload) { n++ })
-			if n != want[k] {
+			if m, _ := table.Matches(k, nil); len(m) != want[k] {
 				return false
 			}
 		}
@@ -207,5 +211,89 @@ func TestQuickTableEqualsMapSemantics(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// scanBucket is the brute-force reference for a probe: the payloads of
+// every tuple with key k, and the number of tuples that hash into k's
+// bucket under the given bucket shift.
+func scanBucket(tuples []relation.Tuple, shift uint32, k relation.Key) ([]relation.Payload, int) {
+	var ps []relation.Payload
+	inBucket := 0
+	for _, tp := range tuples {
+		if hashfn.Mix32(uint32(tp.Key))>>shift == hashfn.Mix32(uint32(k))>>shift {
+			inBucket++
+		}
+		if tp.Key == k {
+			ps = append(ps, tp.Payload)
+		}
+	}
+	return ps, inBucket
+}
+
+// TestMatchesAgreeWithScan checks the probe primitive of all four tables
+// against a brute-force scan: for every probed key the matches agree with
+// the scan's as a multiset, and the visit count equals the number of
+// tuples in the key's bucket or chain. Each table starts from a 4-entry
+// scratch, which the hot key's 300 matches outgrow.
+func TestMatchesAgreeWithScan(t *testing.T) {
+	hot := make([]relation.Tuple, 300, 500)
+	for i := range hot {
+		hot[i] = relation.Tuple{Key: 7, Payload: relation.Payload(i)}
+	}
+	hot = append(hot, randomTuples(200, 1000, 70)...)
+	for _, c := range []struct {
+		name   string
+		tuples []relation.Tuple
+	}{
+		{"empty", nil},
+		{"one-bucket", []relation.Tuple{{Key: 42, Payload: 7}}},
+		{"hot-key", hot},
+		{"random", randomTuples(1000, 200, 71)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			table, compact := Build(c.tuples), BuildCompact(c.tuples)
+			con := NewConcurrent(c.tuples)
+			inc := NewIncremental(0)
+			for i, tp := range c.tuples {
+				con.Insert(i)
+				inc.Insert(tp)
+			}
+			probeKeys := []relation.Key{7, 42, 43, 1 << 30}
+			for _, tp := range c.tuples {
+				probeKeys = append(probeKeys, tp.Key)
+			}
+			for _, tb := range []struct {
+				name  string
+				m     matcher
+				shift uint32
+			}{
+				{"table", table, table.shift},
+				{"compact", compact, compact.shift},
+				{"concurrent", con, con.shift},
+				{"incremental", inc, inc.shift},
+			} {
+				scratch := make([]relation.Payload, 4)
+				for _, k := range probeKeys {
+					got, visits := tb.m.Matches(k, scratch)
+					want, wantVisits := scanBucket(c.tuples, tb.shift, k)
+					if visits != wantVisits {
+						t.Fatalf("%s key %d: %d visits, bucket holds %d", tb.name, k, visits, wantVisits)
+					}
+					sorted := append([]relation.Payload(nil), got...)
+					sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+					sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
+					if len(sorted) != len(want) {
+						t.Fatalf("%s key %d: %d matches, scan %d", tb.name, k, len(sorted), len(want))
+					}
+					for i := range want {
+						if sorted[i] != want[i] {
+							t.Fatalf("%s key %d: matches %v, scan %v", tb.name, k, sorted, want)
+						}
+					}
+					scratch = got // a caller keeps the grown scratch
+				}
+			}
+		})
 	}
 }

@@ -15,9 +15,10 @@ import (
 // one dependent load per node. Building costs one extra counting pass over
 // the tuples.
 type CompactTable struct {
-	shift   uint32
-	starts  []int32
-	entries []relation.Tuple
+	shift    uint32
+	starts   []int32
+	entries  []relation.Tuple
+	maxChain int32 // largest bucket, counted during the build
 }
 
 // BuildCompact constructs a compact table over tuples with the same bucket
@@ -58,14 +59,19 @@ func (t *CompactTable) rebuild(tuples []relation.Tuple) {
 	for _, tp := range tuples {
 		starts[hashfn.Mix32(uint32(tp.Key))>>t.shift]++
 	}
-	// Exclusive prefix sum: starts[b] becomes bucket b's first slot.
-	sum := int32(0)
+	// Exclusive prefix sum: starts[b] becomes bucket b's first slot. The
+	// counts pass through here once, so the largest bucket is free.
+	sum, maxChain := int32(0), int32(0)
 	for b := 0; b < nb; b++ {
 		c := starts[b]
 		starts[b] = sum
 		sum += c
+		if c > maxChain {
+			maxChain = c
+		}
 	}
 	starts[nb] = sum
+	t.maxChain = maxChain
 	// Scatter, advancing each bucket's cursor past its filled slots...
 	for _, tp := range tuples {
 		b := hashfn.Mix32(uint32(tp.Key)) >> t.shift
@@ -84,37 +90,35 @@ func (t *CompactTable) rebuild(tuples []relation.Tuple) {
 	}
 }
 
-// Probe scans k's bucket sequentially, invoking fn for every matching
-// tuple, and returns the number of entries inspected. A probe inspects the
-// whole bucket — exactly the entries a chained walk of the same bucket
-// would visit — so visit counts equal a Table's over the same tuples.
+// Matches scans k's bucket sequentially, collecting the payload of every
+// entry whose key equals k into dst (see the package doc), and returns
+// them with the number of entries inspected. It inspects the whole bucket
+// — exactly the entries a chained walk of the same bucket would visit —
+// so visit counts equal a Table's over the same tuples. A dst of
+// MaxChain entries holds any key's matches.
 //
 //skewlint:hotpath
-func (t *CompactTable) Probe(k relation.Key, fn func(pr relation.Payload)) int {
+func (t *CompactTable) Matches(k relation.Key, dst []relation.Payload) ([]relation.Payload, int) {
 	b := hashfn.Mix32(uint32(k)) >> t.shift
-	lo, hi := t.starts[b], t.starts[b+1]
-	for i := lo; i < hi; i++ {
-		if t.entries[i].Key == k {
-			fn(t.entries[i].Payload)
+	bucket := t.entries[t.starts[b]:t.starts[b+1]]
+	dst = dst[:cap(dst)]
+	n := 0
+	for _, e := range bucket {
+		if e.Key == k {
+			if n == len(dst) {
+				dst = grow(dst)
+			}
+			dst[n] = e.Payload
+			n++
 		}
 	}
-	return int(hi - lo)
+	return dst[:n], len(bucket)
 }
 
 // MaxChain returns the largest bucket's entry count: the length of the
 // longest chain the same tuples would form in a Table, and the §III skew
 // symptom the join phase reports.
-//
-//skewlint:hotpath
-func (t *CompactTable) MaxChain() int {
-	max := int32(0)
-	for b := 0; b+1 < len(t.starts); b++ {
-		if n := t.starts[b+1] - t.starts[b]; n > max {
-			max = n
-		}
-	}
-	return int(max)
-}
+func (t *CompactTable) MaxChain() int { return int(t.maxChain) }
 
 // Len returns the number of tuples in the table.
 func (t *CompactTable) Len() int { return len(t.entries) }

@@ -24,15 +24,20 @@ func sortMatches(ms []match) {
 	})
 }
 
-// probeMatches probes every tuple of ts through probe and returns the
-// sorted (S index, R payload) matches plus the total entries visited.
-func probeMatches(probe func(relation.Key, func(relation.Payload)) int, ts []relation.Tuple) ([]match, int) {
+// probeMatches probes every tuple of ts through table, reusing one
+// scratch as the join phase does, and returns the sorted (S index, R
+// payload) matches plus the total entries visited.
+func probeMatches(table matcher, ts []relation.Tuple) ([]match, int) {
 	var ms []match
+	var scratch []relation.Payload
 	visited := 0
 	for i := range ts {
-		visited += probe(ts[i].Key, func(pr relation.Payload) {
+		m, v := table.Matches(ts[i].Key, scratch)
+		scratch = m
+		visited += v
+		for _, pr := range m {
 			ms = append(ms, match{i, pr})
-		})
+		}
 	}
 	sortMatches(ms)
 	return ms, visited
@@ -88,8 +93,8 @@ func TestProbeVariantsEquivalent(t *testing.T) {
 		t.Run(w.name, func(t *testing.T) {
 			chained := Build(w.r)
 			compact := BuildCompact(w.r)
-			want, wantVisits := probeMatches(chained.Probe, w.s)
-			got, visits := probeMatches(compact.Probe, w.s)
+			want, wantVisits := probeMatches(chained, w.s)
+			got, visits := probeMatches(compact, w.s)
 			if visits != wantVisits {
 				t.Errorf("compact visited %d, chained %d", visits, wantVisits)
 			}
@@ -131,8 +136,8 @@ func TestArenaReuse(t *testing.T) {
 			}
 			total := 0
 			for k := relation.Key(0); k < 64; k++ {
-				got := 0
-				table.Probe(k, func(relation.Payload) { got++ })
+				m, _ := table.Matches(k, nil)
+				got := len(m)
 				if got != want[k] {
 					t.Fatalf("round %d key %d: %d matches, want %d", round, k, got, want[k])
 				}
@@ -163,10 +168,8 @@ func TestArenaDetach(t *testing.T) {
 			want[tp.Key]++
 		}
 		for k := relation.Key(0); k < 50; k++ {
-			got := 0
-			keptTable.Probe(k, func(relation.Payload) { got++ })
-			if got != want[k] {
-				t.Fatalf("key %d after detach: %d matches, want %d", k, got, want[k])
+			if m, _ := keptTable.Matches(k, nil); len(m) != want[k] {
+				t.Fatalf("key %d after detach: %d matches, want %d", k, len(m), want[k])
 			}
 		}
 	})
@@ -174,16 +177,31 @@ func TestArenaDetach(t *testing.T) {
 
 // TestArenaSteadyStateAllocFree is the arena's reason to exist: after the
 // first build grows the scratch, same-size rebuilds must allocate nothing.
+// Probing a hot bucket with a scratch of MaxChain entries, sized once
+// outside the probe loop as the join phase does, allocates nothing either.
 func TestArenaSteadyStateAllocFree(t *testing.T) {
 	t.Run("compact", func(t *testing.T) {
 		arena := &Arena{}
 		tuples := randomTuples(1<<12, 200, 50)
+		for i := 0; i < len(tuples); i += 4 {
+			tuples[i].Key = 7 // a hot bucket of over 1024 entries
+		}
 		arena.Build(tuples) // warm-up: grows scratch
 		allocs := testing.AllocsPerRun(20, func() {
 			arena.Build(tuples)
 		})
 		if allocs != 0 {
 			t.Errorf("steady-state arena build allocates %.1f per call, want 0", allocs)
+		}
+		table := arena.Build(tuples)
+		scratch := make([]relation.Payload, table.MaxChain())
+		allocs = testing.AllocsPerRun(20, func() {
+			for _, tp := range tuples {
+				table.Matches(tp.Key, scratch)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("probing with a MaxChain scratch allocates %.1f per pass, want 0", allocs)
 		}
 	})
 }

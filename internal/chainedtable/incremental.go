@@ -82,23 +82,12 @@ func (t *Incremental) grow() {
 	}
 }
 
-// Probe walks the chain of k's bucket, invoking fn for every tuple whose
-// key equals k, and returns the number of chain nodes visited.
+// Matches collects k's matches into dst (see the package doc) and returns
+// them with the number of chain nodes visited.
 //
 //skewlint:hotpath
-func (t *Incremental) Probe(k relation.Key, fn func(pr relation.Payload)) int {
-	visited := 0
-	for i := t.heads[hashfn.Mix32(uint32(k))>>t.shift]; i >= 0; i = t.next[i] {
-		visited++
-		if sanitize.Enabled && visited > len(t.tuples) {
-			sanitize.Failf("chainedtable: cycle in incremental bucket chain for key %d (visited %d nodes, table holds %d tuples)",
-				k, visited, len(t.tuples))
-		}
-		if t.tuples[i].Key == k {
-			fn(t.tuples[i].Payload)
-		}
-	}
-	return visited
+func (t *Incremental) Matches(k relation.Key, dst []relation.Payload) ([]relation.Payload, int) {
+	return matchChain(t.heads[hashfn.Mix32(uint32(k))>>t.shift], t.next, t.tuples, k, dst)
 }
 
 // Len returns the number of tuples inserted so far.

@@ -25,9 +25,8 @@ func TestIncrementalMatchesTable(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", inc.Len(), len(tuples))
 	}
 	for k := relation.Key(0); k < 110; k++ {
-		var gotInc, gotTab []relation.Payload
-		inc.Probe(k, func(p relation.Payload) { gotInc = append(gotInc, p) })
-		tab.Probe(k, func(p relation.Payload) { gotTab = append(gotTab, p) })
+		gotInc, _ := inc.Matches(k, nil)
+		gotTab, _ := tab.Matches(k, nil)
 		if len(gotInc) != len(gotTab) {
 			t.Fatalf("key %d: incremental found %d matches, table found %d", k, len(gotInc), len(gotTab))
 		}
@@ -63,15 +62,9 @@ func TestIncrementalGrowth(t *testing.T) {
 	}
 	// Every inserted key still probes to exactly one match after growth.
 	for i := 0; i < 10000; i++ {
-		n := 0
-		inc.Probe(relation.Key(i), func(p relation.Payload) {
-			n++
-			if p != relation.Payload(i) {
-				t.Fatalf("key %d probed payload %d", i, p)
-			}
-		})
-		if n != 1 {
-			t.Fatalf("key %d: %d matches, want 1", i, n)
+		m, _ := inc.Matches(relation.Key(i), nil)
+		if len(m) != 1 || m[0] != relation.Payload(i) {
+			t.Fatalf("key %d: matches %v, want [%d]", i, m, i)
 		}
 	}
 }

@@ -50,7 +50,7 @@ func corruptTable(t *testing.T) (*Table, relation.Key) {
 func TestSanitizeProbeDetectsCycle(t *testing.T) {
 	tb, key := corruptTable(t)
 	mustPanicWithCycle(t, func() {
-		tb.Probe(key, func(relation.Payload) {})
+		tb.Matches(key, nil)
 	})
 }
 
@@ -77,8 +77,25 @@ func TestSanitizeConcurrentProbeDetectsCycle(t *testing.T) {
 		t.Fatal("no non-empty bucket after inserting 8 tuples")
 	}
 	mustPanicWithCycle(t, func() {
-		c.Probe(key, func(relation.Payload) {})
+		c.Matches(key, nil)
 	})
+}
+
+func TestSanitizeIncrementalProbeDetectsCycle(t *testing.T) {
+	inc := NewIncremental(0)
+	for i := 0; i < 8; i++ {
+		inc.Insert(relation.Tuple{Key: relation.Key(i), Payload: relation.Payload(i)})
+	}
+	for b := range inc.heads {
+		if h := inc.heads[b]; h >= 0 {
+			inc.next[h] = h
+			mustPanicWithCycle(t, func() {
+				inc.Matches(inc.tuples[h].Key, nil)
+			})
+			return
+		}
+	}
+	t.Fatal("no non-empty bucket after inserting 8 tuples")
 }
 
 // TestSanitizeCleanTableUnaffected pins down that the checks are
@@ -87,10 +104,9 @@ func TestSanitizeConcurrentProbeDetectsCycle(t *testing.T) {
 func TestSanitizeCleanTableUnaffected(t *testing.T) {
 	tuples := []relation.Tuple{{Key: 1, Payload: 10}, {Key: 1, Payload: 11}, {Key: 2, Payload: 20}}
 	tb := Build(tuples)
-	matches := 0
-	visited := tb.Probe(1, func(relation.Payload) { matches++ })
-	if matches != 2 || visited < 2 {
-		t.Fatalf("probe under sanitize returned matches=%d visited=%d", matches, visited)
+	m, visited := tb.Matches(1, nil)
+	if len(m) != 2 || visited < 2 {
+		t.Fatalf("probe under sanitize returned matches=%d visited=%d", len(m), visited)
 	}
 	if got := BuildCompact(tuples).MaxChain(); got < 2 {
 		t.Fatalf("compact MaxChain under sanitize = %d", got)

@@ -7,6 +7,8 @@
 package gpupart
 
 import (
+	"sync"
+
 	"skewjoin/internal/chainedtable"
 	"skewjoin/internal/gpusim"
 	"skewjoin/internal/hashfn"
@@ -48,6 +50,10 @@ func Functional(tuples []relation.Tuple, bits1, bits2 uint32) *radix.Partitioned
 	return radix.Partition(tuples, radix.Config{Threads: 1, Bits1: bits1, Bits2: bits2}, nil)
 }
 
+// matchScratch recycles ProbeJoinBlock's match scratch across blocks,
+// launches and the host workers of a parallel launch.
+var matchScratch = sync.Pool{New: func() any { return new([]relation.Payload) }}
+
 // ProbeJoinBlock is the per-block join kernel shared by Gbase's join phase
 // and GSH's NM-join (the paper: "we implement a normal join procedure
 // (NM-Join) similar to Gbase"). The block builds a chained hash table over
@@ -55,7 +61,8 @@ func Functional(tuples []relation.Tuple, bits1, bits2 uint32) *radix.Partitioned
 // matches through the write-bitmap output procedure the paper describes:
 // per chain step, each thread sets an intention bit atomically, the block
 // synchronises, threads compute offsets from the bitmap and write results
-// coalesced. Returns the number of matches the block produced.
+// coalesced. Each S tuple's matches leave the block as one output run.
+// Returns the number of matches the block produced.
 func ProbeJoinBlock(b *gpusim.Block, rPart, sPart []relation.Tuple) int {
 	dcfg := b.Device().Config()
 	table := chainedtable.Build(rPart)
@@ -66,20 +73,25 @@ func ProbeJoinBlock(b *gpusim.Block, rPart, sPart []relation.Tuple) int {
 	b.UniformWork(len(rPart), 4)
 	b.Atomic(len(rPart))
 
-	// Probe: read S coalesced, walk chains.
+	// Probe: read S coalesced, walk chains. An S tuple matches at most
+	// every R tuple, so a len(rPart) scratch holds any tuple's matches.
 	b.GlobalCoalesced(len(sPart) * relation.TupleSize)
 	visits := make([]int, len(sPart))
+	sp := matchScratch.Get().(*[]relation.Payload)
+	if len(*sp) < len(rPart) {
+		*sp = make([]relation.Payload, len(rPart))
+	}
+	scratch := *sp
 	matches := 0
-	var curKey relation.Key
-	var curPS relation.Payload
-	emit := func(p relation.Payload) {
-		b.Out.Push(curKey, p, curPS)
-		matches++
-	}
 	for i, ts := range sPart {
-		curKey, curPS = ts.Key, ts.Payload
-		visits[i] = table.Probe(ts.Key, emit)
+		m, v := table.Matches(ts.Key, scratch)
+		visits[i] = v
+		if len(m) > 0 {
+			b.Out.PushScratchRun(ts.Key, m, ts.Payload)
+			matches += len(m)
+		}
 	}
+	matchScratch.Put(sp)
 	// Each chain step costs a shared access and a key compare, plus the
 	// write-bitmap output procedure of §III: an atomic bit set, a popcount
 	// over the bitmap and an offset computation — per tuple, per chain

@@ -32,8 +32,14 @@ func stressKernel(seed int64) func(b *Block) {
 		visits := []int{work % 5, work % 3, work % 7}
 		b.WarpLoop(visits, 4)
 
+		// Scratch runs reuse one slice, overwritten before every call.
+		scratch := make([]relation.Payload, 3)
 		for i := 0; i < work; i++ {
-			b.Out.Push(relation.Key(rng.Uint32()), relation.Payload(rng.Uint32()), relation.Payload(rng.Uint32()))
+			m := scratch[:1+rng.Intn(len(scratch))]
+			for j := range m {
+				m[j] = relation.Payload(rng.Uint32())
+			}
+			b.Out.PushScratchRun(relation.Key(rng.Uint32()), m, relation.Payload(rng.Uint32()))
 		}
 		run := make([]relation.Payload, 1+work%4)
 		for i := range run {
@@ -41,10 +47,6 @@ func stressKernel(seed int64) func(b *Block) {
 		}
 		b.Out.PushRun(relation.Key(b.Idx), run, 7)
 		b.Out.PushRunS(relation.Key(b.Idx), 9, run)
-		b.Out.PushBatch([]outbuf.Result{
-			{Key: relation.Key(work), PayloadR: 1, PayloadS: 2},
-			{Key: relation.Key(work + 1), PayloadR: 3, PayloadS: 4},
-		})
 	}
 }
 

@@ -14,11 +14,15 @@
 // contiguous run, so a probe scans its key's bucket sequentially. Its
 // buckets are exactly the paper's chains (same hash, same members), so
 // visit counts and the longest bucket — Stats.ProbeVisits and MaxChain,
-// the §III symptoms — are the ones a chained table would report.
+// the §III symptoms — are the ones a chained table would report. A probe
+// still compares every entry of its bucket, collects the matches into
+// the worker's scratch and emits them as one output run, so every result
+// is written into the ring with no per-result call.
 //
-// Build scratch is recycled through a per-worker chainedtable.Arena, so
-// after the first few tasks grow each worker's buffers the steady-state
-// join phase allocates nothing per task. Tables handed to probe sub-tasks
+// Build scratch is recycled through a per-worker chainedtable.Arena, and
+// the match scratch is sized to each table's largest bucket, so after the
+// first few tasks grow each worker's buffers the steady-state join phase
+// allocates nothing per task. Tables handed to probe sub-tasks
 // escape their worker and are detached from the arena first.
 package joinphase
 
@@ -83,17 +87,14 @@ type task struct {
 	sPart  []relation.Tuple           // S tuples to probe for probe sub-tasks
 }
 
-// worker holds one thread's output buffer, build arena, emit state and
-// stat counters. The emit closure is created once per worker (not per
-// task, let alone per probe) so the hot loop never allocates.
+// worker holds one thread's output buffer, build arena, match scratch
+// and stat counters.
 type worker struct {
 	buf   *outbuf.Buffer
 	arena *chainedtable.Arena
-
-	// emit state: the S tuple currently being probed.
-	curKey relation.Key
-	curPS  relation.Payload
-	emit   func(pr relation.Payload)
+	// matches is the probe's match scratch, as long as the largest bucket
+	// of any table this worker has probed, so one tuple's matches fit.
+	matches []relation.Payload
 
 	maxChain      int
 	probeVisits   uint64
@@ -103,14 +104,25 @@ type worker struct {
 	probeNs       int64
 }
 
-// probe probes sSide one tuple at a time.
+// probe probes sSide one tuple at a time, emitting each tuple's matches
+// as one run. The match scratch is sized outside the loop, to the table's
+// largest bucket, so no probe grows it.
 //
 //skewlint:hotpath
 func (w *worker) probe(table *chainedtable.CompactTable, sSide []relation.Tuple) {
-	for _, ts := range sSide {
-		w.curKey, w.curPS = ts.Key, ts.Payload
-		w.probeVisits += uint64(table.Probe(ts.Key, w.emit))
+	if mc := table.MaxChain(); mc > len(w.matches) {
+		w.matches = make([]relation.Payload, max(mc, 2*len(w.matches)))
 	}
+	scratch, buf := w.matches, w.buf
+	visits := uint64(0)
+	for _, ts := range sSide {
+		m, v := table.Matches(ts.Key, scratch)
+		visits += uint64(v)
+		if len(m) > 0 {
+			buf.PushRun(ts.Key, m, ts.Payload)
+		}
+	}
+	w.probeVisits += visits
 }
 
 // runner carries the per-phase constants every task shares.
@@ -227,7 +239,6 @@ func Run(pr, ps *radix.Partitioned, cfg Config, bufs []*outbuf.Buffer) Stats {
 		w := &ws[i]
 		w.buf = bufs[i]
 		w.arena = &chainedtable.Arena{}
-		w.emit = func(pr relation.Payload) { w.buf.Push(w.curKey, pr, w.curPS) }
 	}
 
 	var drainErr error

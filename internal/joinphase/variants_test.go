@@ -157,27 +157,43 @@ func TestSplitTablesSurviveArenaReuse(t *testing.T) {
 // TestSteadyStateAllocsPerTask quantifies the arena payoff inside the real
 // phase: a fresh build allocates ≥3 objects per task (table struct +
 // starts + entries); with per-worker arenas, amortised allocations per
-// task must drop below one (setup + high-water growth only).
+// task must drop below one (setup + high-water growth only). The
+// hot-bucket case pins the match scratch: it is sized from each table's
+// MaxChain outside the probe loop, so neither a hot bucket's long runs
+// nor the probe sub-tasks of a split table allocate per task or probe.
 func TestSteadyStateAllocsPerTask(t *testing.T) {
-	const n = 40000
-	g := zipf.MustNew(zipf.Config{Theta: 0.5, Universe: n, Seed: 5})
-	r, s := g.Pair(n)
-	rcfg := radix.Config{Threads: 1, Bits1: 8, Bits2: 0}
-	pr := radix.Partition(r.Tuples, rcfg, nil)
-	ps := radix.Partition(s.Tuples, rcfg, nil)
-	bufs := []*outbuf.Buffer{outbuf.New(0)}
+	for _, tc := range []struct {
+		name       string
+		theta      float64
+		skewFactor float64
+	}{
+		{"zipf0.5", 0.5, 0},
+		{"hot-bucket", 1.1, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 40000
+			g := zipf.MustNew(zipf.Config{Theta: tc.theta, Universe: n, Seed: 5})
+			r, s := g.Pair(n)
+			rcfg := radix.Config{Threads: 1, Bits1: 8, Bits2: 0}
+			pr := radix.Partition(r.Tuples, rcfg, nil)
+			ps := radix.Partition(s.Tuples, rcfg, nil)
+			bufs := []*outbuf.Buffer{outbuf.New(0)}
 
-	var tasks int
-	allocs := testing.AllocsPerRun(5, func() {
-		st := Run(pr, ps, Config{Threads: 1}, bufs)
-		tasks = st.Tasks
-	})
-	if tasks == 0 {
-		t.Fatal("no tasks ran")
-	}
-	if perTask := allocs / float64(tasks); perTask >= 1 {
-		t.Errorf("%.2f allocs/task over %d tasks (total %.0f), want < 1",
-			perTask, tasks, allocs)
+			var st Stats
+			allocs := testing.AllocsPerRun(5, func() {
+				st = Run(pr, ps, Config{Threads: 1, SkewFactor: tc.skewFactor}, bufs)
+			})
+			if st.Tasks == 0 {
+				t.Fatal("no tasks ran")
+			}
+			if tc.skewFactor > 0 && (st.SplitTasks == 0 || st.MaxChain < 1000) {
+				t.Fatalf("hot-bucket case split %d tasks with MaxChain %d; want splits and a bucket of 1000+", st.SplitTasks, st.MaxChain)
+			}
+			if perTask := allocs / float64(st.Tasks); perTask >= 1 {
+				t.Errorf("%.2f allocs/task over %d tasks (total %.0f), want < 1",
+					perTask, st.Tasks, allocs)
+			}
+		})
 	}
 }
 
@@ -198,6 +214,40 @@ func BenchmarkJoinPhase(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				Run(pr, ps, cfg, bufs)
 			}
+		})
+	}
+}
+
+// BenchmarkRunEmission times Run at the two ends of the results-per-
+// probing-tuple range that run emission depends on: uniform keys at Cbase's
+// default radix bits, where nearly every run holds one result and there is
+// nothing to batch, and a zipf 1.1 hot bucket whose runs hold thousands.
+// Run it with -cpu 1 and compare binaries in alternation.
+func BenchmarkRunEmission(b *testing.B) {
+	for _, c := range []struct {
+		name         string
+		n            int
+		theta        float64
+		bits1, bits2 uint32
+	}{
+		{"runlen1/uniform-2^20", 1 << 20, 0, 6, 5},
+		{"hot-bucket/zipf1.1-2^15", 1 << 15, 1.1, 6, 5},
+	} {
+		g := zipf.MustNew(zipf.Config{Theta: c.theta, Universe: c.n, Seed: 3})
+		r, s := g.Pair(c.n)
+		rcfg := radix.Config{Threads: 1, Bits1: c.bits1, Bits2: c.bits2}
+		pr := radix.Partition(r.Tuples, rcfg, nil)
+		ps := radix.Partition(s.Tuples, rcfg, nil)
+		bufs := []*outbuf.Buffer{outbuf.New(0)}
+		cfg := Config{Threads: 1, SkewFactor: 4}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			before := bufs[0].Count()
+			for i := 0; i < b.N; i++ {
+				Run(pr, ps, cfg, bufs)
+			}
+			perRun := float64(bufs[0].Count()-before) / float64(b.N)
+			b.ReportMetric(perRun/float64(len(s.Tuples)), "results/probe")
 		})
 	}
 }

@@ -109,12 +109,16 @@ func Join(r, s relation.Relation, cfg Config) Result {
 			buf := bufs[w]
 			lo, hi := exec.Segment(s.Len(), cfg.Threads, w)
 			var v uint64
-			var curKey relation.Key
-			var curPS relation.Payload
-			emit := func(p relation.Payload) { buf.Push(curKey, p, curPS) }
+			// The match scratch keeps what the hottest key so far grew it
+			// to, so each probing tuple's matches leave as one run.
+			var scratch []relation.Payload
 			for _, ts := range s.Tuples[lo:hi] {
-				curKey, curPS = ts.Key, ts.Payload
-				v += uint64(table.Probe(ts.Key, emit))
+				m, n := table.Matches(ts.Key, scratch)
+				scratch = m
+				v += uint64(n)
+				if len(m) > 0 {
+					buf.PushRun(ts.Key, m, ts.Payload)
+				}
 			}
 			visits[w] = v
 			buf.Flush()

@@ -97,26 +97,11 @@ func (b *Buffer) Flush() {
 	}
 }
 
-// Push emits one join result.
-//
-//skewlint:hotpath
-func (b *Buffer) Push(k relation.Key, pr, ps relation.Payload) {
-	if sanitize.Enabled {
-		b.checkRing()
-	}
-	b.ring[b.pos&b.mask] = Result{Key: k, PayloadR: pr, PayloadS: ps}
-	b.pos++
-	b.count++
-	b.checksum += coefKey*uint64(k) + coefPayloadR*uint64(pr) + coefPayloadS*uint64(ps)
-	if b.pos&b.mask == 0 && b.onFlush != nil {
-		b.onFlush(b.ring)
-	}
-}
-
 // PushRun emits one result per R payload in rps, all matching the same
-// S tuple (k, ps). This is the skew fast path of CSH and GSH: a skewed
-// S tuple joined against the whole skewed R array with sequential reads and
-// no per-result key comparison.
+// S tuple (k, ps). Every hash probe emits one probing tuple's matches
+// with it, and it is the skew fast path of CSH and GSH: a skewed S tuple
+// joined against the whole skewed R array with sequential reads and no
+// per-result key comparison.
 //
 //skewlint:hotpath
 func (b *Buffer) PushRun(k relation.Key, rps []relation.Payload, ps relation.Payload) {
@@ -155,40 +140,12 @@ func (b *Buffer) PushRun(k relation.Key, rps []relation.Payload, ps relation.Pay
 	b.checksum += coefPayloadR*prSum + n*(coefKey*uint64(k)+coefPayloadS*uint64(ps))
 }
 
-// PushBatch emits a staged batch of heterogeneous results in one call. A
-// Tape replays its staged single results through it: one call,
-// locals-cached ring cursor, and a single count/checksum update per batch
-// instead of per result. The batch slice is the caller's scratch and is
-// not retained.
-//
-//skewlint:hotpath
-func (b *Buffer) PushBatch(rs []Result) {
-	if sanitize.Enabled {
-		b.checkRing()
-	}
-	ring := b.ring
-	mask := b.mask
-	pos := b.pos
-	var sum uint64
-	if b.onFlush == nil {
-		for _, r := range rs {
-			ring[pos&mask] = r
-			pos++
-			sum += coefKey*uint64(r.Key) + coefPayloadR*uint64(r.PayloadR) + coefPayloadS*uint64(r.PayloadS)
-		}
-	} else {
-		for _, r := range rs {
-			ring[pos&mask] = r
-			pos++
-			sum += coefKey*uint64(r.Key) + coefPayloadR*uint64(r.PayloadR) + coefPayloadS*uint64(r.PayloadS)
-			if pos&mask == 0 {
-				b.onFlush(ring)
-			}
-		}
-	}
-	b.pos = pos
-	b.count += uint64(len(rs))
-	b.checksum += sum
+// PushScratchRun is PushRun for a run held in the caller's scratch,
+// which the caller overwrites after the call — a probe's matches. A
+// Buffer writes the run into its ring at once, so this is PushRun; a Tape
+// copies the run instead of retaining it.
+func (b *Buffer) PushScratchRun(k relation.Key, rps []relation.Payload, ps relation.Payload) {
+	b.PushRun(k, rps, ps)
 }
 
 // PushRunS emits one result per S payload in sps, all matching the same

@@ -7,6 +7,11 @@ import (
 	"skewjoin/internal/relation"
 )
 
+// push1 emits one result as a run of one.
+func push1(w Writer, k relation.Key, pr, ps relation.Payload) {
+	w.PushRun(k, []relation.Payload{pr}, ps)
+}
+
 func TestPushCountsAndChecksum(t *testing.T) {
 	b := New(8)
 	var want uint64
@@ -14,7 +19,7 @@ func TestPushCountsAndChecksum(t *testing.T) {
 		k := relation.Key(i * 7)
 		pr := relation.Payload(i)
 		ps := relation.Payload(i * 3)
-		b.Push(k, pr, ps)
+		push1(b, k, pr, ps)
 		want += ChecksumTerm(k, pr, ps)
 	}
 	if b.Count() != 100 {
@@ -28,7 +33,7 @@ func TestPushCountsAndChecksum(t *testing.T) {
 func TestRingOverwritesWhenFull(t *testing.T) {
 	b := New(4)
 	for i := 0; i < 10; i++ {
-		b.Push(relation.Key(i), 0, 0)
+		push1(b, relation.Key(i), 0, 0)
 	}
 	if b.Count() != 10 {
 		t.Errorf("count = %d, want 10 despite overwrites", b.Count())
@@ -46,8 +51,8 @@ func TestRingOverwritesWhenFull(t *testing.T) {
 
 func TestLastFewerThanRequested(t *testing.T) {
 	b := New(16)
-	b.Push(1, 2, 3)
-	b.Push(4, 5, 6)
+	push1(b, 1, 2, 3)
+	push1(b, 4, 5, 6)
 	last := b.Last(10)
 	if len(last) != 2 {
 		t.Fatalf("Last(10) returned %d results", len(last))
@@ -57,16 +62,34 @@ func TestLastFewerThanRequested(t *testing.T) {
 	}
 }
 
+// sameRing reports whether two buffers hold identical ring slots at the
+// same cursor.
+func sameRing(a, b *Buffer) bool {
+	if a.pos != b.pos || len(a.ring) != len(b.ring) {
+		return false
+	}
+	for i := range a.ring {
+		if a.ring[i] != b.ring[i] {
+			return false
+		}
+	}
+	return true
+}
+
 func TestPushRunEquivalentToPushes(t *testing.T) {
-	rps := []relation.Payload{10, 20, 30, 40, 50}
+	rps := []relation.Payload{10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 130, 140, 150, 160, 170, 180, 190}
 	a := New(16)
 	for _, pr := range rps {
-		a.Push(99, pr, 7)
+		push1(a, 99, pr, 7)
 	}
 	b := New(16)
 	b.PushRun(99, rps, 7)
 	if a.Count() != b.Count() || a.Checksum() != b.Checksum() {
 		t.Errorf("PushRun diverges: (%d,%d) vs (%d,%d)", a.Count(), a.Checksum(), b.Count(), b.Checksum())
+	}
+	// A run longer than the ring wraps it: the slots must agree too.
+	if !sameRing(a, b) {
+		t.Error("PushRun wrote different ring slots than one-result runs")
 	}
 }
 
@@ -74,12 +97,15 @@ func TestPushRunSEquivalentToPushes(t *testing.T) {
 	sps := []relation.Payload{1, 2, 3, 4}
 	a := New(16)
 	for _, ps := range sps {
-		a.Push(5, 77, ps)
+		push1(a, 5, 77, ps)
 	}
 	b := New(16)
 	b.PushRunS(5, 77, sps)
 	if a.Count() != b.Count() || a.Checksum() != b.Checksum() {
 		t.Errorf("PushRunS diverges: (%d,%d) vs (%d,%d)", a.Count(), a.Checksum(), b.Count(), b.Checksum())
+	}
+	if !sameRing(a, b) {
+		t.Error("PushRunS wrote different ring slots than one-result runs")
 	}
 }
 
@@ -87,16 +113,17 @@ func TestPushRunEmpty(t *testing.T) {
 	b := New(4)
 	b.PushRun(1, nil, 2)
 	b.PushRunS(1, 2, nil)
-	if b.Count() != 0 || b.Checksum() != 0 {
+	b.PushScratchRun(1, []relation.Payload{}, 2)
+	if b.Count() != 0 || b.Checksum() != 0 || b.pos != 0 {
 		t.Errorf("empty runs changed state: %d, %d", b.Count(), b.Checksum())
 	}
 }
 
 func TestMergeAndSummarize(t *testing.T) {
 	a, b := New(4), New(4)
-	a.Push(1, 2, 3)
-	b.Push(4, 5, 6)
-	b.Push(7, 8, 9)
+	push1(a, 1, 2, 3)
+	push1(b, 4, 5, 6)
+	push1(b, 7, 8, 9)
 	sum := Summarize([]*Buffer{a, b})
 	if sum.Count != 3 {
 		t.Errorf("count = %d", sum.Count)
@@ -113,10 +140,10 @@ func TestMergeAndSummarize(t *testing.T) {
 
 func TestChecksumOrderIndependent(t *testing.T) {
 	a, b := New(8), New(8)
-	a.Push(1, 2, 3)
-	a.Push(4, 5, 6)
-	b.Push(4, 5, 6)
-	b.Push(1, 2, 3)
+	push1(a, 1, 2, 3)
+	push1(a, 4, 5, 6)
+	push1(b, 4, 5, 6)
+	push1(b, 1, 2, 3)
 	if a.Checksum() != b.Checksum() {
 		t.Error("checksum depends on order")
 	}
@@ -125,7 +152,7 @@ func TestChecksumOrderIndependent(t *testing.T) {
 func TestDefaultCapacity(t *testing.T) {
 	b := New(0)
 	for i := 0; i < DefaultCapacity+10; i++ {
-		b.Push(relation.Key(i), 0, 0)
+		push1(b, relation.Key(i), 0, 0)
 	}
 	if b.Count() != DefaultCapacity+10 {
 		t.Errorf("count = %d", b.Count())
@@ -139,10 +166,11 @@ func TestFlushDeliversEveryResultExactlyOnce(t *testing.T) {
 		delivered = append(delivered, batch...)
 	})
 	for i := 0; i < 19; i++ {
-		b.Push(relation.Key(i), relation.Payload(i), 0)
+		push1(b, relation.Key(i), relation.Payload(i), 0)
 	}
 	b.PushRun(99, []relation.Payload{1, 2, 3, 4, 5}, 7)
 	b.PushRunS(98, 6, []relation.Payload{8, 9})
+	b.PushScratchRun(97, []relation.Payload{10, 11, 12}, 13)
 	b.Flush()
 	want := int(b.Count())
 	if len(delivered) != want {
@@ -154,7 +182,7 @@ func TestFlushDeliversEveryResultExactlyOnce(t *testing.T) {
 			t.Fatalf("delivered[%d].Key = %d", i, delivered[i].Key)
 		}
 	}
-	if delivered[19].Key != 99 || delivered[24].Key != 98 {
+	if delivered[19].Key != 99 || delivered[24].Key != 98 || delivered[26].Key != 97 {
 		t.Errorf("run results out of order: %+v", delivered[19:])
 	}
 }
@@ -162,7 +190,7 @@ func TestFlushDeliversEveryResultExactlyOnce(t *testing.T) {
 func TestFlushNoConsumerIsOverwrite(t *testing.T) {
 	b := New(4)
 	for i := 0; i < 9; i++ {
-		b.Push(relation.Key(i), 0, 0)
+		push1(b, relation.Key(i), 0, 0)
 	}
 	b.Flush() // no-op without a consumer
 	if b.Count() != 9 {
@@ -175,7 +203,7 @@ func TestFlushEmptyTail(t *testing.T) {
 	calls := 0
 	b.SetFlush(func(batch []Result) { calls++ })
 	for i := 0; i < 8; i++ { // exactly two full rings
-		b.Push(1, 2, 3)
+		push1(b, 1, 2, 3)
 	}
 	b.Flush()
 	if calls != 2 {
@@ -183,15 +211,48 @@ func TestFlushEmptyTail(t *testing.T) {
 	}
 }
 
+// TestPushRunFlushDeliversEveryResult: runs longer and shorter than the
+// ring, spanning several wraps, must reach the consumer exactly once each
+// and in emission order.
+func TestPushRunFlushDeliversEveryResult(t *testing.T) {
+	b := New(8)
+	var seen []Result
+	b.SetFlush(func(batch []Result) { seen = append(seen, batch...) })
+	var want []Result
+	emit := func(k relation.Key, n int) {
+		rps := make([]relation.Payload, n)
+		for i := range rps {
+			rps[i] = relation.Payload(int(k)*100 + i)
+			want = append(want, Result{Key: k, PayloadR: rps[i], PayloadS: relation.Payload(k)})
+		}
+		b.PushRun(k, rps, relation.Payload(k))
+	}
+	emit(1, 20) // 2.5 rings
+	emit(2, 3)
+	emit(3, 30)
+	b.Flush()
+	if len(seen) != len(want) {
+		t.Fatalf("consumer saw %d results, want %d", len(seen), len(want))
+	}
+	for i := range seen {
+		if seen[i] != want[i] {
+			t.Fatalf("result %d: %+v, want %+v", i, seen[i], want[i])
+		}
+	}
+	if b.Count() != uint64(len(want)) {
+		t.Errorf("count = %d", b.Count())
+	}
+}
+
 func TestQuickRunEquivalence(t *testing.T) {
-	// Property: bulk emission is indistinguishable from repeated Push for
-	// any key/payload values.
+	// Property: a run is indistinguishable from one-result runs for any
+	// key/payload values.
 	f := func(k uint32, common uint32, payloads []uint32) bool {
 		a, b, c := New(8), New(8), New(8)
 		ps := make([]relation.Payload, len(payloads))
 		for i, p := range payloads {
 			ps[i] = relation.Payload(p)
-			a.Push(relation.Key(k), relation.Payload(p), relation.Payload(common))
+			push1(a, relation.Key(k), relation.Payload(p), relation.Payload(common))
 		}
 		b.PushRun(relation.Key(k), ps, relation.Payload(common))
 		if a.Count() != b.Count() || a.Checksum() != b.Checksum() {
@@ -199,7 +260,7 @@ func TestQuickRunEquivalence(t *testing.T) {
 		}
 		a2 := New(8)
 		for _, p := range ps {
-			a2.Push(relation.Key(k), relation.Payload(common), p)
+			push1(a2, relation.Key(k), relation.Payload(common), p)
 		}
 		c.PushRunS(relation.Key(k), relation.Payload(common), ps)
 		return a2.Count() == c.Count() && a2.Checksum() == c.Checksum()

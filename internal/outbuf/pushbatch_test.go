@@ -6,68 +6,96 @@ import (
 	"skewjoin/internal/relation"
 )
 
+// A batch here is a slice of results emitted the way a probe emits them:
+// each maximal run sharing one key and S payload goes out as one scratch
+// run. These tests check that a batch emitted as runs cannot be told
+// apart from the same results emitted one at a time.
+
+// batchOf returns n results in runs of three that share key and S payload.
 func batchOf(n int) []Result {
 	rs := make([]Result, n)
 	for i := range rs {
+		g := i / 3
 		rs[i] = Result{
-			Key:      relation.Key(i * 13),
+			Key:      relation.Key(g * 13),
 			PayloadR: relation.Payload(i * 7),
-			PayloadS: relation.Payload(i * 3),
+			PayloadS: relation.Payload(g * 3),
 		}
 	}
 	return rs
+}
+
+// pushBatch emits rs as maximal runs through one reused scratch slice and
+// overwrites the scratch after every call, so a writer that kept the
+// slice instead of its contents would hold wrong payloads.
+func pushBatch(w Writer, rs []Result) {
+	var scratch []relation.Payload
+	for i := 0; i < len(rs); {
+		scratch = scratch[:0]
+		j := i
+		for ; j < len(rs) && rs[j].Key == rs[i].Key && rs[j].PayloadS == rs[i].PayloadS; j++ {
+			scratch = append(scratch, rs[j].PayloadR)
+		}
+		w.PushScratchRun(rs[i].Key, scratch, rs[i].PayloadS)
+		for k := range scratch {
+			scratch[k] = ^relation.Payload(0)
+		}
+		i = j
+	}
 }
 
 func TestPushBatchEquivalentToPushes(t *testing.T) {
 	rs := batchOf(37)
 	a := New(16)
 	for _, r := range rs {
-		a.Push(r.Key, r.PayloadR, r.PayloadS)
+		push1(a, r.Key, r.PayloadR, r.PayloadS)
 	}
-	b := New(16)
-	b.PushBatch(rs)
-	if a.Count() != b.Count() || a.Checksum() != b.Checksum() {
-		t.Errorf("PushBatch diverges: (%d,%d) vs (%d,%d)", a.Count(), a.Checksum(), b.Count(), b.Checksum())
-	}
-	// The ring tails must agree too: PushBatch writes the same slots.
-	al, bl := a.Last(16), b.Last(16)
-	for i := range al {
-		if al[i] != bl[i] {
-			t.Fatalf("ring tail differs at %d: %+v vs %+v", i, al[i], bl[i])
+	direct := New(16)
+	pushBatch(direct, rs)
+	var tape Tape
+	pushBatch(&tape, rs)
+	replayed := New(16)
+	tape.Replay(replayed)
+	for _, c := range []struct {
+		name string
+		b    *Buffer
+	}{{"buffer", direct}, {"tape replay", replayed}} {
+		if a.Count() != c.b.Count() || a.Checksum() != c.b.Checksum() {
+			t.Errorf("%s: batch diverges: (%d,%d) vs (%d,%d)", c.name, a.Count(), a.Checksum(), c.b.Count(), c.b.Checksum())
+		}
+		// 37 results wrap the 16-slot ring twice: the slots must agree too.
+		if !sameRing(a, c.b) {
+			t.Errorf("%s: batch wrote different ring slots than one-result runs", c.name)
 		}
 	}
 }
 
 func TestPushBatchEmpty(t *testing.T) {
 	b := New(4)
-	b.PushBatch(nil)
-	b.PushBatch([]Result{})
-	if b.Count() != 0 || b.Checksum() != 0 {
-		t.Errorf("empty batches changed state: %d, %d", b.Count(), b.Checksum())
+	calls := 0
+	b.SetFlush(func([]Result) { calls++ })
+	pushBatch(b, batchOf(4)) // leaves the cursor on a ring boundary
+	count, sum, pos := b.Count(), b.Checksum(), b.pos
+	pushBatch(b, nil)
+	pushBatch(b, []Result{})
+	b.PushRun(1, nil, 2)
+	b.PushRunS(1, 2, []relation.Payload{})
+	b.PushScratchRun(1, nil, 2)
+	if b.Count() != count || b.Checksum() != sum || b.pos != pos {
+		t.Errorf("empty batches changed state: count %d→%d, checksum %d→%d, pos %d→%d",
+			count, b.Count(), sum, b.Checksum(), pos, b.pos)
 	}
-}
-
-func TestPushBatchFlushDeliversEveryResult(t *testing.T) {
-	// Batches larger and smaller than the ring, spanning multiple wraps:
-	// the flush consumer must see every result exactly once, in emit order.
-	b := New(8)
-	var seen []Result
-	b.SetFlush(func(batch []Result) { seen = append(seen, batch...) })
-	rs := batchOf(53)
-	b.PushBatch(rs[:20]) // 2.5 rings
-	b.PushBatch(rs[20:23])
-	b.PushBatch(rs[23:])
 	b.Flush()
-	if len(seen) != len(rs) {
-		t.Fatalf("consumer saw %d results, want %d", len(seen), len(rs))
+	if calls != 1 {
+		t.Errorf("flush called %d times, want 1 (empty batches at a wrap deliver nothing)", calls)
 	}
-	for i := range seen {
-		if seen[i] != rs[i] {
-			t.Fatalf("result %d: %+v, want %+v", i, seen[i], rs[i])
-		}
-	}
-	if b.Count() != uint64(len(rs)) {
-		t.Errorf("count = %d", b.Count())
+
+	var tape Tape
+	pushBatch(&tape, nil)
+	tape.PushRun(1, []relation.Payload{}, 2)
+	tape.PushScratchRun(1, []relation.Payload{}, 2)
+	if tape.Count() != 0 || len(tape.ops) != 0 || len(tape.copies) != 0 {
+		t.Errorf("empty batch staged: count %d, %d ops, %d copied payloads", tape.Count(), len(tape.ops), len(tape.copies))
 	}
 }
 
@@ -75,14 +103,18 @@ func TestPushBatchInterleavesWithPush(t *testing.T) {
 	rs := batchOf(12)
 	a, b := New(8), New(8)
 	for _, r := range rs {
-		a.Push(r.Key, r.PayloadR, r.PayloadS)
+		push1(a, r.Key, r.PayloadR, r.PayloadS)
 	}
-	b.Push(rs[0].Key, rs[0].PayloadR, rs[0].PayloadS)
-	b.PushBatch(rs[1:7])
-	b.Push(rs[7].Key, rs[7].PayloadR, rs[7].PayloadS)
-	b.PushBatch(rs[8:])
+	// The batches start and end inside runs of batchOf, so each splits a run.
+	push1(b, rs[0].Key, rs[0].PayloadR, rs[0].PayloadS)
+	pushBatch(b, rs[1:7])
+	push1(b, rs[7].Key, rs[7].PayloadR, rs[7].PayloadS)
+	pushBatch(b, rs[8:])
 	if a.Count() != b.Count() || a.Checksum() != b.Checksum() {
-		t.Errorf("interleaved PushBatch diverges: (%d,%d) vs (%d,%d)",
+		t.Errorf("interleaved batches diverge: (%d,%d) vs (%d,%d)",
 			a.Count(), a.Checksum(), b.Count(), b.Checksum())
+	}
+	if !sameRing(a, b) {
+		t.Error("interleaved batches wrote different ring slots than one-result runs")
 	}
 }

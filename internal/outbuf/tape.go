@@ -8,11 +8,16 @@ import "skewjoin/internal/relation"
 // block writes straight into its SM's shared Buffer; in host-parallel
 // execution it writes into a private Tape that is later replayed into the
 // shared Buffer in block-index order.
+//
+// Every result is part of a run sharing one key and one side's payload.
+// PushRun and PushRunS take a run the caller keeps intact until the
+// launch ends (GSH's and GSMJ's skew-join arrays), which a Tape retains;
+// PushScratchRun takes a run in the caller's scratch (a probe's matches),
+// which a Tape copies.
 type Writer interface {
-	Push(k relation.Key, pr, ps relation.Payload)
 	PushRun(k relation.Key, rps []relation.Payload, ps relation.Payload)
 	PushRunS(k relation.Key, pr relation.Payload, sps []relation.Payload)
-	PushBatch(rs []Result)
+	PushScratchRun(k relation.Key, rps []relation.Payload, ps relation.Payload)
 	Count() uint64
 }
 
@@ -21,20 +26,18 @@ var (
 	_ Writer = (*Tape)(nil)
 )
 
-// Tape op kinds. Consecutive single results coalesce into one opSingles
-// entry so a probe loop's per-match Pushes cost one op record, not one per
-// result.
+// Tape op kinds.
 const (
-	opSingles = iota // singles[Lo:Hi] pushed one by one
-	opRunR           // PushRun(Key, Run, PS)
-	opRunS           // PushRunS(Key, PR, Run)
+	opRunR  = iota // PushRun(key, run, p)
+	opRunS         // PushRunS(key, p, run)
+	opCopyR        // PushRun(key, copies[lo:hi], p)
 )
 
 type tapeOp struct {
 	kind   uint8
-	lo, hi int // singles range (opSingles only)
 	key    relation.Key
-	pr, ps relation.Payload
+	p      relation.Payload   // the payload every result of the run shares
+	lo, hi int                // copied run (opCopyR)
 	run    []relation.Payload // retained caller slice (opRunR/opRunS)
 }
 
@@ -45,22 +48,22 @@ type tapeOp struct {
 // host-parallel kernel launch; the simulator replays the tapes in
 // block-index order to make parallel execution bit-identical to serial.
 //
-// Run operations (PushRun/PushRunS) retain the payload slice instead of
-// copying it — the skew fast paths stay O(1) per call — so callers must
-// not mutate those slices before Replay. Individually pushed results are
-// buffered on the tape, which makes its memory proportional to the
-// block's individually emitted output (runs stay cheap); that is the cost
-// of deferring the shared ring writes until the deterministic merge.
+// PushRun and PushRunS retain the payload slice instead of copying it —
+// the skew fast paths stay O(1) per call — so callers must not mutate
+// those slices before Replay. PushScratchRun copies its run onto the
+// tape, since the caller reuses its scratch for the next probe; the tape
+// then holds memory proportional to the block's probe output, the cost of
+// deferring the shared ring writes until the deterministic merge.
 //
 // When no flush consumer is installed on the destination buffers the
 // record stream is unobservable — the ring overwrites, Flush is a no-op,
 // and only the count and linear checksum survive — so SummaryOnly puts
 // the tape in a mode that folds each operation into those two scalars
-// and retains nothing. A skewed launch's output then stages in O(1)
-// memory per block instead of materialising the whole result set.
+// and retains and copies nothing. A skewed launch's output then stages in
+// O(1) memory per block instead of materialising the whole result set.
 type Tape struct {
 	ops      []tapeOp
-	singles  []Result
+	copies   []relation.Payload
 	count    uint64
 	checksum uint64
 	sumOnly  bool
@@ -73,48 +76,6 @@ type Tape struct {
 // (the simulator checks HasFlush before choosing this mode); it must be
 // called before the first push.
 func (t *Tape) SummaryOnly() { t.sumOnly = true }
-
-// Push records one result.
-func (t *Tape) Push(k relation.Key, pr, ps relation.Payload) {
-	if t.sumOnly {
-		t.count++
-		t.checksum += coefKey*uint64(k) + coefPayloadR*uint64(pr) + coefPayloadS*uint64(ps)
-		return
-	}
-	t.singles = append(t.singles, Result{Key: k, PayloadR: pr, PayloadS: ps})
-	t.extendSingles(1)
-}
-
-// PushBatch records a staged batch of heterogeneous results. The batch
-// slice is the caller's scratch: its contents are copied.
-func (t *Tape) PushBatch(rs []Result) {
-	if len(rs) == 0 {
-		return
-	}
-	if t.sumOnly {
-		var sum uint64
-		for _, r := range rs {
-			sum += coefKey*uint64(r.Key) + coefPayloadR*uint64(r.PayloadR) + coefPayloadS*uint64(r.PayloadS)
-		}
-		t.count += uint64(len(rs))
-		t.checksum += sum
-		return
-	}
-	t.singles = append(t.singles, rs...)
-	t.extendSingles(len(rs))
-}
-
-// extendSingles grows the trailing opSingles entry by n results, creating
-// it if the last op is not a singles run ending at the buffer tail.
-func (t *Tape) extendSingles(n int) {
-	t.count += uint64(n)
-	end := len(t.singles)
-	if k := len(t.ops); k > 0 && t.ops[k-1].kind == opSingles && t.ops[k-1].hi == end-n {
-		t.ops[k-1].hi = end
-		return
-	}
-	t.ops = append(t.ops, tapeOp{kind: opSingles, lo: end - n, hi: end})
-}
 
 // PushRun records a run of results matching one S tuple (see
 // Buffer.PushRun). rps is retained, not copied.
@@ -132,7 +93,20 @@ func (t *Tape) PushRun(k relation.Key, rps []relation.Payload, ps relation.Paylo
 		t.checksum += coefPayloadR*prSum + n*(coefKey*uint64(k)+coefPayloadS*uint64(ps))
 		return
 	}
-	t.ops = append(t.ops, tapeOp{kind: opRunR, key: k, ps: ps, run: rps})
+	t.ops = append(t.ops, tapeOp{kind: opRunR, key: k, p: ps, run: rps})
+}
+
+// PushScratchRun records a run held in the caller's scratch (see
+// Buffer.PushScratchRun). rps is copied, not retained.
+func (t *Tape) PushScratchRun(k relation.Key, rps []relation.Payload, ps relation.Payload) {
+	if t.sumOnly || len(rps) == 0 {
+		t.PushRun(k, rps, ps) // folds into the scalars or records nothing; rps is not kept
+		return
+	}
+	lo := len(t.copies)
+	t.copies = append(t.copies, rps...)
+	t.count += uint64(len(rps))
+	t.ops = append(t.ops, tapeOp{kind: opCopyR, key: k, p: ps, lo: lo, hi: len(t.copies)})
 }
 
 // PushRunS records a run of results matching one R tuple (see
@@ -151,7 +125,7 @@ func (t *Tape) PushRunS(k relation.Key, pr relation.Payload, sps []relation.Payl
 		t.checksum += coefPayloadS*psSum + n*(coefKey*uint64(k)+coefPayloadR*uint64(pr))
 		return
 	}
-	t.ops = append(t.ops, tapeOp{kind: opRunS, key: k, pr: pr, run: sps})
+	t.ops = append(t.ops, tapeOp{kind: opRunS, key: k, p: pr, run: sps})
 }
 
 // Count returns the number of results recorded so far.
@@ -160,12 +134,12 @@ func (t *Tape) Count() uint64 { return t.count }
 // Replay applies the recorded operations to dst in record order. The
 // resulting ring contents, cursor, count, checksum and flush callbacks are
 // bit-identical to issuing the original calls against dst directly:
-// a singles run replays through PushBatch, which performs the same
-// per-result ring writes and wrap-time flushes as individual Pushes.
+// every op reissues the same run, which performs the same per-result ring
+// writes and wrap-time flushes.
 func (t *Tape) Replay(dst *Buffer) {
 	if t.sumOnly {
 		// Summary-only staging: the destination has no flush consumer, so
-		// the only observable effects of the original pushes are the two
+		// the only observable effects of the original runs are the two
 		// linear scalars. Transfer them directly.
 		dst.count += t.count
 		dst.checksum += t.checksum
@@ -174,12 +148,12 @@ func (t *Tape) Replay(dst *Buffer) {
 	for i := range t.ops {
 		op := &t.ops[i]
 		switch op.kind {
-		case opSingles:
-			dst.PushBatch(t.singles[op.lo:op.hi])
 		case opRunR:
-			dst.PushRun(op.key, op.run, op.ps)
+			dst.PushRun(op.key, op.run, op.p)
 		case opRunS:
-			dst.PushRunS(op.key, op.pr, op.run)
+			dst.PushRunS(op.key, op.p, op.run)
+		case opCopyR:
+			dst.PushRun(op.key, t.copies[op.lo:op.hi], op.p)
 		}
 	}
 }
@@ -187,7 +161,7 @@ func (t *Tape) Replay(dst *Buffer) {
 // Reset clears the tape for reuse, keeping its capacity and mode.
 func (t *Tape) Reset() {
 	t.ops = t.ops[:0]
-	t.singles = t.singles[:0]
+	t.copies = t.copies[:0]
 	t.count = 0
 	t.checksum = 0
 }

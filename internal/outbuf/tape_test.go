@@ -2,39 +2,33 @@ package outbuf
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"skewjoin/internal/relation"
 )
 
 // applyOps drives the same random operation sequence against any Writer.
+// Scratch runs come from one slice refilled for every call, as a probe
+// loop reuses its match scratch; retained runs stay intact until Replay.
 func applyOps(w Writer, rng *rand.Rand, nOps int) {
+	scratch := make([]relation.Payload, 8)
 	for i := 0; i < nOps; i++ {
-		switch rng.Intn(4) {
+		op := rng.Intn(3)
+		run := scratch[:rng.Intn(len(scratch)+1)]
+		if op != 0 {
+			run = make([]relation.Payload, len(run))
+		}
+		for j := range run {
+			run[j] = relation.Payload(rng.Uint32())
+		}
+		switch op {
 		case 0:
-			w.Push(relation.Key(rng.Uint32()), relation.Payload(rng.Uint32()), relation.Payload(rng.Uint32()))
+			w.PushScratchRun(relation.Key(rng.Uint32()), run, relation.Payload(rng.Uint32()))
 		case 1:
-			run := make([]relation.Payload, rng.Intn(9))
-			for j := range run {
-				run[j] = relation.Payload(rng.Uint32())
-			}
 			w.PushRun(relation.Key(rng.Uint32()), run, relation.Payload(rng.Uint32()))
-		case 2:
-			run := make([]relation.Payload, rng.Intn(9))
-			for j := range run {
-				run[j] = relation.Payload(rng.Uint32())
-			}
-			w.PushRunS(relation.Key(rng.Uint32()), relation.Payload(rng.Uint32()), run)
 		default:
-			batch := make([]Result, rng.Intn(7))
-			for j := range batch {
-				batch[j] = Result{
-					Key:      relation.Key(rng.Uint32()),
-					PayloadR: relation.Payload(rng.Uint32()),
-					PayloadS: relation.Payload(rng.Uint32()),
-				}
-			}
-			w.PushBatch(batch)
+			w.PushRunS(relation.Key(rng.Uint32()), relation.Payload(rng.Uint32()), run)
 		}
 	}
 }
@@ -92,25 +86,69 @@ func TestTapeReplayMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestTapeCoalescesSingles checks the op-journal compression: consecutive
-// Push/PushBatch calls extend one opSingles record instead of growing the
-// journal per result.
-func TestTapeCoalescesSingles(t *testing.T) {
+// TestTapeScratchRunReplaysLikeBuffer issues the same scratch runs to a
+// Buffer and to a Tape replayed into a second Buffer, overwriting the
+// caller's scratch after every call as a probe loop does: a tape that
+// kept the slice instead of copying it would replay the overwritten
+// values. The runs cross the ring wrap. With a consumer the ring slots,
+// cursor, count, checksum and flush batches must be bit-identical; in
+// summary-only mode the count and checksum must be, and the tape must
+// keep nothing.
+func TestTapeScratchRunReplaysLikeBuffer(t *testing.T) {
+	issue := func(w Writer) {
+		scratch := make([]relation.Payload, 16)
+		for i, n := range []int{3, 13, 1, 16, 0, 7, 11} {
+			for j := range scratch[:n] {
+				scratch[j] = relation.Payload(100*i + j)
+			}
+			w.PushScratchRun(relation.Key(i), scratch[:n], relation.Payload(i+50))
+			for j := range scratch {
+				scratch[j] = 0xdead
+			}
+		}
+	}
+	record := func(dst *[][]Result) FlushFunc {
+		return func(batch []Result) { *dst = append(*dst, append([]Result(nil), batch...)) }
+	}
+
+	var directBatches, replayBatches [][]Result
+	direct := New(8)
+	direct.SetFlush(record(&directBatches))
+	issue(direct)
 	var tape Tape
-	for i := 0; i < 100; i++ {
-		tape.Push(relation.Key(i), 1, 2)
+	issue(&tape)
+	replayed := New(8)
+	replayed.SetFlush(record(&replayBatches))
+	tape.Replay(replayed)
+	if tape.Count() != direct.Count() || replayed.Count() != direct.Count() || replayed.Checksum() != direct.Checksum() {
+		t.Fatalf("replay (%d, %d), tape count %d; direct (%d, %d)",
+			replayed.Count(), replayed.Checksum(), tape.Count(), direct.Count(), direct.Checksum())
 	}
-	tape.PushBatch([]Result{{Key: 7}, {Key: 8}})
-	if len(tape.ops) != 1 {
-		t.Fatalf("got %d ops for a pure singles stream, want 1", len(tape.ops))
+	if !sameRing(direct, replayed) {
+		t.Fatal("replayed ring slots differ from direct")
 	}
-	tape.PushRun(9, []relation.Payload{1}, 2)
-	tape.Push(10, 1, 2)
-	if len(tape.ops) != 3 {
-		t.Fatalf("got %d ops after run + single, want 3", len(tape.ops))
+	direct.Flush()
+	replayed.Flush()
+	if !reflect.DeepEqual(directBatches, replayBatches) {
+		t.Fatalf("flush batches differ:\ndirect: %v\nreplay: %v", directBatches, replayBatches)
 	}
-	if tape.Count() != 104 {
-		t.Fatalf("count %d, want 104", tape.Count())
+	if len(directBatches) < 6 {
+		t.Fatalf("%d flush batches; the runs should wrap the 8-slot ring at least 6 times", len(directBatches))
+	}
+
+	plain := New(8)
+	issue(plain)
+	var sum Tape
+	sum.SummaryOnly()
+	issue(&sum)
+	if len(sum.ops) != 0 || len(sum.copies) != 0 {
+		t.Fatalf("summary-only tape kept %d ops, %d payloads", len(sum.ops), len(sum.copies))
+	}
+	folded := New(8)
+	sum.Replay(folded)
+	if folded.Count() != plain.Count() || folded.Checksum() != plain.Checksum() {
+		t.Fatalf("summary-only replay (%d, %d), direct (%d, %d)",
+			folded.Count(), folded.Checksum(), plain.Count(), plain.Checksum())
 	}
 }
 
@@ -118,16 +156,16 @@ func TestTapeCoalescesSingles(t *testing.T) {
 // only the second recording.
 func TestTapeReset(t *testing.T) {
 	var tape Tape
-	tape.Push(1, 2, 3)
+	tape.PushScratchRun(1, []relation.Payload{2}, 3)
 	tape.PushRun(4, []relation.Payload{5, 6}, 7)
 	tape.Reset()
-	if tape.Count() != 0 || len(tape.ops) != 0 {
-		t.Fatalf("after Reset: count %d, %d ops", tape.Count(), len(tape.ops))
+	if tape.Count() != 0 || len(tape.ops) != 0 || len(tape.copies) != 0 {
+		t.Fatalf("after Reset: count %d, %d ops, %d payloads", tape.Count(), len(tape.ops), len(tape.copies))
 	}
-	tape.Push(8, 9, 10)
+	tape.PushScratchRun(8, []relation.Payload{9}, 10)
 
 	want := New(16)
-	want.Push(8, 9, 10)
+	want.PushRun(8, []relation.Payload{9}, 10)
 	got := New(16)
 	tape.Replay(got)
 	if gs, ws := Summarize([]*Buffer{got}), Summarize([]*Buffer{want}); gs != ws {
@@ -141,7 +179,7 @@ func TestTapeEmptyRunsSkipped(t *testing.T) {
 	var tape Tape
 	tape.PushRun(1, nil, 2)
 	tape.PushRunS(3, 4, nil)
-	tape.PushBatch(nil)
+	tape.PushScratchRun(5, nil, 6)
 	if tape.Count() != 0 || len(tape.ops) != 0 {
 		t.Fatalf("empty ops recorded: count %d, %d ops", tape.Count(), len(tape.ops))
 	}
@@ -167,9 +205,9 @@ func TestTapeSummaryOnlyMatchesFull(t *testing.T) {
 			t.Fatalf("seed %d: summary-only replay (%d, %d) != full replay (%d, %d)",
 				seed, b.Count(), b.Checksum(), a.Count(), a.Checksum())
 		}
-		if len(sum.ops) != 0 || len(sum.singles) != 0 {
-			t.Fatalf("seed %d: summary-only tape retained records: %d ops, %d singles",
-				seed, len(sum.ops), len(sum.singles))
+		if len(sum.ops) != 0 || len(sum.copies) != 0 {
+			t.Fatalf("seed %d: summary-only tape retained records: %d ops, %d payloads",
+				seed, len(sum.ops), len(sum.copies))
 		}
 	}
 }
@@ -178,13 +216,13 @@ func TestTapeSummaryOnlyMatchesFull(t *testing.T) {
 func TestTapeSummaryOnlyReset(t *testing.T) {
 	var tape Tape
 	tape.SummaryOnly()
-	tape.Push(1, 2, 3)
+	tape.PushScratchRun(1, []relation.Payload{2}, 3)
 	tape.Reset()
 	if tape.Count() != 0 || tape.checksum != 0 {
 		t.Fatalf("reset left count %d checksum %d", tape.Count(), tape.checksum)
 	}
-	tape.Push(1, 2, 3)
-	if len(tape.singles) != 0 {
+	tape.PushScratchRun(1, []relation.Payload{2}, 3)
+	if len(tape.copies) != 0 {
 		t.Fatal("summary-only mode lost across Reset")
 	}
 }

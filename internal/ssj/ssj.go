@@ -172,6 +172,9 @@ type lane struct {
 type worker struct {
 	buf     *outbuf.Buffer
 	scratch [][]relation.Tuple // per-lane chunk routing groups
+	// matches is the probe's match scratch; it keeps what the hottest key
+	// so far grew it to.
+	matches []relation.Payload
 	visits  uint64
 	chunks  int
 	// staged is buf.Count() as of the last lane batch; the delta feeds
@@ -291,7 +294,8 @@ func Join(r, s relation.Relation, cfg Config) Result {
 		})
 		// Final partial batches: on a completed or limit-hit run these
 		// carry the tail results to the consumer. The deltas they stage
-		// are already counted (observe runs on Push, not Flush).
+		// are already counted (observe reads the buffer's count after
+		// each lane group, not on Flush).
 		for _, wk := range workers {
 			wk.buf.Flush()
 		}
@@ -376,13 +380,12 @@ func (wk *worker) stream(ctx context.Context, lanes []lane, laneMask uint32, sid
 		scratch[l] = append(scratch[l], tp)
 	}
 
-	buf := wk.buf
-	var curP relation.Payload
-	// Two emit orientations: a probing R tuple supplies PayloadR and the
-	// probed S match supplies PayloadS, and vice versa.
-	var curKey relation.Key
-	emitR := func(ps relation.Payload) { buf.Push(curKey, curP, ps) } // side 0: probing S table
-	emitS := func(pr relation.Payload) { buf.Push(curKey, pr, curP) } // side 1: probing R table
+	// Each probing tuple's matches leave as one run, emitted under the
+	// lane lock: a probing R tuple supplies PayloadR to a run of S
+	// matches (PushRunS), a probing S tuple PayloadS to a run of R
+	// matches (PushRun).
+	buf, matches := wk.buf, wk.matches
+	defer func() { wk.matches = matches }()
 
 	done := ctx.Done()
 	for l := range scratch {
@@ -399,14 +402,22 @@ func (wk *worker) stream(ctx context.Context, lanes []lane, laneMask uint32, sid
 		ln.mu.Lock()
 		if side == 0 {
 			for _, tp := range group {
-				curKey, curP = tp.Key, tp.Payload
-				wk.visits += uint64(ln.s.Probe(tp.Key, emitR))
+				m, v := ln.s.Matches(tp.Key, matches)
+				matches = m
+				wk.visits += uint64(v)
+				if len(m) > 0 {
+					buf.PushRunS(tp.Key, tp.Payload, m)
+				}
 				ln.r.Insert(tp)
 			}
 		} else {
 			for _, tp := range group {
-				curKey, curP = tp.Key, tp.Payload
-				wk.visits += uint64(ln.r.Probe(tp.Key, emitS))
+				m, v := ln.r.Matches(tp.Key, matches)
+				matches = m
+				wk.visits += uint64(v)
+				if len(m) > 0 {
+					buf.PushRun(tp.Key, m, tp.Payload)
+				}
 				ln.s.Insert(tp)
 			}
 		}
