@@ -54,7 +54,7 @@ bench-smoke:
 # GPU-simulation A/B sweep (algorithm x skew x HostParallelism); writes
 # the machine-readable perf baseline committed as BENCH_gpu.json.
 bench-gpu:
-	$(GO) run ./cmd/skewbench -exp gpu -repeats 5 -out BENCH_gpu.json
+	$(GO) run -buildvcs=true ./cmd/skewbench -exp gpu -repeats 5 -out BENCH_gpu.json
 
 # Co-processing sweep (zipf x placement policy x HostParallelism) of the
 # cost-model split executor against its pinned single-backend controls;
@@ -68,19 +68,22 @@ bench-gpu:
 # targets, and the one where the deep-skew cells must fragment the hot
 # partition to beat the single-backend controls.
 bench-coproc:
-	$(GO) run ./cmd/skewbench -exp coproc -n 131072 -threads 4 -repeats 3 -shm 8 -out BENCH_coproc.json
+	$(GO) run -buildvcs=true ./cmd/skewbench -exp coproc -n 131072 -threads 4 -repeats 3 -shm 8 -out BENCH_coproc.json
 
 # Tiny oracle-verified coproc run for CI: exercises a degenerate cell and
 # a must-fragment deep-skew cell once each under every (policy, hostpar),
 # checks the regression and fragment gates, and asserts the JSON artifact
-# carries the measured makespans and the fragment markers. -minwin 1
+# carries the measured makespans, the fragment markers, the host (env) and
+# the A/A spread. -minwin 1
 # lowers the 25ms absolute win floor, meaningless at this tiny size.
 bench-coproc-smoke:
-	$(GO) run ./cmd/skewbench -exp coproc -n 8192 -threads 4 -repeats 1 -shm 8 -minwin 1 -zipf 0,1.2 -out /tmp/BENCH_coproc.json
+	$(GO) run -buildvcs=true ./cmd/skewbench -exp coproc -n 8192 -threads 4 -repeats 1 -shm 8 -minwin 1 -zipf 0,1.2 -out /tmp/BENCH_coproc.json
 	grep -q '"makespan_ns"' /tmp/BENCH_coproc.json
 	grep -q '"predicted_makespan_ns"' /tmp/BENCH_coproc.json
 	grep -q '"calibration"' /tmp/BENCH_coproc.json
 	grep -q '"fragmented": true' /tmp/BENCH_coproc.json
+	grep -q '"env"' /tmp/BENCH_coproc.json
+	grep -q '"spread"' /tmp/BENCH_coproc.json
 
 # Sharded-tier sweep (zipf x routing policy on an in-process 3-shard
 # fleet with an A/A hash control); writes the machine-readable baseline
@@ -88,16 +91,19 @@ bench-coproc-smoke:
 # not beat both hash runs at the deepest skew point, or regresses
 # elsewhere (see internal/bench/shard.go).
 bench-shard:
-	$(GO) run ./cmd/skewbench -exp shard -n 65536 -repeats 3 -out BENCH_shard.json
+	$(GO) run -buildvcs=true ./cmd/skewbench -exp shard -n 65536 -repeats 3 -out BENCH_shard.json
 
 # Tiny oracle-verified shard run for CI: exercises every (zipf, policy)
 # cell, checks the routing shapes and the deep-skew gate, and asserts the
-# JSON artifact carries the per-shard breakdown.
+# JSON artifact carries the per-shard breakdown, the host (env) and the A/A
+# spread.
 bench-shard-smoke:
-	$(GO) run ./cmd/skewbench -exp shard -n 16384 -repeats 2 -out /tmp/BENCH_shard.json
+	$(GO) run -buildvcs=true ./cmd/skewbench -exp shard -n 16384 -repeats 2 -out /tmp/BENCH_shard.json
 	grep -q '"makespan_ns"' /tmp/BENCH_shard.json
 	grep -q '"per_shard_ns"' /tmp/BENCH_shard.json
 	grep -q '"resolved"' /tmp/BENCH_shard.json
+	grep -q '"env"' /tmp/BENCH_shard.json
+	grep -q '"spread"' /tmp/BENCH_shard.json
 
 # Streaming-join sweep (zipf x limit fraction x operator, with an A/A
 # streaming control); writes the machine-readable baseline committed as
@@ -106,20 +112,23 @@ bench-shard-smoke:
 # small limits, or a no-limit streaming run regresses past parity (see
 # internal/bench/stream.go).
 bench-stream:
-	$(GO) run ./cmd/skewbench -exp stream -n 131072 -repeats 3 -out BENCH_stream.json
+	$(GO) run -buildvcs=true ./cmd/skewbench -exp stream -n 131072 -repeats 3 -out BENCH_stream.json
 
 # Tiny oracle-verified stream run for CI: exercises every (zipf, limit,
 # operator) cell, checks terminations against the oracle, and asserts the
-# JSON artifact carries the milestone clocks.
+# JSON artifact carries the milestone clocks, the host (env) and the A/A
+# spread.
 bench-stream-smoke:
-	$(GO) run ./cmd/skewbench -exp stream -n 8192 -repeats 1 -out /tmp/BENCH_stream.json
+	$(GO) run -buildvcs=true ./cmd/skewbench -exp stream -n 8192 -repeats 1 -out /tmp/BENCH_stream.json
 	grep -q '"time_to_first_ns"' /tmp/BENCH_stream.json
 	grep -q '"time_to_limit_ns"' /tmp/BENCH_stream.json
 	grep -q '"limit_hit"' /tmp/BENCH_stream.json
+	grep -q '"env"' /tmp/BENCH_stream.json
+	grep -q '"spread"' /tmp/BENCH_stream.json
 
 # Regenerate every table and figure of the paper (plus extensions).
 experiments:
-	$(GO) run ./cmd/skewbench -exp all
+	$(GO) run -buildvcs=true ./cmd/skewbench -exp all
 
 examples:
 	$(GO) run ./examples/quickstart

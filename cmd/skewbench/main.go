@@ -38,7 +38,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -47,14 +46,28 @@ import (
 	"skewjoin/internal/bench"
 )
 
-// printer is implemented by every report type.
-type printer interface {
-	Fprint(w io.Writer)
-}
-
-// plotter is implemented by figure-style reports.
-type plotter interface {
-	Plot(w io.Writer)
+// experiments lists every experiment by its -exp name, in the order
+// "all" runs them; the extension sweeps that write BENCH artifacts run
+// only when named.
+var experiments = []struct {
+	name string
+	run  func(bench.Config) (*bench.Artifact, error)
+	all  bool
+}{
+	{"fig1", bench.Fig1, true},
+	{"fig4a", bench.Fig4a, true},
+	{"fig4b", bench.Fig4b, true},
+	{"table1", bench.Table1, true},
+	{"speedup", bench.Speedup, true},
+	{"large", bench.Large, true},
+	{"analysis", bench.Analysis, true},
+	{"sskew", bench.SSkew, true},
+	{"sortvshash", bench.SortVsHash, true},
+	{"memory", bench.Memory, true},
+	{"gpu", bench.GPUBench, false},
+	{"coproc", bench.CoprocBench, false},
+	{"shard", bench.ShardBench, false},
+	{"stream", bench.StreamBench, false},
 }
 
 func main() {
@@ -64,7 +77,7 @@ func main() {
 		threads = flag.Int("threads", 0, "CPU worker threads (default all cores)")
 		seed    = flag.Int64("seed", 42, "workload seed")
 		repeats = flag.Int("repeats", 0, "timed runs per measured configuration, best kept (default 3)")
-		zipfStr = flag.String("zipf", "", "comma-separated zipf factors (default 0.0..1.0 step 0.1)")
+		zipfStr = flag.String("zipf", "", "comma-separated zipf factors (default: each experiment's own grid, 0.0..1.0 step 0.1 for the figures)")
 		shmKB   = flag.Int("shm", 0, "simulated GPU shared memory per block, KiB (default 64 = A100-like); shrink to match the paper's skew-to-capacity ratio at small table sizes")
 		minWin  = flag.Int64("minwin", 0, "split planner absolute win floor in ms for -exp coproc (default 0 = engine default 25ms); smoke runs at tiny -n lower it to ~1ms")
 		asJSON  = flag.Bool("json", false, "emit reports as JSON instead of text tables")
@@ -87,38 +100,40 @@ func main() {
 			os.Exit(2)
 		}
 		cfg.Zipfs = zs
-		cfg.TableZipfs = zs
 	}
 
-	names := []string{"fig1", "fig4a", "fig4b", "table1", "speedup", "large", "analysis", "sskew", "sortvshash", "memory"}
-	if *exp != "all" {
-		names = []string{*exp}
-	}
-
-	failed := false
+	failed, ran := false, false
 	jsonOut := map[string]any{}
-	for _, name := range names {
-		rep, errs, err := run(name, cfg)
+	for _, e := range experiments {
+		if *exp != e.name && !(*exp == "all" && e.all) {
+			continue
+		}
+		ran = true
+		art, err := e.run(cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "skewbench:", err)
 			os.Exit(1)
 		}
-		failed = failed || errs
+		failed = failed || len(art.Errors) > 0
 		if *outFile != "" && *exp != "all" {
-			if err := writeJSON(*outFile, rep); err != nil {
+			if err := writeJSON(*outFile, art); err != nil {
 				fmt.Fprintln(os.Stderr, "skewbench:", err)
 				os.Exit(1)
 			}
 			fmt.Fprintf(os.Stderr, "skewbench: wrote %s\n", *outFile)
 		}
 		if *asJSON {
-			jsonOut[name] = rep
+			jsonOut[e.name] = art
 		} else {
-			rep.Fprint(os.Stdout)
-			if p, ok := rep.(plotter); ok && *plot {
-				p.Plot(os.Stdout)
+			art.Fprint(os.Stdout)
+			if *plot {
+				art.Plot(os.Stdout)
 			}
 		}
+	}
+	if !ran {
+		fmt.Fprintf(os.Stderr, "skewbench: unknown experiment %q\n", *exp)
+		os.Exit(1)
 	}
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
@@ -130,57 +145,6 @@ func main() {
 	}
 	if failed {
 		os.Exit(1)
-	}
-}
-
-// run executes one experiment, returning its report and whether any
-// verification errors occurred.
-func run(name string, cfg bench.Config) (printer, bool, error) {
-	switch name {
-	case "fig1":
-		rep, err := bench.Fig1(cfg)
-		return rep, rep != nil && len(rep.Errors) > 0, err
-	case "fig4a":
-		rep, err := bench.Fig4a(cfg)
-		return rep, rep != nil && len(rep.Errors) > 0, err
-	case "fig4b":
-		rep, err := bench.Fig4b(cfg)
-		return rep, rep != nil && len(rep.Errors) > 0, err
-	case "table1":
-		rep, err := bench.Table1(cfg)
-		return rep, rep != nil && len(rep.Errors) > 0, err
-	case "speedup":
-		rep, err := bench.Speedup(cfg)
-		return rep, rep != nil && len(rep.Errors) > 0, err
-	case "large":
-		rep, err := bench.Large(cfg)
-		return rep, rep != nil && len(rep.Errors) > 0, err
-	case "analysis":
-		rep, err := bench.Analysis(cfg)
-		return rep, false, err
-	case "sskew":
-		rep, err := bench.SSkew(cfg)
-		return rep, rep != nil && len(rep.Errors) > 0, err
-	case "sortvshash":
-		rep, err := bench.SortVsHash(cfg)
-		return rep, rep != nil && len(rep.Errors) > 0, err
-	case "memory":
-		rep, err := bench.Memory(cfg)
-		return rep, rep != nil && len(rep.Errors) > 0, err
-	case "gpu":
-		rep, err := bench.GPUBench(cfg)
-		return rep, rep != nil && len(rep.Errors) > 0, err
-	case "coproc":
-		rep, err := bench.CoprocBench(cfg)
-		return rep, rep != nil && len(rep.Errors) > 0, err
-	case "shard":
-		rep, err := bench.ShardBench(cfg)
-		return rep, rep != nil && len(rep.Errors) > 0, err
-	case "stream":
-		rep, err := bench.StreamBench(cfg)
-		return rep, rep != nil && len(rep.Errors) > 0, err
-	default:
-		return nil, false, fmt.Errorf("unknown experiment %q", name)
 	}
 }
 

@@ -10,76 +10,52 @@ import (
 	"skewjoin/internal/relation"
 )
 
-// AnalysisReport quantifies the paper's §III diagnosis of *why* the
-// baselines degrade under skew, per zipf factor: the frequency of the most
-// popular key, the longest hash chain a Cbase build table sees, the output
+// Analysis quantifies the paper's §III diagnosis of *why* the baselines
+// degrade under skew, per zipf factor: the frequency of the most popular
+// key in R, the longest hash chain a Cbase build table sees, the output
 // share of Cbase's single largest join task (its load-balancing failure),
-// Gbase's S-side re-probing caused by sub-lists, the SIMT lane-slots Gbase
-// wastes to divergence, and the skewed tuples GSH detects and diverts.
-type AnalysisReport struct {
-	Zipfs []float64
-	Rows  []AnalysisRow
+// the sub-list blocks Gbase spawns and the extra S probes they cost, the
+// SIMT lane-slots Gbase wastes to divergence, and the skewed keys and R
+// tuples GSH detects and diverts.
+func Analysis(cfg Config) (*Artifact, error) {
+	return Run(cfg, &Sweep{
+		Name: "analysis", Zipfs: cfg.zipfs(figureZipfs), Repeats: 1, Arms: arms("diagnosis"),
+		Measure: func(w *Workload, _ Group, _ Arm) (Sample, error) {
+			// Task splitting is disabled so MaxTaskOutput measures the
+			// output share of the largest *partition pair* — the unit skew
+			// handling cannot break up (§III: same-key tuples always
+			// co-locate).
+			cb := cbase.Join(w.R, w.S, cbase.Config{Threads: cfg.Threads, SkewFactor: -1})
+			share := 0.0
+			if cb.Summary.Count > 0 {
+				share = float64(cb.Stats.Join.MaxTaskOutput) / float64(cb.Summary.Count)
+			}
+			gb := gbase.Join(w.R, w.S, gbase.Config{Device: cfg.Device})
+			gs := gsh.Join(w.R, w.S, gsh.Config{Device: cfg.Device})
+			return Sample{Clock: cb.Total(), Out: &cb.Summary, Metrics: []Metric{
+				{Name: "top_key_freq", Value: relation.ComputeStats(w.R).MaxKeyFreq},
+				{Name: "max_chain", Value: cb.Stats.Join.MaxChain},
+				{Name: "max_task_share", Value: share},
+				{Name: "gbase_sub_lists", Value: gb.Stats.SubListBlocks},
+				{Name: "gbase_s_reprobes", Value: gb.Stats.SReprobes},
+				{Name: "gbase_divergence", Value: gb.Stats.Sim.DivergenceWasted},
+				{Name: "gsh_skewed_keys", Value: gs.Stats.SkewedKeys},
+				{Name: "gsh_skewed_tuples_r", Value: gs.Stats.SkewedTuplesR},
+			}}, nil
+		},
+		Print: printAnalysis,
+	})
 }
 
-// AnalysisRow is the diagnosis at one zipf factor.
-type AnalysisRow struct {
-	Zipf             float64
-	TopKeyFreq       int     // tuples sharing the most popular key in R
-	MaxChain         int     // longest chain across Cbase build tables
-	MaxTaskShare     float64 // fraction of all output produced by Cbase's largest task
-	GbaseSubLists    int     // sub-list blocks Gbase spawned
-	GbaseSReprobes   uint64  // extra S probes those sub-lists cost
-	GbaseDivergence  uint64  // lane-slots wasted to divergence in Gbase
-	GSHSkewedKeys    int     // keys GSH detected as skewed
-	GSHSkewedTuplesR int     // R tuples GSH diverted
-}
-
-// Analysis runs the three diagnostic algorithms across the sweep.
-func Analysis(cfg Config) (*AnalysisReport, error) {
-	cfg = cfg.Defaults()
-	rep := &AnalysisReport{Zipfs: cfg.Zipfs}
-	for _, z := range cfg.Zipfs {
-		w, err := MakeWorkload(cfg.Tuples, z, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		row := AnalysisRow{Zipf: z}
-		row.TopKeyFreq = relation.ComputeStats(w.R).MaxKeyFreq
-
-		// Task splitting is disabled so MaxTaskOutput measures the output
-		// share of the largest *partition pair* — the unit skew handling
-		// cannot break up (§III: same-key tuples always co-locate).
-		cb := cbase.Join(w.R, w.S, cbase.Config{Threads: cfg.Threads, SkewFactor: -1})
-		row.MaxChain = cb.Stats.Join.MaxChain
-		if cb.Summary.Count > 0 {
-			row.MaxTaskShare = float64(cb.Stats.Join.MaxTaskOutput) / float64(cb.Summary.Count)
-		}
-
-		gb := gbase.Join(w.R, w.S, gbase.Config{Device: cfg.Device})
-		row.GbaseSubLists = gb.Stats.SubListBlocks
-		row.GbaseSReprobes = gb.Stats.SReprobes
-		row.GbaseDivergence = gb.Stats.Sim.DivergenceWasted
-
-		gs := gsh.Join(w.R, w.S, gsh.Config{Device: cfg.Device})
-		row.GSHSkewedKeys = gs.Stats.SkewedKeys
-		row.GSHSkewedTuplesR = gs.Stats.SkewedTuplesR
-
-		rep.Rows = append(rep.Rows, row)
-	}
-	return rep, nil
-}
-
-// Fprint renders the analysis table.
-func (ar *AnalysisReport) Fprint(w io.Writer) {
+func printAnalysis(w io.Writer, a *Artifact) {
 	fmt.Fprintln(w, "== Skew analysis (the paper's §III diagnosis, quantified) ==")
 	fmt.Fprintf(w, "%-6s %10s %10s %12s %10s %12s %12s %9s %12s\n",
 		"zipf", "top-key", "max-chain", "max-task", "sub-lists", "S-reprobes",
 		"divergence", "GSH-keys", "GSH-tuples")
-	for _, r := range ar.Rows {
-		fmt.Fprintf(w, "%-6.1f %10d %10d %11.1f%% %10d %12d %12d %9d %12d\n",
-			r.Zipf, r.TopKeyFreq, r.MaxChain, 100*r.MaxTaskShare,
-			r.GbaseSubLists, r.GbaseSReprobes, r.GbaseDivergence,
-			r.GSHSkewedKeys, r.GSHSkewedTuplesR)
+	for _, c := range a.Cells {
+		fmt.Fprintf(w, "%-6.1f %10.0f %10.0f %11.1f%% %10.0f %12.0f %12.0f %9.0f %12.0f\n",
+			c.Zipf, c.num("top_key_freq"), c.num("max_chain"), 100*c.num("max_task_share"),
+			c.num("gbase_sub_lists"), c.num("gbase_s_reprobes"), c.num("gbase_divergence"),
+			c.num("gsh_skewed_keys"), c.num("gsh_skewed_tuples_r"))
 	}
-	fmt.Fprintln(w)
 }

@@ -1,511 +1,196 @@
-// Package bench is the experiment harness: it regenerates every table and
-// figure of the paper's evaluation (§III Figure 1, §V Figure 4 and Table I,
-// and the §V-B scale-up experiment) against this repository's
-// implementations, and verifies every run against the oracle.
-//
-// Experiment scale is configurable; the paper's 32M-tuple tables are far
-// beyond this reproduction's single-core host (see DESIGN.md §1), so the
-// default is 256K tuples, overridable via Config.Tuples or the
-// SKEWJOIN_TUPLES environment variable.
 package bench
 
 import (
 	"fmt"
 	"io"
-	"os"
-	"runtime"
-	"strconv"
 	"time"
 
-	"skewjoin/internal/asciiplot"
 	"skewjoin/internal/cbase"
 	"skewjoin/internal/csh"
 	"skewjoin/internal/exec"
 	"skewjoin/internal/gbase"
-	"skewjoin/internal/gpusim"
 	"skewjoin/internal/gsh"
+	"skewjoin/internal/gsmj"
 	"skewjoin/internal/npj"
-	"skewjoin/internal/oracle"
 	"skewjoin/internal/outbuf"
-	"skewjoin/internal/relation"
-	"skewjoin/internal/zipf"
+	"skewjoin/internal/smj"
 )
 
-// DefaultTuples is the default table cardinality (per table).
-const DefaultTuples = 1 << 18
-
-// Config parameterises the experiments.
-type Config struct {
-	// Tuples per input table (0 = SKEWJOIN_TUPLES env or DefaultTuples).
-	Tuples int
-	// Threads for the CPU algorithms (0 = all available).
-	Threads int
-	// Seed for workload generation.
-	Seed int64
-	// Zipfs are the zipf factors swept by the figure experiments
-	// (default 0.0 .. 1.0 step 0.1).
-	Zipfs []float64
-	// TableZipfs are the factors of the Table I breakdown
-	// (default 0.5 .. 1.0 step 0.1).
-	TableZipfs []float64
-	// Device configures the simulated GPU for the GPU runs (zero fields =
-	// A100). Shrinking SharedMemBytes reproduces the paper's ratio of
-	// skewed-key frequency to partition capacity at scaled-down table
-	// sizes (see EXPERIMENTS.md).
-	Device gpusim.Config
-	// Repeats is the number of times Speedup and Large run each algorithm,
-	// keeping the fastest time (default 3). Wall-clock noise on shared
-	// hosts otherwise dominates the CPU ratios.
-	Repeats int
-	// SplitMinWinNs lowers the split planner's absolute win floor for the
-	// co-processing benchmark (0 = the engine default, 25ms). Smoke runs
-	// at reduced table sizes set it to ~1ms so the planner still faces a
-	// real decision instead of degenerating on the floor alone.
-	SplitMinWinNs int64
-}
-
-// Defaults fills zero fields.
-func (c Config) Defaults() Config {
-	if c.Tuples <= 0 {
-		c.Tuples = DefaultTuples
-		if env := os.Getenv("SKEWJOIN_TUPLES"); env != "" {
-			if n, err := strconv.Atoi(env); err == nil && n > 0 {
-				c.Tuples = n
-			}
-		}
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if len(c.Zipfs) == 0 {
-		for z := 0.0; z < 1.05; z += 0.1 {
-			c.Zipfs = append(c.Zipfs, round1(z))
-		}
-	}
-	if len(c.TableZipfs) == 0 {
-		c.TableZipfs = []float64{0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
-	}
-	if c.Repeats <= 0 {
-		c.Repeats = 3
-	}
-	return c
-}
-
-func round1(z float64) float64 { return float64(int(z*10+0.5)) / 10 }
-
-// Workload is one generated (R, S, expected-result) triple.
-type Workload struct {
-	Theta    float64
-	R, S     relation.Relation
-	Expected outbuf.Summary
-}
-
-// MakeWorkload generates the paper's workload for one zipf factor and
-// computes its ground truth.
-func MakeWorkload(n int, theta float64, seed int64) (Workload, error) {
-	g, err := zipf.New(zipf.Config{Theta: theta, Universe: n, Seed: seed})
-	if err != nil {
-		return Workload{}, err
-	}
-	r, s := g.Pair(n)
-	w := Workload{Theta: theta, R: r, S: s, Expected: oracle.ExpectedParallel(r, s, exec.DefaultThreads())}
-	// The oracle's frequency maps are garbage by now; collect them before
-	// timing starts so CPU phase times are not polluted by GC pauses.
-	runtime.GC()
-	return w, nil
-}
-
-// Cell is one measured value: a duration plus whether it was modelled
-// (GPU) or measured (CPU wall-clock).
-type Cell struct {
-	Duration time.Duration
-	Modelled bool
-}
-
-// Series is one named line of a figure: a value per swept zipf factor.
-type Series struct {
-	Name  string
-	Cells []Cell
-}
-
-// Report is the result of one experiment: a grid of series over the swept
-// zipf factors, plus any verification errors.
-type Report struct {
-	Title  string
-	Zipfs  []float64
-	Series []Series
-	Errors []string
-}
-
-// verify appends an error if a run's summary deviates from the oracle.
-func (rep *Report) verify(alg string, theta float64, got, want outbuf.Summary) {
-	if got != want {
-		rep.Errors = append(rep.Errors,
-			fmt.Sprintf("%s @ zipf %.1f: output %+v, expected %+v", alg, theta, got, want))
-	}
-}
-
-// Fprint renders the report as an aligned text table, durations in
-// engineering units, modelled values marked with '*'.
-func (rep *Report) Fprint(w io.Writer) {
-	fmt.Fprintf(w, "== %s ==\n", rep.Title)
-	fmt.Fprintf(w, "%-22s", "zipf")
-	for _, z := range rep.Zipfs {
-		fmt.Fprintf(w, "%12.1f", z)
-	}
-	fmt.Fprintln(w)
-	for _, s := range rep.Series {
-		fmt.Fprintf(w, "%-22s", s.Name)
-		for _, c := range s.Cells {
-			fmt.Fprintf(w, "%12s", FormatCell(c))
-		}
-		fmt.Fprintln(w)
-	}
-	for _, e := range rep.Errors {
-		fmt.Fprintf(w, "VERIFICATION FAILED: %s\n", e)
-	}
-	fmt.Fprintln(w)
-}
-
-// Plot renders the report's series as a log-scale ASCII chart, making the
-// figure shapes (flat partition lines, exploding join curves, crossovers)
-// visible in a terminal.
-func (rep *Report) Plot(w io.Writer) {
-	series := make([]asciiplot.Series, len(rep.Series))
-	for i, s := range rep.Series {
-		ys := make([]float64, len(s.Cells))
-		for j, c := range s.Cells {
-			ys[j] = c.Duration.Seconds()
-		}
-		series[i] = asciiplot.Series{Name: s.Name, Ys: ys}
-	}
-	asciiplot.Render(w, rep.Title+" (log-scale seconds; GPU series are modelled)", rep.Zipfs, series, 0)
-}
-
-// FormatCell renders a cell like "12.3ms" or "4.56s*" (modelled).
-func FormatCell(c Cell) string {
-	s := FormatDuration(c.Duration)
-	if c.Modelled {
-		s += "*"
-	}
-	return s
-}
-
-// FormatDuration renders a duration with three significant figures in the
-// most natural unit.
-func FormatDuration(d time.Duration) string {
-	switch {
-	case d >= time.Second:
-		return fmt.Sprintf("%.2fs", d.Seconds())
-	case d >= time.Millisecond:
-		return fmt.Sprintf("%.2fms", float64(d)/float64(time.Millisecond))
-	case d >= time.Microsecond:
-		return fmt.Sprintf("%.1fus", float64(d)/float64(time.Microsecond))
+// join measures the join algorithm its arm names. The clock is the run's
+// total time — wall-clock for the CPU algorithms, modelled device time for
+// the GPU ones — and its phases are the metric the figures' rows read;
+// modelled phases must repeat exactly.
+func (cfg Config) join(w *Workload, _ Group, a Arm) (Sample, error) {
+	var (
+		phases   []exec.Phase
+		out      outbuf.Summary
+		modelled = true
+	)
+	switch a.Name {
+	case "cbase":
+		res := cbase.Join(w.R, w.S, cbase.Config{Threads: cfg.Threads})
+		phases, out, modelled = res.Phases, res.Summary, false
+	case "cbase-npj":
+		res := npj.Join(w.R, w.S, npj.Config{Threads: cfg.Threads})
+		phases, out, modelled = res.Phases, res.Summary, false
+	case "csh":
+		res := csh.Join(w.R, w.S, csh.Config{Threads: cfg.Threads})
+		phases, out, modelled = res.Phases, res.Summary, false
+	case "smj":
+		res := smj.Join(w.R, w.S, smj.Config{Threads: cfg.Threads})
+		phases, out, modelled = res.Phases, res.Summary, false
+	case "gbase":
+		res := gbase.Join(w.R, w.S, gbase.Config{Device: cfg.Device})
+		phases, out = res.Phases, res.Summary
+	case "gsh":
+		res := gsh.Join(w.R, w.S, gsh.Config{Device: cfg.Device})
+		phases, out = res.Phases, res.Summary
+	case "gsh-paper": // the paper's skew-join scheme, without S tiling
+		res := gsh.Join(w.R, w.S, gsh.Config{Device: cfg.Device, STileTuples: -1})
+		phases, out = res.Phases, res.Summary
+	case "gsmj":
+		res := gsmj.Join(w.R, w.S, gsmj.Config{Device: cfg.Device})
+		phases, out = res.Phases, res.Summary
 	default:
-		return fmt.Sprintf("%dns", d.Nanoseconds())
+		return Sample{}, fmt.Errorf("unknown algorithm %q", a.Name)
 	}
+	ps := make(map[string]int64, len(phases))
+	var total time.Duration
+	for _, p := range phases {
+		ps[p.Name] += p.Duration.Nanoseconds()
+		total += p.Duration
+	}
+	return Sample{Clock: total, Modelled: modelled, Out: &out,
+		Metrics: []Metric{{Name: "phases_ns", Value: ps, Fixed: modelled}}}, nil
+}
+
+// arms names the arms of a sweep that only varies the algorithm.
+func arms(names ...string) []Arm {
+	as := make([]Arm, len(names))
+	for i, n := range names {
+		as[i].Name = n
+	}
+	return as
+}
+
+// phase is a row value: the summed duration of the named phases.
+func phase(names ...string) func(c *Cell) time.Duration {
+	return func(c *Cell) time.Duration { return c.phases(names...) }
+}
+
+// figure runs a grid experiment: every arm once per zipf.
+func figure(cfg Config, name, title string, zipfs []float64, as []Arm, rows ...Row) (*Artifact, error) {
+	return Run(cfg, &Sweep{Name: name, Title: title, Zipfs: zipfs, Repeats: 1, Arms: as, Measure: cfg.join, Rows: rows})
 }
 
 // Fig1 reproduces Figure 1: the execution times of the two baselines,
 // broken into partition and join phases, as the zipf factor grows. It
 // demonstrates the paper's motivating observation — partition time is flat
 // while join time rockets.
-func Fig1(cfg Config) (*Report, error) {
-	cfg = cfg.Defaults()
-	rep := &Report{Title: "Figure 1: performance impact of skewed join keys (baselines)", Zipfs: cfg.Zipfs}
-	var cpart, cjoin, gpart, gjoin Series
-	cpart.Name, cjoin.Name = "Cbase partition", "Cbase join"
-	gpart.Name, gjoin.Name = "Gbase partition", "Gbase join"
-	for _, z := range cfg.Zipfs {
-		w, err := MakeWorkload(cfg.Tuples, z, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		cb := cbase.Join(w.R, w.S, cbase.Config{Threads: cfg.Threads})
-		rep.verify("cbase", z, cb.Summary, w.Expected)
-		cpart.Cells = append(cpart.Cells, Cell{Duration: phase(cb.Phases, "partition")})
-		cjoin.Cells = append(cjoin.Cells, Cell{Duration: phase(cb.Phases, "join")})
-
-		gb := gbase.Join(w.R, w.S, gbase.Config{Device: cfg.Device})
-		rep.verify("gbase", z, gb.Summary, w.Expected)
-		gpart.Cells = append(gpart.Cells, Cell{Duration: phase(gb.Phases, "partition"), Modelled: true})
-		gjoin.Cells = append(gjoin.Cells, Cell{Duration: phase(gb.Phases, "join"), Modelled: true})
-	}
-	rep.Series = []Series{cpart, cjoin, gpart, gjoin}
-	return rep, nil
+func Fig1(cfg Config) (*Artifact, error) {
+	return figure(cfg, "fig1", "Figure 1: performance impact of skewed join keys (baselines)",
+		cfg.zipfs(figureZipfs), arms("cbase", "gbase"),
+		Row{"Cbase partition", "cbase", phase("partition")},
+		Row{"Cbase join", "cbase", phase("join")},
+		Row{"Gbase partition", "gbase", phase("partition")},
+		Row{"Gbase join", "gbase", phase("join")})
 }
 
 // Fig4a reproduces Figure 4a: total CPU join time (Cbase, cbase-npj, CSH)
 // varying the zipf factor.
-func Fig4a(cfg Config) (*Report, error) {
-	cfg = cfg.Defaults()
-	rep := &Report{Title: "Figure 4a: CPU hash join performance varying the zipf factor", Zipfs: cfg.Zipfs}
-	var sc, sn, ss Series
-	sc.Name, sn.Name, ss.Name = "Cbase", "cbase-npj", "CSH"
-	for _, z := range cfg.Zipfs {
-		w, err := MakeWorkload(cfg.Tuples, z, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		cb := cbase.Join(w.R, w.S, cbase.Config{Threads: cfg.Threads})
-		rep.verify("cbase", z, cb.Summary, w.Expected)
-		sc.Cells = append(sc.Cells, Cell{Duration: cb.Total()})
-
-		np := npj.Join(w.R, w.S, npj.Config{Threads: cfg.Threads})
-		rep.verify("cbase-npj", z, np.Summary, w.Expected)
-		sn.Cells = append(sn.Cells, Cell{Duration: np.Total()})
-
-		cs := csh.Join(w.R, w.S, csh.Config{Threads: cfg.Threads})
-		rep.verify("csh", z, cs.Summary, w.Expected)
-		ss.Cells = append(ss.Cells, Cell{Duration: cs.Total()})
-	}
-	rep.Series = []Series{sc, sn, ss}
-	return rep, nil
+func Fig4a(cfg Config) (*Artifact, error) {
+	return figure(cfg, "fig4a", "Figure 4a: CPU hash join performance varying the zipf factor",
+		cfg.zipfs(figureZipfs), arms("cbase", "cbase-npj", "csh"),
+		Row{"Cbase", "cbase", nil}, Row{"cbase-npj", "cbase-npj", nil}, Row{"CSH", "csh", nil})
 }
 
 // Fig4b reproduces Figure 4b: total (modelled) GPU join time (Gbase, GSH)
 // varying the zipf factor.
-func Fig4b(cfg Config) (*Report, error) {
-	cfg = cfg.Defaults()
-	rep := &Report{Title: "Figure 4b: GPU hash join performance varying the zipf factor", Zipfs: cfg.Zipfs}
-	var sg, ss Series
-	sg.Name, ss.Name = "Gbase", "GSH"
-	for _, z := range cfg.Zipfs {
-		w, err := MakeWorkload(cfg.Tuples, z, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		gb := gbase.Join(w.R, w.S, gbase.Config{Device: cfg.Device})
-		rep.verify("gbase", z, gb.Summary, w.Expected)
-		sg.Cells = append(sg.Cells, Cell{Duration: gb.Total(), Modelled: true})
-
-		gs := gsh.Join(w.R, w.S, gsh.Config{Device: cfg.Device})
-		rep.verify("gsh", z, gs.Summary, w.Expected)
-		ss.Cells = append(ss.Cells, Cell{Duration: gs.Total(), Modelled: true})
-	}
-	rep.Series = []Series{sg, ss}
-	return rep, nil
+func Fig4b(cfg Config) (*Artifact, error) {
+	return figure(cfg, "fig4b", "Figure 4b: GPU hash join performance varying the zipf factor",
+		cfg.zipfs(figureZipfs), arms("gbase", "gsh"),
+		Row{"Gbase", "gbase", nil}, Row{"GSH", "gsh", nil})
 }
 
 // Table1 reproduces Table I: the execution-time breakdown of all four
 // partitioned joins for zipf factors 0.5–1.0, with the paper's exact rows.
-func Table1(cfg Config) (*Report, error) {
-	cfg = cfg.Defaults()
-	rep := &Report{Title: "Table I: execution time breakdown", Zipfs: cfg.TableZipfs}
-	rows := make([]Series, 8)
-	names := []string{
-		"Cbase partition", "Cbase join",
-		"CSH sample+part", "CSH NM-join",
-		"Gbase partition", "Gbase join",
-		"GSH partition", "GSH all other",
-	}
-	for i := range rows {
-		rows[i].Name = names[i]
-	}
-	for _, z := range cfg.TableZipfs {
-		w, err := MakeWorkload(cfg.Tuples, z, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		cb := cbase.Join(w.R, w.S, cbase.Config{Threads: cfg.Threads})
-		rep.verify("cbase", z, cb.Summary, w.Expected)
-		rows[0].Cells = append(rows[0].Cells, Cell{Duration: phase(cb.Phases, "partition")})
-		rows[1].Cells = append(rows[1].Cells, Cell{Duration: phase(cb.Phases, "join")})
-
-		cs := csh.Join(w.R, w.S, csh.Config{Threads: cfg.Threads})
-		rep.verify("csh", z, cs.Summary, w.Expected)
-		rows[2].Cells = append(rows[2].Cells, Cell{Duration: cs.SamplePlusPartition()})
-		rows[3].Cells = append(rows[3].Cells, Cell{Duration: phase(cs.Phases, "nmjoin")})
-
-		gb := gbase.Join(w.R, w.S, gbase.Config{Device: cfg.Device})
-		rep.verify("gbase", z, gb.Summary, w.Expected)
-		rows[4].Cells = append(rows[4].Cells, Cell{Duration: phase(gb.Phases, "partition"), Modelled: true})
-		rows[5].Cells = append(rows[5].Cells, Cell{Duration: phase(gb.Phases, "join"), Modelled: true})
-
-		gs := gsh.Join(w.R, w.S, gsh.Config{Device: cfg.Device})
-		rep.verify("gsh", z, gs.Summary, w.Expected)
-		rows[6].Cells = append(rows[6].Cells, Cell{Duration: phase(gs.Phases, "partition"), Modelled: true})
-		rows[7].Cells = append(rows[7].Cells, Cell{Duration: gs.AllOther(), Modelled: true})
-	}
-	rep.Series = rows
-	return rep, nil
+func Table1(cfg Config) (*Artifact, error) {
+	return figure(cfg, "table1", "Table I: execution time breakdown",
+		cfg.zipfs(tableZipfs), arms("cbase", "csh", "gbase", "gsh"),
+		Row{"Cbase partition", "cbase", phase("partition")},
+		Row{"Cbase join", "cbase", phase("join")},
+		// CSH's sample+part includes all skewed-tuple result generation.
+		Row{"CSH sample+part", "csh", phase("sample", "partition")},
+		Row{"CSH NM-join", "csh", phase("nmjoin")},
+		Row{"Gbase partition", "gbase", phase("partition")},
+		Row{"Gbase join", "gbase", phase("join")},
+		Row{"GSH partition", "gsh", phase("partition")},
+		// GSH's all other: detection, division, NM-join and skew-join all
+		// process skewed tuples toward join results.
+		Row{"GSH all other", "gsh", func(c *Cell) time.Duration {
+			return time.Duration(c.BestNS) - c.phases("partition", "transfer")
+		}})
 }
 
-// SpeedupReport summarises the paper's headline claims: the maximum
-// improvement of CSH over Cbase and of GSH over Gbase across the
-// medium-to-high skew range (paper: up to 8.0x and 13.5x for zipf 0.5–1.0).
-type SpeedupReport struct {
-	Zipfs      []float64
-	CSHSpeedup []float64 // Cbase total / CSH total per zipf
-	GSHSpeedup []float64 // Gbase total / GSH total per zipf
-	MaxCSH     float64
-	MaxGSH     float64
-	Errors     []string
+// Speedup summarises the paper's headline claims: the improvement of CSH
+// over Cbase and of GSH over Gbase across the medium-to-high skew range
+// (paper: up to 8.0x and 13.5x for zipf 0.5–1.0). The CPU joins keep the
+// best of Config.Repeats runs; the modelled GPU times are deterministic
+// and run once.
+func Speedup(cfg Config) (*Artifact, error) {
+	return Run(cfg, &Sweep{Name: "speedup", Zipfs: cfg.zipfs(tableZipfs),
+		Arms: arms("cbase", "csh", "gbase", "gsh"), Measure: cfg.join, Print: printSpeedup})
 }
 
-// Fprint renders the speedup report.
-func (sr *SpeedupReport) Fprint(w io.Writer) {
+// speedups returns base's best over mine's best at every zipf.
+func (a *Artifact) speedups(base, mine string) []float64 {
+	out := make([]float64, len(a.sweep.Zipfs))
+	for i, z := range a.sweep.Zipfs {
+		out[i] = ratio(a.cell(z, base).BestNS, a.cell(z, mine).BestNS)
+	}
+	return out
+}
+
+func printSpeedup(w io.Writer, a *Artifact) {
 	fmt.Fprintln(w, "== Speedups over the baselines (paper: up to 8.0x CPU, 13.5x GPU) ==")
 	fmt.Fprintf(w, "%-14s", "zipf")
-	for _, z := range sr.Zipfs {
+	for _, z := range a.sweep.Zipfs {
 		fmt.Fprintf(w, "%9.1f", z)
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-14s", "CSH vs Cbase")
-	for _, v := range sr.CSHSpeedup {
-		fmt.Fprintf(w, "%8.2fx", v)
+	var best [2]float64
+	for i, pair := range [][3]string{{"CSH vs Cbase", "cbase", "csh"}, {"GSH vs Gbase", "gbase", "gsh"}} {
+		fmt.Fprintf(w, "%-14s", pair[0])
+		for _, v := range a.speedups(pair[1], pair[2]) {
+			fmt.Fprintf(w, "%8.2fx", v)
+			best[i] = max(best[i], v)
+		}
+		fmt.Fprintln(w)
 	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-14s", "GSH vs Gbase")
-	for _, v := range sr.GSHSpeedup {
-		fmt.Fprintf(w, "%8.2fx", v)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "max CSH speedup: %.2fx, max GSH speedup: %.2fx\n", sr.MaxCSH, sr.MaxGSH)
-	for _, e := range sr.Errors {
-		fmt.Fprintf(w, "VERIFICATION FAILED: %s\n", e)
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "max CSH speedup: %.2fx, max GSH speedup: %.2fx\n", best[0], best[1])
 }
 
-// Speedup computes the speedup sweep over the medium-to-high skew range.
-func Speedup(cfg Config) (*SpeedupReport, error) {
-	cfg = cfg.Defaults()
-	sr := &SpeedupReport{Zipfs: cfg.TableZipfs}
-	for _, z := range cfg.TableZipfs {
-		w, err := MakeWorkload(cfg.Tuples, z, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		cbT, cbS := bestOf(cfg.Repeats, func() (time.Duration, outbuf.Summary) {
-			res := cbase.Join(w.R, w.S, cbase.Config{Threads: cfg.Threads})
-			return res.Total(), res.Summary
-		})
-		csT, csS := bestOf(cfg.Repeats, func() (time.Duration, outbuf.Summary) {
-			res := csh.Join(w.R, w.S, csh.Config{Threads: cfg.Threads})
-			return res.Total(), res.Summary
-		})
-		gbT, gbS := bestOf(1, func() (time.Duration, outbuf.Summary) { // modelled: deterministic
-			res := gbase.Join(w.R, w.S, gbase.Config{Device: cfg.Device})
-			return res.Total(), res.Summary
-		})
-		gsT, gsS := bestOf(1, func() (time.Duration, outbuf.Summary) {
-			res := gsh.Join(w.R, w.S, gsh.Config{Device: cfg.Device})
-			return res.Total(), res.Summary
-		})
-		for _, chk := range []struct {
-			name string
-			got  outbuf.Summary
-		}{{"cbase", cbS}, {"csh", csS}, {"gbase", gbS}, {"gsh", gsS}} {
-			if chk.got != w.Expected {
-				sr.Errors = append(sr.Errors,
-					fmt.Sprintf("%s @ zipf %.1f: output %+v, expected %+v", chk.name, z, chk.got, w.Expected))
-			}
-		}
-		cshUp := ratio(cbT, csT)
-		gshUp := ratio(gbT, gsT)
-		sr.CSHSpeedup = append(sr.CSHSpeedup, cshUp)
-		sr.GSHSpeedup = append(sr.GSHSpeedup, gshUp)
-		if cshUp > sr.MaxCSH {
-			sr.MaxCSH = cshUp
-		}
-		if gshUp > sr.MaxGSH {
-			sr.MaxGSH = gshUp
-		}
-	}
-	return sr, nil
+// Large runs the §V-B scale-up experiment: bigger tables at zipf 0.7. The
+// paper scales 32M-tuple tables to 560M (17.5x); this reproduction scales
+// the configured size by 8x, which preserves the regime (see DESIGN.md §1).
+func Large(cfg Config) (*Artifact, error) {
+	n := cfg.Defaults().Tuples * 8
+	return Run(cfg, &Sweep{Name: "large", Zipfs: []float64{0.7},
+		Workload: func(_ int, theta float64, seed int64) (Workload, error) { return MakeWorkload(n, theta, seed) },
+		Arms:     arms("cbase", "csh", "gbase", "gsh"), Measure: cfg.join,
+		Config: map[string]any{"tuples": n}, Print: printLarge})
 }
 
-// LargeReport is the §V-B scale-up experiment: bigger tables at zipf 0.7.
-type LargeReport struct {
-	Tuples                 int
-	CbaseTotal, CSHTotal   time.Duration
-	GbaseTotal, GSHTotal   time.Duration
-	CSHSpeedup, GSHSpeedup float64
-	Errors                 []string
+func printLarge(w io.Writer, a *Artifact) {
+	d := func(arm string) string { return FormatDuration(time.Duration(a.cell(0.7, arm).BestNS)) }
+	fmt.Fprintf(w, "== Scale-up experiment (zipf 0.7, %d tuples/table; paper: CSH 3.5x, GSH 10.4x) ==\n", a.Config["tuples"])
+	fmt.Fprintf(w, "Cbase %s   CSH %s   -> %.2fx\n", d("cbase"), d("csh"), a.speedups("cbase", "csh")[0])
+	fmt.Fprintf(w, "Gbase %s*  GSH %s*  -> %.2fx\n", d("gbase"), d("gsh"), a.speedups("gbase", "gsh")[0])
 }
 
-// Fprint renders the scale-up report.
-func (lr *LargeReport) Fprint(w io.Writer) {
-	fmt.Fprintf(w, "== Scale-up experiment (zipf 0.7, %d tuples/table; paper: CSH 3.5x, GSH 10.4x) ==\n", lr.Tuples)
-	fmt.Fprintf(w, "Cbase %s   CSH %s   -> %.2fx\n",
-		FormatDuration(lr.CbaseTotal), FormatDuration(lr.CSHTotal), lr.CSHSpeedup)
-	fmt.Fprintf(w, "Gbase %s*  GSH %s*  -> %.2fx\n",
-		FormatDuration(lr.GbaseTotal), FormatDuration(lr.GSHTotal), lr.GSHSpeedup)
-	for _, e := range lr.Errors {
-		fmt.Fprintf(w, "VERIFICATION FAILED: %s\n", e)
-	}
-	fmt.Fprintln(w)
-}
-
-// Large runs the scale-up experiment. The paper scales 32M-tuple tables to
-// 560M (17.5x); this reproduction scales the configured size by 8x, which
-// preserves the regime (see DESIGN.md §1).
-func Large(cfg Config) (*LargeReport, error) {
-	cfg = cfg.Defaults()
-	n := cfg.Tuples * 8
-	w, err := MakeWorkload(n, 0.7, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	lr := &LargeReport{Tuples: n}
-	cbT, cbS := bestOf(cfg.Repeats, func() (time.Duration, outbuf.Summary) {
-		res := cbase.Join(w.R, w.S, cbase.Config{Threads: cfg.Threads})
-		return res.Total(), res.Summary
-	})
-	csT, csS := bestOf(cfg.Repeats, func() (time.Duration, outbuf.Summary) {
-		res := csh.Join(w.R, w.S, csh.Config{Threads: cfg.Threads})
-		return res.Total(), res.Summary
-	})
-	gbT, gbS := bestOf(1, func() (time.Duration, outbuf.Summary) {
-		res := gbase.Join(w.R, w.S, gbase.Config{Device: cfg.Device})
-		return res.Total(), res.Summary
-	})
-	gsT, gsS := bestOf(1, func() (time.Duration, outbuf.Summary) {
-		res := gsh.Join(w.R, w.S, gsh.Config{Device: cfg.Device})
-		return res.Total(), res.Summary
-	})
-	for _, chk := range []struct {
-		name string
-		got  outbuf.Summary
-	}{{"cbase", cbS}, {"csh", csS}, {"gbase", gbS}, {"gsh", gsS}} {
-		if chk.got != w.Expected {
-			lr.Errors = append(lr.Errors,
-				fmt.Sprintf("%s: output %+v, expected %+v", chk.name, chk.got, w.Expected))
-		}
-	}
-	lr.CbaseTotal, lr.CSHTotal = cbT, csT
-	lr.GbaseTotal, lr.GSHTotal = gbT, gsT
-	lr.CSHSpeedup = ratio(cbT, csT)
-	lr.GSHSpeedup = ratio(gbT, gsT)
-	return lr, nil
-}
-
-// bestOf runs fn `repeats` times and returns the fastest time with its
-// summary.
-func bestOf(repeats int, fn func() (time.Duration, outbuf.Summary)) (time.Duration, outbuf.Summary) {
-	bestT, bestS := fn()
-	for i := 1; i < repeats; i++ {
-		if t, s := fn(); t < bestT {
-			bestT, bestS = t, s
-		}
-	}
-	return bestT, bestS
-}
-
-func ratio(base, mine time.Duration) float64 {
+func ratio(base, mine int64) float64 {
 	if mine <= 0 {
 		return 0
 	}
 	return float64(base) / float64(mine)
-}
-
-func phase(ps []exec.Phase, name string) time.Duration {
-	var sum time.Duration
-	for _, p := range ps {
-		if p.Name == name {
-			sum += p.Duration
-		}
-	}
-	return sum
 }

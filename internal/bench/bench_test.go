@@ -9,103 +9,101 @@ import (
 // tiny returns a configuration small enough for unit testing the harness.
 func tiny() Config {
 	return Config{
-		Tuples:     4000,
-		Threads:    2,
-		Seed:       7,
-		Zipfs:      []float64{0, 0.5, 1.0},
-		TableZipfs: []float64{0.5, 1.0},
+		Tuples:  4000,
+		Threads: 2,
+		Seed:    7,
+		Zipfs:   []float64{0, 0.5, 1.0},
 	}
+}
+
+// verified runs an experiment and fails the test on a run error or a
+// verification error.
+func verified(t *testing.T, exp func(Config) (*Artifact, error), cfg Config) *Artifact {
+	t.Helper()
+	a, err := exp(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Errors) > 0 {
+		t.Fatalf("verification errors: %v", a.Errors)
+	}
+	return a
+}
+
+// rowNames returns a figure's row names in order.
+func rowNames(a *Artifact) []string {
+	var names []string
+	for _, r := range a.sweep.Rows {
+		names = append(names, r.Name)
+	}
+	return names
 }
 
 func TestFig1RunsAndVerifies(t *testing.T) {
-	rep, err := Fig1(tiny())
-	if err != nil {
-		t.Fatal(err)
+	a := verified(t, Fig1, tiny())
+	if len(a.sweep.Rows) != 4 {
+		t.Fatalf("series = %d", len(a.sweep.Rows))
 	}
-	if len(rep.Errors) > 0 {
-		t.Fatalf("verification errors: %v", rep.Errors)
-	}
-	if len(rep.Series) != 4 {
-		t.Fatalf("series = %d", len(rep.Series))
-	}
-	for _, s := range rep.Series {
-		if len(s.Cells) != 3 {
-			t.Errorf("series %s has %d cells", s.Name, len(s.Cells))
+	for _, r := range a.sweep.Rows {
+		ds, _ := a.row(r)
+		if len(ds) != 3 {
+			t.Errorf("series %s has %d cells", r.Name, len(ds))
 		}
-	}
-}
-
-func TestFig4aRunsAndVerifies(t *testing.T) {
-	rep, err := Fig4a(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Errors) > 0 {
-		t.Fatalf("verification errors: %v", rep.Errors)
-	}
-	names := []string{"Cbase", "cbase-npj", "CSH"}
-	for i, s := range rep.Series {
-		if s.Name != names[i] {
-			t.Errorf("series %d = %s, want %s", i, s.Name, names[i])
-		}
-	}
-}
-
-func TestFig4bRunsAndVerifies(t *testing.T) {
-	rep, err := Fig4b(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Errors) > 0 {
-		t.Fatalf("verification errors: %v", rep.Errors)
-	}
-	for _, s := range rep.Series {
-		for _, c := range s.Cells {
-			if !c.Modelled {
-				t.Errorf("GPU cell not marked modelled in %s", s.Name)
+		for i, d := range ds {
+			if d <= 0 {
+				t.Errorf("series %s cell %d = %v", r.Name, i, d)
 			}
 		}
 	}
 }
 
+func TestFig4aRunsAndVerifies(t *testing.T) {
+	a := verified(t, Fig4a, tiny())
+	if got, want := strings.Join(rowNames(a), ","), "Cbase,cbase-npj,CSH"; got != want {
+		t.Errorf("series = %s, want %s", got, want)
+	}
+}
+
+func TestFig4bRunsAndVerifies(t *testing.T) {
+	a := verified(t, Fig4b, tiny())
+	for _, c := range a.Cells {
+		if !c.Modelled {
+			t.Errorf("GPU cell not marked modelled in %s", c.Arm)
+		}
+	}
+}
+
 func TestTable1HasPaperRows(t *testing.T) {
-	rep, err := Table1(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Errors) > 0 {
-		t.Fatalf("verification errors: %v", rep.Errors)
-	}
+	a := verified(t, Table1, tiny())
 	want := []string{
 		"Cbase partition", "Cbase join",
 		"CSH sample+part", "CSH NM-join",
 		"Gbase partition", "Gbase join",
 		"GSH partition", "GSH all other",
 	}
-	if len(rep.Series) != len(want) {
-		t.Fatalf("rows = %d", len(rep.Series))
-	}
-	for i, s := range rep.Series {
-		if s.Name != want[i] {
-			t.Errorf("row %d = %q, want %q", i, s.Name, want[i])
-		}
+	if got := rowNames(a); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("rows = %q, want %q", got, want)
 	}
 }
 
 func TestSpeedupRuns(t *testing.T) {
-	rep, err := Speedup(tiny())
-	if err != nil {
-		t.Fatal(err)
+	cfg := tiny()
+	cfg.Zipfs = []float64{0.5, 1.0}
+	a := verified(t, Speedup, cfg)
+	csh, gsh := a.speedups("cbase", "csh"), a.speedups("gbase", "gsh")
+	if len(csh) != 2 || len(gsh) != 2 {
+		t.Fatalf("speedups = %v / %v", csh, gsh)
 	}
-	if len(rep.Errors) > 0 {
-		t.Fatalf("verification errors: %v", rep.Errors)
-	}
-	if len(rep.CSHSpeedup) != 2 || len(rep.GSHSpeedup) != 2 {
-		t.Fatalf("speedups = %v / %v", rep.CSHSpeedup, rep.GSHSpeedup)
-	}
-	for _, v := range append(append([]float64{}, rep.CSHSpeedup...), rep.GSHSpeedup...) {
+	for _, v := range append(csh, gsh...) {
 		if v <= 0 {
 			t.Errorf("non-positive speedup %g", v)
+		}
+	}
+	// The CPU joins keep the best of three runs; the modelled GPU joins
+	// are deterministic and run once.
+	for _, c := range a.Cells {
+		if want := map[bool]int{false: 3, true: 1}[c.Modelled]; len(c.RunsNS) != want {
+			t.Errorf("%s @ %.1f: %d runs, want %d", c.Arm, c.Zipf, len(c.RunsNS), want)
 		}
 	}
 }
@@ -113,25 +111,16 @@ func TestSpeedupRuns(t *testing.T) {
 func TestLargeRuns(t *testing.T) {
 	cfg := tiny()
 	cfg.Tuples = 2000 // Large() multiplies by 8
-	rep, err := Large(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Errors) > 0 {
-		t.Fatalf("verification errors: %v", rep.Errors)
-	}
-	if rep.Tuples != 16000 {
-		t.Errorf("tuples = %d", rep.Tuples)
+	a := verified(t, Large, cfg)
+	if a.Config["tuples"] != 16000 {
+		t.Errorf("tuples = %v", a.Config["tuples"])
 	}
 }
 
 func TestReportFprint(t *testing.T) {
-	rep, err := Fig4b(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := verified(t, Fig4b, tiny())
 	var sb strings.Builder
-	rep.Fprint(&sb)
+	a.Fprint(&sb)
 	out := sb.String()
 	for _, want := range []string{"Figure 4b", "Gbase", "GSH", "0.5"} {
 		if !strings.Contains(out, want) {
@@ -144,63 +133,42 @@ func TestReportFprint(t *testing.T) {
 }
 
 func TestMemoryRunsAndVerifies(t *testing.T) {
-	rep, err := Memory(tiny())
-	if err != nil {
-		t.Fatal(err)
+	a := verified(t, Memory, tiny())
+	if len(a.sweep.Arms) != 6 {
+		t.Fatalf("series = %d", len(a.sweep.Arms))
 	}
-	if len(rep.Errors) > 0 {
-		t.Fatalf("verification errors: %v", rep.Errors)
-	}
-	if len(rep.Series) != 6 {
-		t.Fatalf("series = %d", len(rep.Series))
-	}
-	for _, s := range rep.Series {
-		for i, b := range s.Bytes {
-			if b == 0 {
-				t.Errorf("%s cell %d recorded zero allocations", s.Name, i)
-			}
+	for _, c := range a.Cells {
+		if c.num("alloc_bytes") == 0 {
+			t.Errorf("%s @ %.1f recorded zero allocations", c.Arm, c.Zipf)
 		}
 	}
 	var sb strings.Builder
-	rep.Fprint(&sb)
+	a.Fprint(&sb)
 	if !strings.Contains(sb.String(), "heap allocations") {
 		t.Error("output missing title")
 	}
 }
 
 func TestSortVsHashRunsAndVerifies(t *testing.T) {
-	rep, err := SortVsHash(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Errors) > 0 {
-		t.Fatalf("verification errors: %v", rep.Errors)
-	}
-	if len(rep.Series) != 6 {
-		t.Fatalf("series = %d", len(rep.Series))
+	a := verified(t, SortVsHash, tiny())
+	if len(a.sweep.Rows) != 6 {
+		t.Fatalf("series = %d", len(a.sweep.Rows))
 	}
 }
 
 func TestAnalysisTracksSkew(t *testing.T) {
-	rep, err := Analysis(tiny())
-	if err != nil {
-		t.Fatal(err)
+	a := verified(t, Analysis, tiny())
+	if len(a.Cells) != 3 {
+		t.Fatalf("rows = %d", len(a.Cells))
 	}
-	if len(rep.Rows) != 3 {
-		t.Fatalf("rows = %d", len(rep.Rows))
-	}
-	low, high := rep.Rows[0], rep.Rows[2] // zipf 0 and 1.0
-	if high.TopKeyFreq <= low.TopKeyFreq {
-		t.Errorf("top-key frequency should grow with skew: %d vs %d", low.TopKeyFreq, high.TopKeyFreq)
-	}
-	if high.MaxChain <= low.MaxChain {
-		t.Errorf("max chain should grow with skew: %d vs %d", low.MaxChain, high.MaxChain)
-	}
-	if high.MaxTaskShare <= low.MaxTaskShare {
-		t.Errorf("max task share should grow with skew: %g vs %g", low.MaxTaskShare, high.MaxTaskShare)
+	low, high := a.Cells[0], a.Cells[2] // zipf 0 and 1.0
+	for _, m := range []string{"top_key_freq", "max_chain", "max_task_share"} {
+		if high.num(m) <= low.num(m) {
+			t.Errorf("%s should grow with skew: %g vs %g", m, low.num(m), high.num(m))
+		}
 	}
 	var sb strings.Builder
-	rep.Fprint(&sb)
+	a.Fprint(&sb)
 	if !strings.Contains(sb.String(), "max-chain") {
 		t.Error("Fprint output missing header")
 	}

@@ -8,10 +8,11 @@
 // profile the planner correctly degenerates). The pinned "cpu" and "gpu"
 // policies are the single-backend control rows — they run through the
 // same split executor, so the partition/plan prefix cancels out of every
-// comparison — and "static" is the naive round-robin placement the cost
-// model has to beat. Every cell records the model's predicted makespan
-// next to the measured one; the residual is the model's honesty metric,
-// reported rather than hidden.
+// comparison — "static" is the naive round-robin placement the cost
+// model has to beat, and "model-aa" re-runs the model policy as the A/A
+// control. Every cell records the model's predicted makespan next to the
+// measured one; the residual is the model's honesty metric, reported
+// rather than hidden.
 //
 // The harness asserts, per (zipf, hostpar) group, that the model policy's
 // join-side makespan is at most maxRegression times the better control
@@ -20,6 +21,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -27,60 +29,8 @@ import (
 
 	"skewjoin"
 	"skewjoin/internal/exec"
+	"skewjoin/internal/outbuf"
 )
-
-// CoprocCell is one measured (zipf, policy, hostpar) combination. The
-// join-side times follow the executor's hybrid clock: CPUJoinNS is host
-// busy time per worker, GPUJoinNS/GPUTransferNS are modelled device time,
-// and MakespanNS is the max of the two sides — the overlapped join-phase
-// time. MakespanNS is the minimum across the repeat runs.
-type CoprocCell struct {
-	Zipf            float64 `json:"zipf"`
-	Policy          string  `json:"policy"`
-	HostParallelism int     `json:"host_parallelism"`
-	// Split reports whether the executed plan used both backends;
-	// Degenerate names the single backend otherwise.
-	Split      bool   `json:"split"`
-	Degenerate string `json:"degenerate,omitempty"`
-	CPUParts   int    `json:"cpu_parts"`
-	GPUParts   int    `json:"gpu_parts"`
-	// Times (minimum over repeats, except the deterministic GPU side
-	// which must not vary).
-	CPUJoinNS     int64 `json:"cpu_join_ns"`
-	GPUJoinNS     int64 `json:"gpu_join_ns"`
-	GPUTransferNS int64 `json:"gpu_transfer_ns"`
-	MakespanNS    int64 `json:"makespan_ns"`
-	// PredictedMakespanNS is the cost model's forecast of MakespanNS;
-	// PredErrPct = |predicted-actual|/actual * 100.
-	PredictedMakespanNS int64   `json:"predicted_makespan_ns"`
-	PredErrPct          float64 `json:"pred_err_pct"`
-	// Imbalance is max(side)/min(side) when both backends ran.
-	Imbalance float64 `json:"imbalance,omitempty"`
-	// Fragmented reports the plan cut the hottest partition itself across
-	// both backends (build replicated, probe split into CPUFragments +
-	// GPUFragments sub-ranges). At zipf >= fragmentGateZipf the model
-	// policy is required to fragment and to beat the better single-backend
-	// control — the whole point of intra-partition fragment-and-replicate.
-	Fragmented   bool `json:"fragmented,omitempty"`
-	CPUFragments int  `json:"cpu_fragments,omitempty"`
-	GPUFragments int  `json:"gpu_fragments,omitempty"`
-}
-
-// CoprocReport is the full co-processing benchmark: the committed
-// BENCH_coproc.json is exactly this structure.
-type CoprocReport struct {
-	Tuples      int                  `json:"tuples"`
-	Seed        int64                `json:"seed"`
-	Threads     int                  `json:"threads"`
-	Repeats     int                  `json:"repeats"`
-	Device      string               `json:"device"`
-	Calibration skewjoin.Calibration `json:"calibration"`
-	Zipfs       []float64            `json:"zipfs"`
-	Hostpars    []int                `json:"hostpars"`
-	Policies    []string             `json:"policies"`
-	Cells       []CoprocCell         `json:"cells"`
-	Errors      []string             `json:"errors,omitempty"`
-}
 
 // coprocZipfs is the default skew sweep: uniform (where the plan must
 // degenerate), the paper's full-skew point, and the deep-skew tail. Past
@@ -100,15 +50,6 @@ const fragmentGateZipf = 1.2
 // coprocHostpars: serial simulation and a small host pool.
 var coprocHostpars = []int{0, 4}
 
-// coprocPolicies: the model under test, the naive placement, and the two
-// pinned single-backend controls.
-var coprocPolicies = []skewjoin.SplitPolicy{
-	skewjoin.SplitPolicyModel,
-	skewjoin.SplitPolicyStatic,
-	skewjoin.SplitPolicyCPU,
-	skewjoin.SplitPolicyGPU,
-}
-
 // maxRegression and regressionEpsilonNs bound how much worse than the
 // better single-backend control the model policy may measure before the
 // run fails: 5% relative plus 5ms absolute (sub-millisecond joins are all
@@ -118,13 +59,83 @@ const (
 	regressionEpsilonNs = 5e6
 )
 
+// coprocSweep measures the split executor under the model under test, the
+// naive placement, the two pinned single-backend controls and the model's
+// A/A twin (the arms), at each host parallelism (the groups). One
+// calibration serves every cell, so every plan is comparable.
+func coprocSweep(cfg Config, cal skewjoin.Calibration, device skewjoin.DeviceConfig, threads int) *Sweep {
+	var groups []Group
+	for _, hp := range coprocHostpars {
+		groups = append(groups, Group{Label: fmt.Sprintf("hostpar=%d", hp), Par: hp})
+	}
+	return &Sweep{
+		Name: "coproc", Zipfs: cfg.zipfs(coprocZipfs),
+		Arms: []Arm{
+			{"model", skewjoin.SplitPolicyModel}, {"static", skewjoin.SplitPolicyStatic},
+			{"cpu", skewjoin.SplitPolicyCPU}, {"gpu", skewjoin.SplitPolicyGPU},
+			{"model-aa", skewjoin.SplitPolicyModel},
+		},
+		Twin:   [2]string{"model", "model-aa"},
+		Groups: func(*Workload) ([]Group, error) { return groups, nil },
+		Measure: func(w *Workload, g Group, a Arm) (Sample, error) {
+			dev := device
+			dev.HostParallelism = g.Par.(int)
+			res, err := skewjoin.Join(skewjoin.Split, w.R, w.S, &skewjoin.Options{
+				Threads: threads, Device: dev,
+				SplitPolicy: a.Par.(skewjoin.SplitPolicy), Calibration: &cal,
+				SplitMinWinNs: cfg.SplitMinWinNs,
+			})
+			if err != nil {
+				return Sample{}, err
+			}
+			st := res.Split
+			if st == nil || st.Plan == nil {
+				return Sample{}, errors.New("split run missing stats")
+			}
+			// The join-side times follow the executor's hybrid clock: CPU
+			// busy time per worker, modelled GPU time, and the makespan
+			// max(CPU, GPU) — the overlapped join-phase time. The plan and
+			// the GPU side are deterministic and must repeat exactly.
+			makespan := st.JoinSideNs()
+			predErr := 0.0
+			if makespan > 0 {
+				predErr = 100 * math.Abs(float64(st.Plan.PredictedMakespanNs-makespan)) / float64(makespan)
+			}
+			degenerate := ""
+			if !st.Plan.Split {
+				degenerate = string(st.Plan.Degenerate)
+			}
+			return Sample{Clock: time.Duration(makespan), Out: &outbuf.Summary{Count: res.Matches, Checksum: res.Checksum},
+				Metrics: []Metric{
+					{Name: "split", Value: st.Plan.Split, Fixed: true},
+					{Name: "degenerate", Value: degenerate, Fixed: true},
+					{Name: "cpu_parts", Value: len(st.Plan.CPUParts), Fixed: true},
+					{Name: "gpu_parts", Value: len(st.Plan.GPUParts), Fixed: true},
+					// The plan cut the hottest partition itself across both
+					// backends: build replicated, probe split into
+					// sub-ranges.
+					{Name: "fragmented", Value: st.Fragmented(), Fixed: true},
+					{Name: "cpu_fragments", Value: st.CPUFragments, Fixed: true},
+					{Name: "gpu_fragments", Value: st.GPUFragments, Fixed: true},
+					{Name: "gpu_join_ns", Value: st.GPUJoinNs, Fixed: true},
+					{Name: "gpu_transfer_ns", Value: st.GPUTransferNs, Fixed: true},
+					{Name: "predicted_makespan_ns", Value: st.Plan.PredictedMakespanNs, Fixed: true},
+					{Name: "cpu_join_ns", Value: st.CPUJoinNs},
+					{Name: "makespan_ns", Value: makespan},
+					{Name: "pred_err_pct", Value: predErr},
+					{Name: "imbalance", Value: st.Imbalance},
+				}}, nil
+		},
+		Gate: coprocGate,
+		Config: map[string]any{"threads": threads, "calibration": cal,
+			"device": fmt.Sprintf("coupled/shm=%dKiB", device.SharedMemBytes>>10)},
+		Print: printCoproc,
+	}
+}
+
 // CoprocBench measures the split executor across zipf, placement policy
 // and host parallelism on the coupled device profile.
-func CoprocBench(cfg Config) (*CoprocReport, error) {
-	zipfs := coprocZipfs
-	if len(cfg.Zipfs) > 0 && len(cfg.Zipfs) != 11 {
-		zipfs = cfg.Zipfs
-	}
+func CoprocBench(cfg Config) (*Artifact, error) {
 	cfg = cfg.Defaults()
 	threads := cfg.Threads
 	if threads <= 0 {
@@ -138,191 +149,85 @@ func CoprocBench(cfg Config) (*CoprocReport, error) {
 	if cfg.Device.SharedMemBytes > 0 {
 		device.SharedMemBytes = cfg.Device.SharedMemBytes
 	}
-	rep := &CoprocReport{
-		Tuples:   cfg.Tuples,
-		Seed:     cfg.Seed,
-		Threads:  threads,
-		Repeats:  cfg.Repeats,
-		Device:   fmt.Sprintf("coupled/shm=%dKiB", device.SharedMemBytes>>10),
-		Zipfs:    zipfs,
-		Hostpars: coprocHostpars,
-	}
-	for _, p := range coprocPolicies {
-		rep.Policies = append(rep.Policies, string(p))
-	}
-
 	// One calibration serves the whole report (the constants are host
 	// properties); fitting it on the first workload keeps every cell's
 	// plan comparable.
-	w0, err := MakeWorkload(cfg.Tuples, zipfs[0], cfg.Seed)
+	w0, err := MakeWorkload(cfg.Tuples, cfg.zipfs(coprocZipfs)[0], cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	cal := skewjoin.Calibrate(w0.R, w0.S, threads)
-	rep.Calibration = cal
-
-	for _, z := range zipfs {
-		w, err := MakeWorkload(cfg.Tuples, z, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		for _, hostpar := range coprocHostpars {
-			dev := device
-			dev.HostParallelism = hostpar
-			group := make([]CoprocCell, 0, len(coprocPolicies))
-			for _, policy := range coprocPolicies {
-				cell := CoprocCell{Zipf: z, Policy: string(policy), HostParallelism: hostpar}
-				for it := 0; it < cfg.Repeats; it++ {
-					res, err := skewjoin.Join(skewjoin.Split, w.R, w.S, &skewjoin.Options{
-						Threads: threads, Device: dev,
-						SplitPolicy: policy, Calibration: &cal,
-						SplitMinWinNs: cfg.SplitMinWinNs,
-					})
-					if err != nil {
-						return nil, err
-					}
-					got := res.Summary()
-					if got.Matches != w.Expected.Count || got.Checksum != w.Expected.Checksum {
-						rep.Errors = append(rep.Errors, fmt.Sprintf(
-							"%s hostpar=%d @ zipf %.2f: output mismatch", policy, hostpar, z))
-						continue
-					}
-					foldCoproc(&cell, res.Split, rep)
-				}
-				if cell.MakespanNS > 0 {
-					cell.PredErrPct = 100 * math.Abs(float64(cell.PredictedMakespanNS)-float64(cell.MakespanNS)) /
-						float64(cell.MakespanNS)
-				}
-				group = append(group, cell)
-			}
-			checkCoprocGroup(group, rep)
-			rep.Cells = append(rep.Cells, group...)
-		}
-	}
-	return rep, nil
+	return Run(cfg, coprocSweep(cfg, skewjoin.Calibrate(w0.R, w0.S, threads), device, threads))
 }
 
-// foldCoproc folds one run into its cell: minimum join-side makespan (and
-// the CPU busy time that produced it); the plan and the GPU side are
-// deterministic and pinned by the first run.
-func foldCoproc(c *CoprocCell, st *skewjoin.SplitStats, rep *CoprocReport) {
-	if st == nil || st.Plan == nil {
-		rep.Errors = append(rep.Errors, fmt.Sprintf(
-			"%s hostpar=%d @ zipf %.2f: split run missing stats", c.Policy, c.HostParallelism, c.Zipf))
-		return
-	}
-	if c.MakespanNS == 0 {
-		c.Split = st.Plan.Split
-		if !st.Plan.Split {
-			c.Degenerate = string(st.Plan.Degenerate)
-		}
-		c.CPUParts = len(st.Plan.CPUParts)
-		c.GPUParts = len(st.Plan.GPUParts)
-		c.Fragmented = st.Fragmented()
-		c.CPUFragments = st.CPUFragments
-		c.GPUFragments = st.GPUFragments
-		c.GPUJoinNS = st.GPUJoinNs
-		c.GPUTransferNS = st.GPUTransferNs
-		c.PredictedMakespanNS = st.Plan.PredictedMakespanNs
-		c.CPUJoinNS = st.CPUJoinNs
-		c.MakespanNS = st.JoinSideNs()
-		c.Imbalance = st.Imbalance
-		return
-	}
-	if gpu := st.GPUJoinNs + st.GPUTransferNs; gpu != c.GPUJoinNS+c.GPUTransferNS {
-		rep.Errors = append(rep.Errors, fmt.Sprintf(
-			"%s hostpar=%d @ zipf %.2f: modelled GPU time changed across repeats (%d ns vs %d ns)",
-			c.Policy, c.HostParallelism, c.Zipf, gpu, c.GPUJoinNS+c.GPUTransferNS))
-	}
-	if m := st.JoinSideNs(); m < c.MakespanNS {
-		c.MakespanNS = m
-		c.CPUJoinNS = st.CPUJoinNs
-		c.Imbalance = st.Imbalance
-	}
-}
-
-// checkCoprocGroup asserts the model policy never measurably loses to the
+// coprocGate asserts the model policy never measurably loses to the
 // better pinned single-backend control of its (zipf, hostpar) group, and
 // — strictly, at deep skew — that the model fragments the hot partition
 // and measurably beats that control: at zipf >= fragmentGateZipf an
 // atomic (whole-partition) placement cannot win, so a model cell that
 // didn't fragment or didn't come out ahead is a regression, not noise.
-func checkCoprocGroup(group []CoprocCell, rep *CoprocReport) {
-	var model *CoprocCell
+func coprocGate(group []Cell) []string {
+	var model *Cell
 	better := int64(math.MaxInt64)
 	for i := range group {
 		c := &group[i]
-		switch c.Policy {
-		case string(skewjoin.SplitPolicyModel):
+		switch c.Arm {
+		case "model":
 			model = c
-		case string(skewjoin.SplitPolicyCPU), string(skewjoin.SplitPolicyGPU):
-			if c.MakespanNS > 0 && c.MakespanNS < better {
-				better = c.MakespanNS
+		case "cpu", "gpu":
+			if c.BestNS > 0 && c.BestNS < better {
+				better = c.BestNS
 			}
 		}
 	}
-	if model == nil || model.MakespanNS == 0 || better == math.MaxInt64 {
-		return
+	if model == nil || model.BestNS == 0 || better == math.MaxInt64 {
+		return nil
 	}
+	var errs []string
 	limit := int64(maxRegression*float64(better)) + regressionEpsilonNs
-	if model.MakespanNS > limit {
-		rep.Errors = append(rep.Errors, fmt.Sprintf(
-			"model policy hostpar=%d @ zipf %.2f: makespan %s exceeds %.0f%%+eps of better control %s",
-			model.HostParallelism, model.Zipf,
-			FormatDuration(time.Duration(model.MakespanNS)),
-			(maxRegression-1)*100,
-			FormatDuration(time.Duration(better))))
+	if model.BestNS > limit {
+		errs = append(errs, fmt.Sprintf(
+			"model policy %s @ zipf %.2f: makespan %s exceeds %.0f%%+eps of better control %s",
+			model.Group, model.Zipf, FormatDuration(time.Duration(model.BestNS)),
+			(maxRegression-1)*100, FormatDuration(time.Duration(better))))
 	}
 	if model.Zipf >= fragmentGateZipf {
-		if !model.Fragmented {
-			rep.Errors = append(rep.Errors, fmt.Sprintf(
-				"model policy hostpar=%d @ zipf %.2f: deep-skew cell did not fragment the hot partition",
-				model.HostParallelism, model.Zipf))
+		if model.Metrics["fragmented"] != true {
+			errs = append(errs, fmt.Sprintf(
+				"model policy %s @ zipf %.2f: deep-skew cell did not fragment the hot partition",
+				model.Group, model.Zipf))
 		}
-		if model.MakespanNS >= better {
-			rep.Errors = append(rep.Errors, fmt.Sprintf(
-				"model policy hostpar=%d @ zipf %.2f: fragmented makespan %s does not beat better control %s",
-				model.HostParallelism, model.Zipf,
-				FormatDuration(time.Duration(model.MakespanNS)),
+		if model.BestNS >= better {
+			errs = append(errs, fmt.Sprintf(
+				"model policy %s @ zipf %.2f: fragmented makespan %s does not beat better control %s",
+				model.Group, model.Zipf, FormatDuration(time.Duration(model.BestNS)),
 				FormatDuration(time.Duration(better))))
 		}
 	}
+	return errs
 }
 
-// Fprint renders the report: one block per (zipf, hostpar) group, one
-// line per policy with the join-side makespan, the model's prediction
-// error, and the placement shape.
-func (rep *CoprocReport) Fprint(w io.Writer) {
-	fmt.Fprintf(w, "== co-processing benchmark (n=%d, threads=%d, device=%s, best of %d) ==\n",
-		rep.Tuples, rep.Threads, rep.Device, rep.Repeats)
-	fmt.Fprintf(w, "calibration: build %.2f ns/tuple, probe %.2f ns/unit\n",
-		rep.Calibration.BuildNsPerTuple, rep.Calibration.ProbeNsPerUnit)
+// printCoproc renders one block per (zipf, hostpar) group, one line per
+// policy with the join-side makespan, the model's prediction error, and
+// the placement shape.
+func printCoproc(w io.Writer, a *Artifact) {
+	cal := a.Config["calibration"].(skewjoin.Calibration)
+	fmt.Fprintf(w, "== co-processing benchmark (n=%v, threads=%v, device=%v, best of %v) ==\n",
+		a.Config["tuples"], a.Config["threads"], a.Config["device"], a.Config["repeats"])
+	fmt.Fprintf(w, "calibration: build %.2f ns/tuple, probe %.2f ns/unit\n", cal.BuildNsPerTuple, cal.ProbeNsPerUnit)
 	fmt.Fprintf(w, "makespan = max(CPU busy time, modelled GPU time) of the join phase\n")
-	for _, z := range rep.Zipfs {
-		for _, hp := range rep.Hostpars {
-			fmt.Fprintf(w, "-- zipf %.2f, hostpar %d --\n", z, hp)
-			for _, c := range rep.Cells {
-				if c.Zipf != z || c.HostParallelism != hp {
-					continue
-				}
-				shape := fmt.Sprintf("split %d/%d", c.CPUParts, c.GPUParts)
-				if c.Fragmented {
-					shape += fmt.Sprintf("+f%d/%d", c.CPUFragments, c.GPUFragments)
-				}
-				if !c.Split {
-					shape = "all-" + c.Degenerate
-				}
-				fmt.Fprintf(w, "%-7s %-12s  makespan %10s  cpu %10s  gpu %10s  pred-err %5.1f%%\n",
-					c.Policy, shape,
-					FormatDuration(time.Duration(c.MakespanNS)),
-					FormatDuration(time.Duration(c.CPUJoinNS)),
-					FormatDuration(time.Duration(c.GPUJoinNS+c.GPUTransferNS)),
-					c.PredErrPct)
-			}
+	for i, c := range a.Cells {
+		if i == 0 || c.Zipf != a.Cells[i-1].Zipf || c.Group != a.Cells[i-1].Group {
+			fmt.Fprintf(w, "-- zipf %.2f, %s --\n", c.Zipf, c.Group)
 		}
+		shape := fmt.Sprintf("split %.0f/%.0f", c.num("cpu_parts"), c.num("gpu_parts"))
+		if c.Metrics["fragmented"] == true {
+			shape += fmt.Sprintf("+f%.0f/%.0f", c.num("cpu_fragments"), c.num("gpu_fragments"))
+		}
+		if c.Metrics["split"] != true {
+			shape = fmt.Sprintf("all-%v", c.Metrics["degenerate"])
+		}
+		fmt.Fprintf(w, "%-8s %-12s  makespan %10s  cpu %10s  gpu %10s  pred-err %5.1f%%\n",
+			c.Arm, shape, ns(c.num("makespan_ns")), ns(c.num("cpu_join_ns")),
+			ns(c.num("gpu_join_ns")+c.num("gpu_transfer_ns")), c.num("pred_err_pct"))
 	}
-	for _, e := range rep.Errors {
-		fmt.Fprintf(w, "VERIFICATION FAILED: %s\n", e)
-	}
-	fmt.Fprintln(w)
 }

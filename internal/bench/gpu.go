@@ -19,216 +19,90 @@ import (
 	"time"
 
 	"skewjoin/internal/exec"
-	"skewjoin/internal/gbase"
-	"skewjoin/internal/gpusim"
-	"skewjoin/internal/gsh"
-	"skewjoin/internal/gsmj"
-	"skewjoin/internal/outbuf"
 )
-
-// GPUVariant is one measured HostParallelism setting.
-type GPUVariant struct {
-	Name            string `json:"name"`
-	HostParallelism int    `json:"host_parallelism"`
-}
-
-// gpuVariants returns the sweep: the serial seed path, an A/A control row
-// re-measuring it, a single-worker pool (isolates pool overhead from
-// parallel speedup), and one worker per host core.
-func gpuVariants() []GPUVariant {
-	n := exec.DefaultThreads()
-	v := []GPUVariant{
-		{Name: "seed(serial)", HostParallelism: 0},
-		{Name: "control(serial)", HostParallelism: 0},
-		{Name: "par1", HostParallelism: 1},
-	}
-	if n > 1 {
-		v = append(v, GPUVariant{Name: fmt.Sprintf("par%d", n), HostParallelism: n})
-	}
-	return v
-}
-
-// GPUCell is one measured algorithm/zipf/variant combination. WallNS is
-// the minimum wall-clock time across the repeat runs; ModelledNS and
-// Phases are the simulated device time, identical for every run and every
-// variant of one (algo, zipf) pair by construction — any deviation is
-// reported as an error, not averaged away.
-type GPUCell struct {
-	Algo            string           `json:"algo"`
-	Zipf            float64          `json:"zipf"`
-	Variant         string           `json:"variant"`
-	HostParallelism int              `json:"host_parallelism"`
-	WallNS          int64            `json:"wall_ns"`
-	ModelledNS      int64            `json:"modelled_ns"`
-	Phases          map[string]int64 `json:"phases_ns"`
-}
-
-// GPUReport is the full GPU-simulation benchmark: the committed
-// BENCH_gpu.json is exactly this structure.
-type GPUReport struct {
-	Tuples   int          `json:"tuples"`
-	Seed     int64        `json:"seed"`
-	Repeats  int          `json:"repeats"`
-	HostCPUs int          `json:"host_cpus"`
-	Zipfs    []float64    `json:"zipfs"`
-	Variants []GPUVariant `json:"variants"`
-	Cells    []GPUCell    `json:"cells"`
-	Errors   []string     `json:"errors,omitempty"`
-}
 
 // gpuZipfs is the default skew sweep: uniform, the paper's medium point,
 // and full skew (where one launch's blocks are most unbalanced and
 // dynamic host scheduling matters most).
 var gpuZipfs = []float64{0.0, 0.5, 1.0}
 
-// gpuRun is the outcome of one simulated join: the two clocks, the
-// modelled phase breakdown, and the verifiable output summary.
-type gpuRun struct {
-	wall    time.Duration
-	summary outbuf.Summary
-	trace   []gpusim.LaunchRecord
+// gpuSweep measures every GPU algorithm (the groups) under the serial
+// seed path, an A/A control re-measuring it, a single-worker pool
+// (isolates pool overhead from parallel speedup), and one worker per host
+// core (the arms; Par is the HostParallelism).
+func gpuSweep(cfg Config) *Sweep {
+	as := []Arm{{"seed(serial)", 0}, {"control(serial)", 0}, {"par1", 1}}
+	if n := exec.DefaultThreads(); n > 1 {
+		as = append(as, Arm{fmt.Sprintf("par%d", n), n})
+	}
+	return &Sweep{
+		Name: "gpu", Zipfs: cfg.zipfs(gpuZipfs), Arms: as,
+		Twin: [2]string{"seed(serial)", "control(serial)"}, Warm: true,
+		Groups: func(*Workload) ([]Group, error) {
+			return []Group{{Label: "gbase"}, {Label: "gsh"}, {Label: "gsmj"}}, nil
+		},
+		Measure: func(w *Workload, g Group, a Arm) (Sample, error) {
+			c := cfg
+			c.Device.HostParallelism = a.Par.(int)
+			start := time.Now()
+			run, err := c.join(w, g, Arm{Name: g.Label})
+			wall := time.Since(start)
+			if err != nil {
+				return run, err
+			}
+			// The modelled time, like its phases, is deterministic: pinned
+			// by the first run, checked (not re-minimised) by every later
+			// one. The runs are ranked by the host's wall clock.
+			run.Metrics = append(run.Metrics, Metric{Name: "wall_ns", Value: wall.Nanoseconds()},
+				Metric{Name: "modelled_ns", Value: run.Clock.Nanoseconds(), Fixed: true})
+			run.Clock, run.Modelled = wall, false
+			return run, nil
+		},
+		Gate:   gpuGate,
+		Config: map[string]any{"host_cpus": exec.DefaultThreads()},
+		Print:  printGPU,
+	}
 }
 
 // GPUBench measures the GPU algorithms under the HostParallelism sweep.
-// Zipf factors come from cfg.Zipfs when the caller overrode them,
-// otherwise the default three-point sweep is used.
-func GPUBench(cfg Config) (*GPUReport, error) {
-	zipfs := gpuZipfs
-	if len(cfg.Zipfs) > 0 && len(cfg.Zipfs) != 11 {
-		// An explicit -zipf list (the full 11-point default means "unset").
-		zipfs = cfg.Zipfs
-	}
-	cfg = cfg.Defaults()
-	variants := gpuVariants()
-	rep := &GPUReport{
-		Tuples:   cfg.Tuples,
-		Seed:     cfg.Seed,
-		Repeats:  cfg.Repeats,
-		HostCPUs: exec.DefaultThreads(),
-		Zipfs:    zipfs,
-		Variants: variants,
-	}
+func GPUBench(cfg Config) (*Artifact, error) { return Run(cfg, gpuSweep(cfg)) }
 
-	algos := []string{"gbase", "gsh", "gsmj"}
-	for _, z := range zipfs {
-		w, err := MakeWorkload(cfg.Tuples, z, cfg.Seed)
-		if err != nil {
-			return nil, err
+// gpuGate requires modelled time to agree across every variant of one
+// (algo, zipf) group: host parallelism may change only the wall clock.
+func gpuGate(group []Cell) []string {
+	var errs []string
+	for _, c := range group[1:] {
+		if c.Metrics == nil || group[0].Metrics == nil {
+			continue
 		}
-		for _, algo := range algos {
-			cells := make([]GPUCell, len(variants))
-			for vi, v := range variants {
-				cells[vi] = GPUCell{
-					Algo: algo, Zipf: z,
-					Variant: v.Name, HostParallelism: v.HostParallelism,
-				}
-			}
-			runGPU(algo, w, cfg.Device, variants[0].HostParallelism) // warm-up, discarded
-			for it := 0; it < cfg.Repeats; it++ {
-				for k := range variants {
-					// Interleave the variants across repeat rounds, rotating
-					// the start position, so host noise spreads evenly.
-					vi := (it + k) % len(variants)
-					r := runGPU(algo, w, cfg.Device, variants[vi].HostParallelism)
-					if r.summary != w.Expected {
-						rep.Errors = append(rep.Errors, fmt.Sprintf(
-							"%s %s @ zipf %.1f: output mismatch", algo, variants[vi].Name, z))
-						continue
-					}
-					foldGPU(&cells[vi], r, rep)
-				}
-			}
-			// Modelled time must agree across every variant of the cell:
-			// host parallelism may change only the wall clock.
-			for vi := 1; vi < len(cells); vi++ {
-				if cells[vi].ModelledNS != cells[0].ModelledNS {
-					rep.Errors = append(rep.Errors, fmt.Sprintf(
-						"%s %s @ zipf %.1f: modelled time %d ns differs from serial %d ns",
-						algo, cells[vi].Variant, z, cells[vi].ModelledNS, cells[0].ModelledNS))
-				}
-			}
-			rep.Cells = append(rep.Cells, cells...)
+		if m, m0 := c.Metrics["modelled_ns"], group[0].Metrics["modelled_ns"]; m != m0 {
+			errs = append(errs, fmt.Sprintf("%s %s @ zipf %.1f: modelled time %v ns differs from serial %v ns",
+				c.Group, c.Arm, c.Zipf, m, m0))
 		}
 	}
-	return rep, nil
+	return errs
 }
 
-// runGPU executes one simulated join through the internal package so the
-// launch records are available for the phase breakdown.
-func runGPU(algo string, w Workload, dev gpusim.Config, hostPar int) gpuRun {
-	dev.HostParallelism = hostPar
-	start := time.Now()
-	switch algo {
-	case "gbase":
-		res := gbase.Join(w.R, w.S, gbase.Config{Device: dev})
-		return gpuRun{wall: time.Since(start), summary: res.Summary, trace: res.Trace}
-	case "gsh":
-		res := gsh.Join(w.R, w.S, gsh.Config{Device: dev})
-		return gpuRun{wall: time.Since(start), summary: res.Summary, trace: res.Trace}
-	default:
-		res := gsmj.Join(w.R, w.S, gsmj.Config{Device: dev})
-		return gpuRun{wall: time.Since(start), summary: res.Summary, trace: res.Trace}
-	}
-}
-
-// foldGPU folds one run into the cell: minimum wall clock across runs,
-// and the modelled breakdown — pinned by the first run, checked (not
-// re-minimised) by every later one, since simulation is deterministic.
-func foldGPU(c *GPUCell, r gpuRun, rep *GPUReport) {
-	wall := r.wall.Nanoseconds()
-	phases := make(map[string]int64)
-	var modelled int64
-	for _, rec := range r.trace {
-		phases[rec.PhaseLabel] += rec.Duration.Nanoseconds()
-		modelled += rec.Duration.Nanoseconds()
-	}
-	if c.Phases == nil {
-		c.WallNS = wall
-		c.ModelledNS = modelled
-		c.Phases = phases
-		return
-	}
-	if wall < c.WallNS {
-		c.WallNS = wall
-	}
-	if modelled != c.ModelledNS {
-		rep.Errors = append(rep.Errors, fmt.Sprintf(
-			"%s %s @ zipf %.1f: modelled time changed across repeats (%d ns vs %d ns)",
-			c.Algo, c.Variant, c.Zipf, modelled, c.ModelledNS))
-	}
-}
-
-// Fprint renders the report as aligned text: one block per zipf factor,
-// one line per algo/variant with both clocks and the speedup of each
-// variant over the seed row of its (algo, zipf) pair.
-func (rep *GPUReport) Fprint(w io.Writer) {
-	fmt.Fprintf(w, "== GPU-simulation A/B benchmark (n=%d, host cpus=%d, best of %d) ==\n",
-		rep.Tuples, rep.HostCPUs, rep.Repeats)
+// printGPU renders one block per zipf factor, one line per algo/variant
+// with both clocks and the speedup of each variant over the seed row of
+// its (algo, zipf) group.
+func printGPU(w io.Writer, a *Artifact) {
+	fmt.Fprintf(w, "== GPU-simulation A/B benchmark (n=%v, host cpus=%v, best of %v) ==\n",
+		a.Config["tuples"], a.Config["host_cpus"], a.Config["repeats"])
 	fmt.Fprintf(w, "wall = host time simulating; modelled = simulated device time (identical across variants)\n")
-	for _, z := range rep.Zipfs {
-		fmt.Fprintf(w, "-- zipf %.1f --\n", z)
-		seedWall := map[string]int64{}
-		for _, c := range rep.Cells {
-			if c.Zipf == z && c.Variant == "seed(serial)" {
-				seedWall[c.Algo] = c.WallNS
-			}
+	var seed Cell
+	for i, c := range a.Cells {
+		if i == 0 || c.Zipf != a.Cells[i-1].Zipf {
+			fmt.Fprintf(w, "-- zipf %.1f --\n", c.Zipf)
 		}
-		for _, c := range rep.Cells {
-			if c.Zipf != z {
-				continue
-			}
-			speedup := ""
-			if base := seedWall[c.Algo]; base > 0 && c.WallNS > 0 {
-				speedup = fmt.Sprintf("  %5.2fx", float64(base)/float64(c.WallNS))
-			}
-			fmt.Fprintf(w, "%-6s %-16s  wall %10s%s  modelled %10s\n",
-				c.Algo, c.Variant,
-				FormatDuration(time.Duration(c.WallNS)), speedup,
-				FormatDuration(time.Duration(c.ModelledNS)))
+		if c.Arm == a.sweep.Arms[0].Name {
+			seed = c
 		}
+		speedup := ""
+		if seed.BestNS > 0 && c.BestNS > 0 {
+			speedup = fmt.Sprintf("  %5.2fx", float64(seed.BestNS)/float64(c.BestNS))
+		}
+		fmt.Fprintf(w, "%-6s %-16s  wall %10s%s  modelled %10s\n",
+			c.Group, c.Arm, FormatDuration(time.Duration(c.BestNS)), speedup, ns(c.num("modelled_ns")))
 	}
-	for _, e := range rep.Errors {
-		fmt.Fprintf(w, "VERIFICATION FAILED: %s\n", e)
-	}
-	fmt.Fprintln(w)
 }

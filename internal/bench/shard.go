@@ -34,59 +34,17 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"time"
 
-	"skewjoin"
 	"skewjoin/internal/cluster"
-	"skewjoin/internal/oracle"
+	"skewjoin/internal/outbuf"
 	"skewjoin/internal/service"
 )
-
-// ShardCell is one measured (zipf, policy) combination on the fixed shard
-// fleet, under the serialized fan-out (see the package comment).
-type ShardCell struct {
-	Zipf   float64 `json:"zipf"`
-	Policy string  `json:"policy"`
-	// Resolved is the routing the router actually executed ("hash" or
-	// "frag"); HotKeys is how many keys frag carved out.
-	Resolved string `json:"resolved"`
-	HotKeys  int    `json:"hot_keys"`
-	// Calls is the number of shard /join calls the plan issued (shards
-	// for hash; up to 2x shards for frag).
-	Calls int `json:"calls"`
-	// MakespanNS is the slowest shard's summed execution time under the
-	// serialized fan-out — the join's wall clock on a fleet with a core
-	// per shard. Minimum across repeats; the breakdown below belongs to
-	// that fastest run.
-	MakespanNS int64 `json:"makespan_ns"`
-	// TotalNS sums all shards; frag pays replication here.
-	TotalNS    int64   `json:"total_ns"`
-	PerShardNS []int64 `json:"per_shard_ns"`
-	// Imbalance is max/min per-shard execution time (0 when a shard was
-	// idle).
-	Imbalance float64 `json:"imbalance,omitempty"`
-	// NMBusyNS is the fleet-wide build+probe thread-CPU time of the
-	// NM-join phases, for context (csh does its heavy-hitter work in the
-	// partition phase, which this column deliberately excludes).
-	NMBusyNS int64 `json:"nm_busy_ns"`
-}
-
-// ShardReport is the full sharded-tier benchmark: the committed
-// BENCH_shard.json is exactly this structure.
-type ShardReport struct {
-	Tuples   int         `json:"tuples"`
-	Seed     int64       `json:"seed"`
-	Shards   int         `json:"shards"`
-	Repeats  int         `json:"repeats"`
-	Zipfs    []float64   `json:"zipfs"`
-	Policies []string    `json:"policies"`
-	Cells    []ShardCell `json:"cells"`
-	Errors   []string    `json:"errors,omitempty"`
-}
 
 // shardZipfs: uniform and moderate skew (where hash placement is already
 // balanced and frag must not regress), the paper's full-skew point and
@@ -94,43 +52,116 @@ type ShardReport struct {
 // shard and frag has to win).
 var shardZipfs = []float64{0.0, 0.75, 1.0, 1.1}
 
-// shardPolicies maps the benchmark's policy labels to the routing the
-// request carries; hash2 is the A/A control.
-var shardPolicies = []struct{ label, routing string }{
-	{"hash", "hash"},
-	{"frag", "frag"},
-	{"hash2", "hash"},
-}
-
 const shardCount = 3
+
+// shardMaxRegression bounds frag at the non-anchor zipf points: it must
+// not exceed shardMaxRegression times the worse hash run.
+const shardMaxRegression = 1.15
+
+// shardSweep joins through the router at url under each routing (the
+// arms; Par is the routing the request carries, hash2 the A/A control).
+// Each workload is registered through the router as the shards' own
+// generated streams, which are the runner's workload tuple for tuple.
+func shardSweep(cfg Config, url string) *Sweep {
+	cfg = cfg.Defaults()
+	zipfs := cfg.zipfs(shardZipfs)
+	// The anchor point — where frag's win is gated strictly — is the
+	// sweep's deepest skew at or beyond the knee.
+	anchor := 0.0
+	for _, z := range zipfs {
+		if z >= 1.0 && z > anchor {
+			anchor = z
+		}
+	}
+	names := func(z float64) (r, s string) {
+		return fmt.Sprintf("bench_r_%03d", int(z*100)), fmt.Sprintf("bench_s_%03d", int(z*100))
+	}
+	return &Sweep{
+		Name: "shard", Zipfs: zipfs,
+		Arms: []Arm{{"hash", "hash"}, {"frag", "frag"}, {"hash2", "hash"}},
+		Twin: [2]string{"hash", "hash2"},
+		// One untimed join per arm: the first join against a fresh
+		// relation pays one-off costs (page faults, fragment shipping)
+		// that belong to no policy's steady state.
+		Warm: true,
+		Groups: func(w *Workload) ([]Group, error) {
+			r, s := names(w.Theta)
+			for name, stream := range map[string]int64{r: 1, s: 2} {
+				if err := shardCall(url, "POST", "/relations", service.RegisterRequest{
+					Name:     name,
+					Generate: &service.GenerateSpec{N: cfg.Tuples, Zipf: w.Theta, Seed: cfg.Seed, Stream: stream},
+				}, nil, http.StatusCreated); err != nil {
+					return nil, err
+				}
+			}
+			return []Group{{}}, nil
+		},
+		Measure: func(w *Workload, _ Group, a Arm) (Sample, error) {
+			r, s := names(w.Theta)
+			var resp cluster.JoinResponse
+			if err := shardCall(url, "POST", "/join", service.JoinRequest{
+				R: r, S: s, Routing: a.Par.(string),
+			}, &resp, http.StatusOK); err != nil {
+				return Sample{}, err
+			}
+			cl := resp.Cluster
+			if cl == nil {
+				return Sample{}, errors.New("response missing cluster breakdown")
+			}
+			work := make([]int64, len(cl.Shards))
+			var makespan, total, busy int64
+			calls := 0
+			for i, sh := range cl.Shards {
+				work[i] = int64(sh.JoinMS * 1e6)
+				total += work[i]
+				makespan = max(makespan, work[i])
+				busy += int64(sh.BusyMS * 1e6)
+				calls += sh.Calls
+			}
+			least := makespan
+			for _, b := range work {
+				least = min(least, b)
+			}
+			imbalance := 0.0 // 0 when a shard was idle
+			if least > 0 {
+				imbalance = float64(makespan) / float64(least)
+			}
+			return Sample{Clock: time.Duration(makespan), Out: &outbuf.Summary{Count: resp.Matches, Checksum: resp.Checksum},
+				Metrics: []Metric{
+					// The routing the router executed and the keys frag
+					// carved out follow from the relations' statistics.
+					{Name: "resolved", Value: cl.Policy, Fixed: true},
+					{Name: "hot_keys", Value: len(cl.HotKeys), Fixed: true},
+					// Shard /join calls issued: shards for hash, up to 2x
+					// shards for frag.
+					{Name: "calls", Value: calls},
+					// The slowest shard's summed execution time under the
+					// serialized fan-out: the join's wall clock on a fleet
+					// with a core per shard.
+					{Name: "makespan_ns", Value: makespan},
+					// All shards summed; frag pays replication here.
+					{Name: "total_ns", Value: total},
+					{Name: "per_shard_ns", Value: work},
+					{Name: "imbalance", Value: imbalance},
+					// Fleet-wide NM-join build+probe thread-CPU time, for
+					// context (csh does its heavy-hitter work in the
+					// partition phase, which this deliberately excludes).
+					{Name: "nm_busy_ns", Value: busy},
+				}}, nil
+		},
+		Gate:   func(group []Cell) []string { return shardGate(group, group[0].Zipf == anchor && anchor >= 1.0) },
+		Config: map[string]any{"shards": shardCount},
+		Print:  printShard,
+	}
+}
 
 // ShardBench measures the cluster router across zipf and routing policy
 // on an in-process 3-shard fleet.
-func ShardBench(cfg Config) (*ShardReport, error) {
-	zipfs := shardZipfs
-	if len(cfg.Zipfs) > 0 && len(cfg.Zipfs) != 11 {
-		zipfs = cfg.Zipfs
-	}
-	cfg = cfg.Defaults()
-	// The anchor point — where frag's win is gated strictly — is the
-	// sweep's deepest skew at or beyond the knee.
-	anchorZipf := 0.0
-	for _, z := range zipfs {
-		if z >= 1.0 && z > anchorZipf {
-			anchorZipf = z
-		}
-	}
-
-	var shardTS []*httptest.Server
-	defer func() {
-		for _, ts := range shardTS {
-			ts.Close()
-		}
-	}()
+func ShardBench(cfg Config) (*Artifact, error) {
 	urls := make([]string, shardCount)
 	for i := range urls {
 		ts := httptest.NewServer(service.New(service.Config{ThreadBudget: 2, MaxQueue: 32}))
-		shardTS = append(shardTS, ts)
+		defer ts.Close()
 		urls[i] = ts.URL
 	}
 	rt, err := cluster.NewRouter(cluster.Config{
@@ -143,185 +174,53 @@ func ShardBench(cfg Config) (*ShardReport, error) {
 	}
 	router := httptest.NewServer(rt)
 	defer router.Close()
-
-	rep := &ShardReport{
-		Tuples:  cfg.Tuples,
-		Seed:    cfg.Seed,
-		Shards:  shardCount,
-		Repeats: cfg.Repeats,
-		Zipfs:   zipfs,
-	}
-	for _, p := range shardPolicies {
-		rep.Policies = append(rep.Policies, p.label)
-	}
-
-	for _, z := range zipfs {
-		// The same streams the shards generate, regenerated locally for
-		// the ground truth.
-		rRel, err := skewjoin.GenerateZipf(cfg.Tuples, z, cfg.Seed, 1)
-		if err != nil {
-			return nil, err
-		}
-		sRel, err := skewjoin.GenerateZipf(cfg.Tuples, z, cfg.Seed, 2)
-		if err != nil {
-			return nil, err
-		}
-		want := oracle.Expected(rRel, sRel)
-
-		rName := fmt.Sprintf("bench_r_%03d", int(z*100))
-		sName := fmt.Sprintf("bench_s_%03d", int(z*100))
-		for name, stream := range map[string]int64{rName: 1, sName: 2} {
-			if err := shardCall(router.URL, "POST", "/relations", service.RegisterRequest{
-				Name:     name,
-				Generate: &service.GenerateSpec{N: cfg.Tuples, Zipf: z, Seed: cfg.Seed, Stream: stream},
-			}, nil, http.StatusCreated); err != nil {
-				return nil, err
-			}
-		}
-
-		// One untimed warmup per routing: the first join against a fresh
-		// relation pays one-off costs (page faults, fragment shipping)
-		// that belong to neither policy's steady state.
-		for _, routing := range []string{"hash", "frag"} {
-			if err := shardCall(router.URL, "POST", "/join", service.JoinRequest{
-				R: rName, S: sName, Routing: routing,
-			}, &cluster.JoinResponse{}, http.StatusOK); err != nil {
-				return nil, err
-			}
-		}
-
-		group := make([]ShardCell, 0, len(shardPolicies))
-		for _, p := range shardPolicies {
-			cell := ShardCell{Zipf: z, Policy: p.label}
-			for it := 0; it < cfg.Repeats; it++ {
-				var resp cluster.JoinResponse
-				if err := shardCall(router.URL, "POST", "/join", service.JoinRequest{
-					R: rName, S: sName, Routing: p.routing,
-				}, &resp, http.StatusOK); err != nil {
-					return nil, err
-				}
-				if resp.Matches != want.Count || resp.Checksum != want.Checksum {
-					rep.Errors = append(rep.Errors, fmt.Sprintf(
-						"%s @ zipf %.2f: output (%d, %#x) != oracle (%d, %#x)",
-						p.label, z, resp.Matches, resp.Checksum, want.Count, want.Checksum))
-					continue
-				}
-				foldShard(&cell, &resp, rep)
-			}
-			group = append(group, cell)
-		}
-		checkShardGroup(group, z == anchorZipf && z >= 1.0, rep)
-		rep.Cells = append(rep.Cells, group...)
-
-		for _, name := range []string{rName, sName} {
-			if err := shardCall(router.URL, "DELETE", "/relations/"+name, nil, nil, http.StatusNoContent); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return rep, nil
+	return Run(cfg, shardSweep(cfg, router.URL))
 }
 
-// foldShard folds one verified run into its cell, keeping the run with
-// the smallest makespan.
-func foldShard(c *ShardCell, resp *cluster.JoinResponse, rep *ShardReport) {
-	if resp.Cluster == nil {
-		rep.Errors = append(rep.Errors, fmt.Sprintf(
-			"%s @ zipf %.2f: response missing cluster breakdown", c.Policy, c.Zipf))
-		return
-	}
-	cl := resp.Cluster
-	work := make([]int64, len(cl.Shards))
-	var makespan, total, busy int64
-	calls := 0
-	for i, sh := range cl.Shards {
-		work[i] = int64(sh.JoinMS * 1e6)
-		total += work[i]
-		if work[i] > makespan {
-			makespan = work[i]
-		}
-		busy += int64(sh.BusyMS * 1e6)
-		calls += sh.Calls
-	}
-	if c.MakespanNS != 0 && makespan >= c.MakespanNS {
-		return
-	}
-	c.Resolved = cl.Policy
-	c.HotKeys = len(cl.HotKeys)
-	c.Calls = calls
-	c.MakespanNS = makespan
-	c.TotalNS = total
-	c.PerShardNS = work
-	c.NMBusyNS = busy
-	min := makespan
-	for _, b := range work {
-		if b < min {
-			min = b
-		}
-	}
-	if min > 0 {
-		c.Imbalance = float64(makespan) / float64(min)
-	} else {
-		c.Imbalance = 0
-	}
-}
-
-// shardMaxRegression bounds frag at the non-anchor zipf points: it must
-// not exceed shardMaxRegression times the worse hash run.
-const shardMaxRegression = 1.15
-
-// checkShardGroup gates one zipf group. anchor marks the sweep's deepest
-// skew point, where frag must beat both hash runs (the win must clear the
-// A/A spread); elsewhere frag must stay within shardMaxRegression of the
+// shardGate gates one zipf group. anchor marks the sweep's deepest skew
+// point, where frag must beat both hash runs (the win must clear the A/A
+// spread); elsewhere frag must stay within shardMaxRegression of the
 // worse hash run. Everywhere the router's auto threshold must have
 // resolved frag to the expected shape — no hot keys below the paper's
 // skew knee, some at or above it.
-func checkShardGroup(group []ShardCell, anchor bool, rep *ShardReport) {
-	var frag *ShardCell
+func shardGate(group []Cell, anchor bool) []string {
+	var frag *Cell
 	worstHash, bestHash := int64(0), int64(0)
 	for i := range group {
 		c := &group[i]
-		switch c.Policy {
+		switch c.Arm {
 		case "frag":
 			frag = c
 		default:
-			if c.MakespanNS > worstHash {
-				worstHash = c.MakespanNS
-			}
-			if bestHash == 0 || c.MakespanNS < bestHash {
-				bestHash = c.MakespanNS
+			worstHash = max(worstHash, c.BestNS)
+			if bestHash == 0 || c.BestNS < bestHash {
+				bestHash = c.BestNS
 			}
 		}
 	}
-	if frag == nil || frag.MakespanNS == 0 || bestHash == 0 {
-		return
+	if frag == nil || frag.BestNS == 0 || bestHash == 0 {
+		return nil
 	}
-	if frag.Zipf >= 1.0 && frag.HotKeys == 0 {
-		rep.Errors = append(rep.Errors, fmt.Sprintf(
-			"frag @ zipf %.2f: carved out no hot keys at full skew", frag.Zipf))
-	}
-	if frag.Zipf < 1.0 && frag.HotKeys != 0 {
-		rep.Errors = append(rep.Errors, fmt.Sprintf(
-			"frag @ zipf %.2f: carved out %d hot keys below the skew knee", frag.Zipf, frag.HotKeys))
+	var errs []string
+	if hot := frag.num("hot_keys"); frag.Zipf >= 1.0 && hot == 0 {
+		errs = append(errs, fmt.Sprintf("frag @ zipf %.2f: carved out no hot keys at full skew", frag.Zipf))
+	} else if frag.Zipf < 1.0 && hot != 0 {
+		errs = append(errs, fmt.Sprintf("frag @ zipf %.2f: carved out %.0f hot keys below the skew knee", frag.Zipf, hot))
 	}
 	if anchor {
-		if frag.MakespanNS >= bestHash {
-			rep.Errors = append(rep.Errors, fmt.Sprintf(
+		if frag.BestNS >= bestHash {
+			errs = append(errs, fmt.Sprintf(
 				"frag @ zipf %.2f: makespan %s does not beat the better hash run %s (A/A spread %s..%s)",
-				frag.Zipf,
-				FormatDuration(time.Duration(frag.MakespanNS)),
-				FormatDuration(time.Duration(bestHash)),
-				FormatDuration(time.Duration(bestHash)),
-				FormatDuration(time.Duration(worstHash))))
+				frag.Zipf, FormatDuration(time.Duration(frag.BestNS)), FormatDuration(time.Duration(bestHash)),
+				FormatDuration(time.Duration(bestHash)), FormatDuration(time.Duration(worstHash))))
 		}
-	} else if float64(frag.MakespanNS) > shardMaxRegression*float64(worstHash) {
-		rep.Errors = append(rep.Errors, fmt.Sprintf(
+	} else if float64(frag.BestNS) > shardMaxRegression*float64(worstHash) {
+		errs = append(errs, fmt.Sprintf(
 			"frag @ zipf %.2f: makespan %s exceeds %.0f%% of the worse hash run %s",
-			frag.Zipf,
-			FormatDuration(time.Duration(frag.MakespanNS)),
-			shardMaxRegression*100,
+			frag.Zipf, FormatDuration(time.Duration(frag.BestNS)), shardMaxRegression*100,
 			FormatDuration(time.Duration(worstHash))))
 	}
+	return errs
 }
 
 // shardCall is the harness's tiny HTTP client: JSON in, JSON out, one
@@ -360,27 +259,18 @@ func shardCall(base, method, path string, reqBody, out any, wantStatus int) erro
 	return nil
 }
 
-// Fprint renders the report: one block per zipf, one line per policy with
-// the busy-time makespan, the per-shard spread, and the plan shape.
-func (rep *ShardReport) Fprint(w io.Writer) {
-	fmt.Fprintf(w, "== sharded-tier benchmark (n=%d, %d shards, best of %d) ==\n",
-		rep.Tuples, rep.Shards, rep.Repeats)
+// printShard renders one block per zipf, one line per policy with the
+// makespan, the total, the per-shard spread, and the plan shape.
+func printShard(w io.Writer, a *Artifact) {
+	fmt.Fprintf(w, "== sharded-tier benchmark (n=%v, %v shards, best of %v) ==\n",
+		a.Config["tuples"], a.Config["shards"], a.Config["repeats"])
 	fmt.Fprintf(w, "makespan = slowest shard's execution time under serialized fan-out; hash2 is the A/A control\n")
-	for _, z := range rep.Zipfs {
-		fmt.Fprintf(w, "-- zipf %.2f --\n", z)
-		for _, c := range rep.Cells {
-			if c.Zipf != z {
-				continue
-			}
-			fmt.Fprintf(w, "%-6s %-5s hot=%-3d calls=%-2d  makespan %10s  total %10s  imbalance %5.2f\n",
-				c.Policy, c.Resolved, c.HotKeys, c.Calls,
-				FormatDuration(time.Duration(c.MakespanNS)),
-				FormatDuration(time.Duration(c.TotalNS)),
-				c.Imbalance)
+	for i, c := range a.Cells {
+		if i == 0 || c.Zipf != a.Cells[i-1].Zipf {
+			fmt.Fprintf(w, "-- zipf %.2f --\n", c.Zipf)
 		}
+		fmt.Fprintf(w, "%-6s %-5v hot=%-3.0f calls=%-2.0f  makespan %10s  total %10s  imbalance %5.2f\n",
+			c.Arm, c.Metrics["resolved"], c.num("hot_keys"), c.num("calls"),
+			ns(c.num("makespan_ns")), ns(c.num("total_ns")), c.num("imbalance"))
 	}
-	for _, e := range rep.Errors {
-		fmt.Fprintf(w, "VERIFICATION FAILED: %s\n", e)
-	}
-	fmt.Fprintln(w)
 }

@@ -8,23 +8,15 @@ import (
 func TestSSkewRunsAndVerifies(t *testing.T) {
 	cfg := tiny()
 	cfg.Tuples = 3000
-	rep, err := SSkew(cfg)
-	if err != nil {
-		t.Fatal(err)
+	a := verified(t, SSkew, cfg)
+	if len(a.sweep.Rows) != 5 {
+		t.Fatalf("series = %d", len(a.sweep.Rows))
 	}
-	if len(rep.Errors) > 0 {
-		t.Fatalf("verification errors: %v", rep.Errors)
-	}
-	if len(rep.Series) != 5 {
-		t.Fatalf("series = %d", len(rep.Series))
-	}
-	for _, s := range rep.Series {
-		if len(s.Cells) != len(cfg.Zipfs) {
-			t.Errorf("series %s has %d cells, want %d", s.Name, len(s.Cells), len(cfg.Zipfs))
-		}
+	if len(a.Cells) != 5*len(cfg.Zipfs) {
+		t.Errorf("%d cells, want %d", len(a.Cells), 5*len(cfg.Zipfs))
 	}
 	var sb strings.Builder
-	rep.Fprint(&sb)
+	a.Fprint(&sb)
 	for _, want := range []string{"S-side", "GSH (paper skew-join)", "GSH (S-tiled)"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("output missing %q", want)
@@ -33,12 +25,14 @@ func TestSSkewRunsAndVerifies(t *testing.T) {
 }
 
 func TestSpeedupFprint(t *testing.T) {
-	rep, err := Speedup(tiny())
+	cfg := tiny()
+	cfg.Zipfs = []float64{0.5, 1.0}
+	a, err := Speedup(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	rep.Fprint(&sb)
+	a.Fprint(&sb)
 	for _, want := range []string{"CSH vs Cbase", "GSH vs Gbase", "max CSH speedup"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("output missing %q", want)
@@ -49,12 +43,12 @@ func TestSpeedupFprint(t *testing.T) {
 func TestLargeFprint(t *testing.T) {
 	cfg := tiny()
 	cfg.Tuples = 1000
-	rep, err := Large(cfg)
+	a, err := Large(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	rep.Fprint(&sb)
+	a.Fprint(&sb)
 	if !strings.Contains(sb.String(), "Scale-up experiment") {
 		t.Error("output missing title")
 	}

@@ -20,13 +20,14 @@
 // sub-millisecond ratios on a shared host are harness noise, and the A/A
 // rows exist precisely to show how large that noise is. The no-limit
 // rows check the other direction: on the skewed workloads a full
-// streaming scan must stay within streamParityRatio of blocking (it is
-// in fact faster there — no partition pass, and the blocking join's hot
-// chains hurt it just as much). The uniform full scan is reported but
-// not gated: with no skew to amortise, the blocking join's radix
-// partition buys cache locality the symmetric join's growing tables
-// cannot match, and streaming measures ~1.4x — that is the structural
-// price of incremental delivery, not a regression to hide.
+// streaming scan must stay within streamParityRatio of blocking (no
+// partition pass, while the blocking join's hot chains hurt it just as
+// much). The uniform full scan is reported but not gated: with no skew
+// to amortise, the blocking join's radix partition buys cache locality
+// the symmetric join's growing tables cannot match, and streaming
+// measures 1.4–3.4x, depending on the host and thread count — that is
+// the structural price of incremental delivery, not a regression to
+// hide.
 package bench
 
 import (
@@ -36,40 +37,8 @@ import (
 
 	"skewjoin"
 	"skewjoin/internal/exec"
+	"skewjoin/internal/outbuf"
 )
-
-// StreamCell is one measured (zipf, limit, operator) combination, best of
-// the repeat runs by the clock that matters for its regime (time-to-limit
-// for limited cells, total time for full runs).
-type StreamCell struct {
-	Zipf     float64 `json:"zipf"`
-	Operator string  `json:"operator"`
-	// Limit is the absolute early-termination bound (0 = full join);
-	// Fraction is the share of the workload's full output it amounts to.
-	Limit    int     `json:"limit"`
-	Fraction float64 `json:"fraction"`
-	// Milestone clocks, nanoseconds. TimeToLimitNS is 0 for full runs.
-	TimeToFirstNS int64 `json:"time_to_first_ns"`
-	TimeToLimitNS int64 `json:"time_to_limit_ns,omitempty"`
-	TotalNS       int64 `json:"total_ns"`
-	// Staged is the number of results delivered; LimitHit reports early
-	// termination.
-	Staged   uint64 `json:"staged"`
-	LimitHit bool   `json:"limit_hit,omitempty"`
-}
-
-// StreamReport is the full streaming benchmark: the committed
-// BENCH_stream.json is exactly this structure.
-type StreamReport struct {
-	Tuples  int          `json:"tuples"`
-	Seed    int64        `json:"seed"`
-	Threads int          `json:"threads"`
-	Repeats int          `json:"repeats"`
-	Zipfs   []float64    `json:"zipfs"`
-	Limits  []int        `json:"limits"`
-	Cells   []StreamCell `json:"cells"`
-	Errors  []string     `json:"errors,omitempty"`
-}
 
 // streamZipfs is the default skew sweep: uniform, the paper's high-skew
 // point, and past it — the regime where the blocking control's build side
@@ -82,18 +51,6 @@ var streamZipfs = []float64{0.0, 0.9, 1.1}
 // gated regime; at larger shares both operators are bounded by emission
 // throughput and the build-phase head start washes out.
 var streamLimits = []int{100, 1000, 10000, 0}
-
-// streamOperators: the streaming operator under test, the blocking
-// control, and an independent second streaming run (A/A) whose ratio to
-// the first is the run-to-run noise any gated ratio must be read against.
-var streamOperators = []struct {
-	name string
-	alg  skewjoin.Algorithm
-}{
-	{"ssj", skewjoin.SSJ},
-	{"cbase", skewjoin.Cbase},
-	{"ssj-aa", skewjoin.SSJ},
-}
 
 const (
 	// streamGateRatio: at gated fractions the streaming operator must
@@ -111,140 +68,111 @@ const (
 	streamParityRatio = 1.10
 	// streamParityMinZipf scopes the parity gate to the skewed cells. The
 	// uniform full scan is reported but not gated (see the package
-	// comment: the ~1.4x there is the structural cost of skipping the
-	// partition pass, constant across commits, not a regression signal).
+	// comment: the 1.4–3.4x there is the structural cost of skipping the
+	// partition pass, which moves with the blocking join's speed, not a
+	// regression signal).
 	streamParityMinZipf = 0.5
 )
 
+// streamSweep runs the streaming operator under test, the blocking
+// control and an independent second streaming run (the arms; Par is the
+// algorithm) under every limit the workload's output exceeds (the
+// groups). A limited run ranks by time-to-limit, a full run by total
+// time.
+func streamSweep(cfg Config, threads int) *Sweep {
+	return &Sweep{
+		Name: "stream", Zipfs: cfg.zipfs(streamZipfs),
+		Arms: []Arm{{"ssj", skewjoin.SSJ}, {"cbase", skewjoin.Cbase}, {"ssj-aa", skewjoin.SSJ}},
+		Twin: [2]string{"ssj", "ssj-aa"},
+		Groups: func(w *Workload) ([]Group, error) {
+			var gs []Group
+			for _, limit := range streamLimits {
+				switch {
+				case limit == 0:
+					gs = append(gs, Group{Label: "full join", Par: 0})
+				case uint64(limit) < w.Expected.Count: // else the limit is never hit
+					gs = append(gs, Group{Label: fmt.Sprintf("limit %d", limit), Par: limit})
+				}
+			}
+			return gs, nil
+		},
+		Measure: func(w *Workload, g Group, a Arm) (Sample, error) {
+			limit := g.Par.(int)
+			start := time.Now()
+			res, err := skewjoin.Join(a.Par.(skewjoin.Algorithm), w.R, w.S, &skewjoin.Options{Threads: threads, Limit: limit})
+			if err != nil {
+				return Sample{}, err
+			}
+			total := time.Since(start)
+			sample := Sample{Clock: total, Out: &outbuf.Summary{Count: res.Matches, Checksum: res.Checksum}}
+			metrics := []Metric{{Name: "limit", Value: limit}, {Name: "total_ns", Value: total.Nanoseconds()}}
+			staged, st := res.Matches, res.Stream
+			if limit > 0 {
+				// A limited run digests a prefix: check its termination.
+				if st == nil || !st.LimitHit || st.Staged < uint64(limit) || st.Staged > w.Expected.Count {
+					return Sample{}, fmt.Errorf("bad termination (stream=%+v, output %d)", st, w.Expected.Count)
+				}
+				sample.Clock, sample.Out = time.Duration(st.LimitNs), nil
+				metrics = append(metrics,
+					Metric{Name: "fraction", Value: float64(limit) / float64(w.Expected.Count)},
+					Metric{Name: "time_to_limit_ns", Value: st.LimitNs},
+					Metric{Name: "limit_hit", Value: true})
+			}
+			if st != nil {
+				staged = st.Staged
+				metrics = append(metrics, Metric{Name: "time_to_first_ns", Value: st.FirstResultNs})
+			}
+			sample.Metrics = append(metrics, Metric{Name: "staged", Value: staged})
+			return sample, nil
+		},
+		Gate:   streamGate,
+		Config: map[string]any{"threads": threads, "limits": streamLimits},
+		Print:  printStream,
+	}
+}
+
 // StreamBench measures time-to-first-result and time-to-limit across
 // zipf, limit fraction and operator.
-func StreamBench(cfg Config) (*StreamReport, error) {
-	zipfs := streamZipfs
-	if len(cfg.Zipfs) > 0 && len(cfg.Zipfs) != 11 {
-		zipfs = cfg.Zipfs
-	}
-	cfg = cfg.Defaults()
+func StreamBench(cfg Config) (*Artifact, error) {
 	threads := cfg.Threads
 	if threads <= 0 {
 		threads = exec.DefaultThreads()
 	}
-	rep := &StreamReport{
-		Tuples:  cfg.Tuples,
-		Seed:    cfg.Seed,
-		Threads: threads,
-		Repeats: cfg.Repeats,
-		Zipfs:   zipfs,
-		Limits:  streamLimits,
-	}
-	for _, z := range zipfs {
-		w, err := MakeWorkload(cfg.Tuples, z, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		for _, limit := range streamLimits {
-			if limit > 0 && uint64(limit) >= w.Expected.Count {
-				// The limit would never be hit; nothing to measure.
-				continue
-			}
-			frac := 0.0
-			if limit > 0 {
-				frac = float64(limit) / float64(w.Expected.Count)
-			}
-			group := make([]StreamCell, 0, len(streamOperators))
-			for _, op := range streamOperators {
-				cell, err := streamCell(w, op.name, op.alg, limit, frac, threads, cfg.Repeats, rep)
-				if err != nil {
-					return nil, err
-				}
-				group = append(group, cell)
-			}
-			checkStreamGroup(group, rep)
-			rep.Cells = append(rep.Cells, group...)
-		}
-	}
-	return rep, nil
+	return Run(cfg, streamSweep(cfg, threads))
 }
 
-// streamCell measures one (workload, operator, limit) cell, keeping the
-// repeat with the best regime clock, and verifies every run: full runs
-// against the oracle digest, limited runs for a hit at or above the
-// limit.
-func streamCell(w Workload, name string, alg skewjoin.Algorithm, limit int, frac float64,
-	threads, repeats int, rep *StreamReport) (StreamCell, error) {
-	cell := StreamCell{Zipf: w.Theta, Operator: name, Limit: limit, Fraction: frac}
-	for it := 0; it < repeats; it++ {
-		start := time.Now()
-		res, err := skewjoin.Join(alg, w.R, w.S, &skewjoin.Options{Threads: threads, Limit: limit})
-		if err != nil {
-			return cell, fmt.Errorf("%s limit=%d @ zipf %.2f: %v", name, limit, w.Theta, err)
-		}
-		total := time.Since(start)
-		if limit == 0 {
-			if got := res.Summary(); got.Matches != w.Expected.Count || got.Checksum != w.Expected.Checksum {
-				rep.Errors = append(rep.Errors, fmt.Sprintf(
-					"%s full @ zipf %.2f: output %+v, expected %+v", name, w.Theta, got, w.Expected))
-				continue
-			}
-		} else {
-			st := res.Stream
-			if st == nil || !st.LimitHit || st.Staged < uint64(limit) || st.Staged > w.Expected.Count {
-				rep.Errors = append(rep.Errors, fmt.Sprintf(
-					"%s limit=%d @ zipf %.2f: bad termination (stream=%+v, output %d)",
-					name, limit, w.Theta, st, w.Expected.Count))
-				continue
-			}
-		}
-		better := cell.TotalNS == 0 || int64(total) < cell.TotalNS
-		if limit > 0 {
-			better = cell.TimeToLimitNS == 0 || res.Stream.LimitNs < cell.TimeToLimitNS
-		}
-		if better {
-			cell.TotalNS = int64(total)
-			cell.Staged = res.Matches
-			if st := res.Stream; st != nil {
-				cell.TimeToFirstNS = st.FirstResultNs
-				cell.TimeToLimitNS = st.LimitNs
-				cell.LimitHit = st.LimitHit
-				cell.Staged = st.Staged
-			}
-		}
-	}
-	return cell, nil
-}
-
-// checkStreamGroup gates one (zipf, fraction) group: small-limit
-// time-to-limit superiority and no-limit parity, both subject to the
-// noise floor on the blocking control.
-func checkStreamGroup(group []StreamCell, rep *StreamReport) {
+// streamGate gates one (zipf, limit) group: small-limit time-to-limit
+// superiority and no-limit parity, both subject to the noise floor on the
+// blocking control. Each cell's best run is ranked by the clock its
+// regime gates on: time-to-limit when limited, total when full.
+func streamGate(group []Cell) []string {
 	ssj, cbase := streamPair(group)
-	if ssj == nil || cbase == nil {
-		return
+	if ssj == nil || cbase == nil || ssj.BestNS == 0 || cbase.BestNS == 0 {
+		return nil
 	}
-	if ssj.Limit > 0 && ssj.Fraction <= streamGateFraction {
-		if cbase.TimeToLimitNS >= streamGateFloorNs && ssj.TimeToLimitNS > 0 &&
-			float64(cbase.TimeToLimitNS) < streamGateRatio*float64(ssj.TimeToLimitNS) {
-			rep.Errors = append(rep.Errors, fmt.Sprintf(
-				"limit=%d @ zipf %.2f: streaming time-to-limit %s is not %.0fx ahead of blocking %s",
-				ssj.Limit, ssj.Zipf,
-				FormatDuration(time.Duration(ssj.TimeToLimitNS)), streamGateRatio,
-				FormatDuration(time.Duration(cbase.TimeToLimitNS))))
-		}
+	limit := ssj.num("limit")
+	if limit > 0 && ssj.num("fraction") <= streamGateFraction && cbase.BestNS >= streamGateFloorNs &&
+		float64(cbase.BestNS) < streamGateRatio*float64(ssj.BestNS) {
+		return []string{fmt.Sprintf(
+			"limit=%.0f @ zipf %.2f: streaming time-to-limit %s is not %.0fx ahead of blocking %s",
+			limit, ssj.Zipf, FormatDuration(time.Duration(ssj.BestNS)), streamGateRatio,
+			FormatDuration(time.Duration(cbase.BestNS)))}
 	}
-	if ssj.Limit == 0 && ssj.Zipf >= streamParityMinZipf && cbase.TotalNS >= streamGateFloorNs &&
-		float64(ssj.TotalNS) > streamParityRatio*float64(cbase.TotalNS)+streamGateFloorNs {
-		rep.Errors = append(rep.Errors, fmt.Sprintf(
+	if limit == 0 && ssj.Zipf >= streamParityMinZipf && cbase.BestNS >= streamGateFloorNs &&
+		float64(ssj.BestNS) > streamParityRatio*float64(cbase.BestNS)+streamGateFloorNs {
+		return []string{fmt.Sprintf(
 			"full scan @ zipf %.2f: streaming total %s exceeds %.0f%% of blocking %s",
-			ssj.Zipf,
-			FormatDuration(time.Duration(ssj.TotalNS)), streamParityRatio*100,
-			FormatDuration(time.Duration(cbase.TotalNS))))
+			ssj.Zipf, FormatDuration(time.Duration(ssj.BestNS)), streamParityRatio*100,
+			FormatDuration(time.Duration(cbase.BestNS)))}
 	}
+	return nil
 }
 
 // streamPair picks the streaming operator's and the blocking control's
 // cells out of one (zipf, limit) group; either is nil when absent.
-func streamPair(group []StreamCell) (ssj, cbase *StreamCell) {
+func streamPair(group []Cell) (ssj, cbase *Cell) {
 	for i := range group {
-		switch group[i].Operator {
+		switch group[i].Arm {
 		case "ssj":
 			ssj = &group[i]
 		case "cbase":
@@ -254,53 +182,35 @@ func streamPair(group []StreamCell) (ssj, cbase *StreamCell) {
 	return ssj, cbase
 }
 
-// Fprint renders the report: one block per (zipf, fraction) group, one
-// line per operator with the milestone clocks. A limited group ends with
-// the blocking-over-streaming ratio on both clocks: time-to-limit, which
-// the gate reads, and the caller's wall clock (total), which also counts
+// printStream renders one block per (zipf, limit) group, one line per
+// operator with the milestone clocks. A limited group ends with the
+// blocking-over-streaming ratio on both clocks: time-to-limit, which the
+// gate reads, and the caller's wall clock (total), which also counts
 // SSJ's set-up before its milestone clock starts.
-func (rep *StreamReport) Fprint(w io.Writer) {
-	fmt.Fprintf(w, "== streaming symmetric join benchmark (n=%d, threads=%d, best of %d) ==\n",
-		rep.Tuples, rep.Threads, rep.Repeats)
+func printStream(w io.Writer, a *Artifact) {
+	fmt.Fprintf(w, "== streaming symmetric join benchmark (n=%v, threads=%v, best of %v) ==\n",
+		a.Config["tuples"], a.Config["threads"], a.Config["repeats"])
 	fmt.Fprintf(w, "gate: at limits <=%.0f%% of output, streaming time-to-limit must lead blocking by %.0fx\n",
 		streamGateFraction*100, streamGateRatio)
-	for _, z := range rep.Zipfs {
-		for _, limit := range rep.Limits {
-			var group []StreamCell
-			for _, c := range rep.Cells {
-				if c.Zipf == z && c.Limit == limit {
-					group = append(group, c)
-				}
+	for i := 0; i < len(a.Cells); i += len(a.sweep.Arms) {
+		group := a.Cells[i : i+len(a.sweep.Arms)]
+		limited := group[0].Group != "full join"
+		if limited {
+			fmt.Fprintf(w, "-- zipf %.2f, %s (%.3f%% of output) --\n", group[0].Zipf, group[0].Group, group[0].num("fraction")*100)
+		} else {
+			fmt.Fprintf(w, "-- zipf %.2f, full join --\n", group[0].Zipf)
+		}
+		for _, c := range group {
+			clocks := fmt.Sprintf("first %10s  total %10s", ns(c.num("time_to_first_ns")), ns(c.num("total_ns")))
+			if limited {
+				clocks = fmt.Sprintf("first %10s  to-limit %10s  total %10s",
+					ns(c.num("time_to_first_ns")), ns(c.num("time_to_limit_ns")), ns(c.num("total_ns")))
 			}
-			if len(group) == 0 {
-				continue
-			}
-			if limit == 0 {
-				fmt.Fprintf(w, "-- zipf %.2f, full join --\n", z)
-			} else {
-				fmt.Fprintf(w, "-- zipf %.2f, limit %d (%.3f%% of output) --\n", z, limit, group[0].Fraction*100)
-			}
-			for _, c := range group {
-				line := fmt.Sprintf("%-7s first %10s  total %10s  staged %d",
-					c.Operator, FormatDuration(time.Duration(c.TimeToFirstNS)),
-					FormatDuration(time.Duration(c.TotalNS)), c.Staged)
-				if c.Limit > 0 {
-					line = fmt.Sprintf("%-7s first %10s  to-limit %10s  total %10s  staged %d",
-						c.Operator, FormatDuration(time.Duration(c.TimeToFirstNS)),
-						FormatDuration(time.Duration(c.TimeToLimitNS)),
-						FormatDuration(time.Duration(c.TotalNS)), c.Staged)
-				}
-				fmt.Fprintln(w, line)
-			}
-			if ssj, cbase := streamPair(group); limit > 0 && ssj != nil && cbase != nil && ssj.TimeToLimitNS > 0 {
-				fmt.Fprintf(w, "cbase/ssj  to-limit %.1fx  total %.1fx\n",
-					float64(cbase.TimeToLimitNS)/float64(ssj.TimeToLimitNS),
-					float64(cbase.TotalNS)/float64(ssj.TotalNS))
-			}
+			fmt.Fprintf(w, "%-7s %s  staged %.0f\n", c.Arm, clocks, c.num("staged"))
+		}
+		if ssj, cbase := streamPair(group); limited && ssj.BestNS > 0 && ssj.num("total_ns") > 0 {
+			fmt.Fprintf(w, "cbase/ssj  to-limit %.1fx  total %.1fx\n",
+				float64(cbase.BestNS)/float64(ssj.BestNS), cbase.num("total_ns")/ssj.num("total_ns"))
 		}
 	}
-	for _, e := range rep.Errors {
-		fmt.Fprintf(w, "VERIFICATION FAILED: %s\n", e)
-	}
-	fmt.Fprintln(w)
 }

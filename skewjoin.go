@@ -149,11 +149,6 @@ type Options struct {
 	// latency; the other algorithms check it only between phases. A nil
 	// Context never cancels.
 	Context context.Context
-	// Backend optionally selects the execution backend at the dispatch
-	// level ("cpu", "gpu" or "split"); the service and CLI layers use it
-	// with algorithm "auto". Join itself dispatches on the Algorithm
-	// argument — use the Split algorithm for co-processing.
-	Backend Backend
 	// SplitPolicy selects the Split mode's placement policy (default
 	// SplitPolicyModel, the cost-model placement; SplitPolicyCPU/GPU pin
 	// every partition to one side — the benchmark's control rows).
