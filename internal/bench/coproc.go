@@ -9,10 +9,13 @@
 // policies are the single-backend control rows — they run through the
 // same split executor, so the partition/plan prefix cancels out of every
 // comparison — "static" is the naive round-robin placement the cost
-// model has to beat, and "model-aa" re-runs the model policy as the A/A
-// control. Every cell records the model's predicted makespan next to the
-// measured one; the residual is the model's honesty metric, reported
-// rather than hidden.
+// model has to beat, and "cpu-aa" re-runs the all-CPU control as the A/A
+// control. The twin is the CPU control because its clock, CPU busy time,
+// carries the host's noise; a GPU-bound model plan's makespan is the
+// simulator's deterministic modelled time and would repeat exactly.
+// Every cell records the model's predicted makespan next to the measured
+// one; the residual is the model's honesty metric, reported rather than
+// hidden.
 //
 // The harness asserts, per (zipf, hostpar) group, that the model policy's
 // join-side makespan is at most maxRegression times the better control
@@ -60,9 +63,9 @@ const (
 )
 
 // coprocSweep measures the split executor under the model under test, the
-// naive placement, the two pinned single-backend controls and the model's
-// A/A twin (the arms), at each host parallelism (the groups). One
-// calibration serves every cell, so every plan is comparable.
+// naive placement, the two pinned single-backend controls and the CPU
+// control's A/A twin (the arms), at each host parallelism (the groups).
+// One calibration serves every cell, so every plan is comparable.
 func coprocSweep(cfg Config, cal skewjoin.Calibration, device skewjoin.DeviceConfig, threads int) *Sweep {
 	var groups []Group
 	for _, hp := range coprocHostpars {
@@ -73,9 +76,9 @@ func coprocSweep(cfg Config, cal skewjoin.Calibration, device skewjoin.DeviceCon
 		Arms: []Arm{
 			{"model", skewjoin.SplitPolicyModel}, {"static", skewjoin.SplitPolicyStatic},
 			{"cpu", skewjoin.SplitPolicyCPU}, {"gpu", skewjoin.SplitPolicyGPU},
-			{"model-aa", skewjoin.SplitPolicyModel},
+			{"cpu-aa", skewjoin.SplitPolicyCPU},
 		},
-		Twin:   [2]string{"model", "model-aa"},
+		Twin:   [2]string{"cpu", "cpu-aa"},
 		Groups: func(*Workload) ([]Group, error) { return groups, nil },
 		Measure: func(w *Workload, g Group, a Arm) (Sample, error) {
 			dev := device

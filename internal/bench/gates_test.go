@@ -67,7 +67,7 @@ func TestCoprocGate(t *testing.T) {
 			cell(zipf, "model", model, m), cell(zipf, "static", 50*ms, nil),
 			cell(zipf, "cpu", 100*ms, nil), cell(zipf, "gpu", 200*ms, nil),
 			// The A/A twin is not a control, however fast it measured.
-			cell(zipf, "model-aa", 1*ms, m),
+			cell(zipf, "cpu-aa", 1*ms, nil),
 		}
 	}
 	checkGate(t, coprocGate, []gateCase{

@@ -242,24 +242,33 @@ type PartCost struct {
 // predicted-vs-actual error, not in correctness.
 const divergenceFactor = 1.2
 
-// Costs predicts both backends' cost for every non-empty partition pair.
+// Costs predicts both backends' cost for every non-empty partition pair,
+// in ascending partition order. It allocates per call, not per partition:
+// every partition's GPU blocks share one backing array, and one sample
+// counter serves every partition.
 func Costs(pr, ps *radix.Partitioned, cfg Config) []PartCost {
 	cfg = cfg.Defaults()
 	fanout := pr.Fanout()
 	out := make([]PartCost, 0, fanout)
+	// A partition becomes ceil(nR/capacity) <= nR/capacity + 1 blocks, so
+	// the backing array never grows.
+	blocks := make([]float64, 0, fanout+pr.Total()/blockCapacity(cfg.Device)+1)
+	cr := freqtable.New(cfg.SampleTarget)
 	for p := 0; p < fanout; p++ {
 		nR, nS := pr.Size(p), ps.Size(p)
 		if nR == 0 || nS == 0 {
 			continue
 		}
 		pc := PartCost{Part: p, NR: nR, NS: nS, Bytes: (nR + nS) * relation.TupleSize}
-		estOut, topR := estimatePartition(pr.Part(p), ps.Part(p), cfg.SampleTarget)
+		estOut, topR := estimatePartition(pr.Part(p), ps.Part(p), cfg.SampleTarget, cr)
 		pc.EstOut = estOut
 		pc.EstVisits = estVisits(nR, nS, estOut)
 		pc.TopChain = topR
 		pc.CPUNs = cfg.Calib.BuildNsPerTuple*float64(nR) +
 			cfg.Calib.ProbeNsPerUnit*(float64(nS)+pc.EstVisits)
-		pc.GPUBlockCycles = gpuBlocks(cfg.Device, nR, nS, pc.EstVisits, estOut, topR)
+		n := len(blocks)
+		blocks = gpuBlocks(blocks, cfg.Device, nR, nS, pc.EstVisits, estOut, topR)
+		pc.GPUBlockCycles = blocks[n:len(blocks):len(blocks)]
 		for _, c := range pc.GPUBlockCycles {
 			pc.GPUCycles += c
 		}
@@ -270,26 +279,23 @@ func Costs(pr, ps *radix.Partitioned, cfg Config) []PartCost {
 
 // estimatePartition stride-samples both sides of one partition and
 // returns the cross-sample output estimate plus the extrapolated top-key
-// frequency on the R side (the partition's longest expected chain).
-func estimatePartition(rPart, sPart []relation.Tuple, target int) (estOut, topR float64) {
+// frequency on the R side (the partition's longest expected chain). The
+// R sample is counted in cr, reset first so that one counter serves every
+// partition; each sampled S tuple then adds its key's R count, which sums
+// to the cross product of the two samples' key frequencies.
+func estimatePartition(rPart, sPart []relation.Tuple, target int, cr *freqtable.Counter) (estOut, topR float64) {
 	strideR, strideS := sampleStride(len(rPart), target), sampleStride(len(sPart), target)
-	cr := freqtable.New(target)
+	cr.Reset()
 	var top uint32
 	for i := 0; i < len(rPart); i += strideR {
 		if c := cr.Add(rPart[i].Key); c > top {
 			top = c
 		}
 	}
-	cs := freqtable.New(target)
-	for i := 0; i < len(sPart); i += strideS {
-		cs.Add(sPart[i].Key)
-	}
 	var cross uint64
-	cr.Each(func(k relation.Key, fr uint32) {
-		if fs := cs.Count(k); fs > 0 {
-			cross += uint64(fr) * uint64(fs)
-		}
-	})
+	for i := 0; i < len(sPart); i += strideS {
+		cross += uint64(cr.Count(sPart[i].Key))
+	}
 	return float64(cross) * float64(strideR) * float64(strideS), float64(top) * float64(strideR)
 }
 
@@ -317,29 +323,31 @@ func estVisits(nR, nS int, estOut float64) float64 {
 	return v
 }
 
-// gpuBlocks predicts the per-block cycles a partition costs on the GPU,
-// mirroring gpupart.ProbeJoinBlock's charge recipe. An R side larger than
-// the shared-memory capacity is decomposed into ceil(nR/capacity)
+// gpuBlocks appends to dst the per-block cycles a partition costs on the
+// GPU, mirroring gpupart.ProbeJoinBlock's charge recipe. An R side larger
+// than the shared-memory capacity is decomposed into ceil(nR/capacity)
 // sub-lists, each probed by the full S partition — Gbase's skew weakness,
-// reproduced faithfully so the planner sees its cost.
-func gpuBlocks(dev gpusim.Config, nR, nS int, visits, estOut, topChain float64) []float64 {
-	capacity := dev.SharedMemBytes / 16
-	if capacity < 1 {
-		capacity = 1
-	}
+// reproduced faithfully so the planner sees its cost. Chains (and hence
+// visits, matches and barrier depth) split roughly evenly across
+// sub-lists, and every sub-list rereads the full S side, so every block
+// costs the same.
+func gpuBlocks(dst []float64, dev gpusim.Config, nR, nS int, visits, estOut, topChain float64) []float64 {
+	capacity := blockCapacity(dev)
 	subs := (nR + capacity - 1) / capacity
 	if subs < 1 {
 		subs = 1
 	}
-	blocks := make([]float64, subs)
 	f := float64(subs)
-	for i := range blocks {
-		// Chains (and hence visits, matches and barrier depth) split
-		// roughly evenly across sub-lists; every sub-list rereads the
-		// full S side.
-		blocks[i] = blockCycles(dev, float64(nR)/f, float64(nS), visits/f, estOut/f, topChain/f)
+	c := blockCycles(dev, float64(nR)/f, float64(nS), visits/f, estOut/f, topChain/f)
+	for i := 0; i < subs; i++ {
+		dst = append(dst, c)
 	}
-	return blocks
+	return dst
+}
+
+// blockCapacity is the R tuples one block's shared-memory table holds.
+func blockCapacity(dev gpusim.Config) int {
+	return max(dev.SharedMemBytes/16, 1)
 }
 
 // blockCycles mirrors gpupart.ProbeJoinBlock's cost accounting for one
@@ -450,30 +458,33 @@ type Plan struct {
 // backends.
 func (p *Plan) Fragmented() bool { return len(p.Fragments) > 0 }
 
-// BuildPlan assigns every costed partition to a backend. The heaviest
-// partitions (by their cheaper-backend cost) are placed first, each on the
-// backend that minimizes the resulting predicted makespan. When the hot
-// partition alone exceeds the balanced-makespan bound by FragmentFactor, a
-// fragmented plan — the hot partition's build side replicated to both
-// backends, its probe side split cost-proportionally — is priced too and
-// adopted if it predicts a strictly lower makespan. Afterwards the plan
-// degenerates to the better single backend if the predicted win is below
-// the configured thresholds, recording why.
+// BuildPlan assigns every costed partition to a backend. costs must be in
+// ascending partition order, as Costs returns them. The heaviest
+// partitions — by their dearer backend's cost, max(CPUNs, the GPU time of
+// their largest block plus their transfers) — are placed first, each on
+// the backend that minimizes the resulting predicted makespan. When the
+// hot partition alone exceeds the balanced-makespan bound by
+// FragmentFactor, a fragmented plan — the hot partition's build side
+// replicated to both backends, its probe side split cost-proportionally —
+// is priced too and adopted if it predicts a strictly lower makespan.
+// Afterwards the plan degenerates to the better single backend if the
+// predicted win is below the configured thresholds, recording why.
 func BuildPlan(costs []PartCost, cfg Config) Plan {
 	cfg = cfg.Defaults()
+	key := heaviestKeys(costs, &cfg.Device)
+	side := make([]Backend, len(costs))
 	cpu := &cpuBin{threads: float64(cfg.Threads)}
 	gpu := newGPUBin(cfg.Device)
-	onCPU, onGPU := placeParts(costs, cfg, -1, cpu, gpu)
+	place(costs, heaviestFirst(key, -1), cpu, gpu, side)
 
-	plan := Plan{
-		CPUParts: onCPU, GPUParts: onGPU, FragPart: -1,
-		CPUNs: cpu.time(), GPUNs: gpu.time(), TransferNs: gpu.transferNs(),
-	}
+	plan := Plan{FragPart: -1, CPUNs: cpu.time(), GPUNs: gpu.time(), TransferNs: gpu.transferNs()}
+	plan.CPUParts, plan.GPUParts = placementLists(costs, side, -1)
 	plan.MakespanNs = math.Max(plan.CPUNs, plan.GPUNs)
 	plan.CPUOnlyNs, plan.GPUOnlyNs = SinglePredictions(costs, cfg)
 	plan.BalancedNs = BalancedBound(costs, cfg)
 
-	if frag, ok := fragmentPlan(costs, cfg, plan.BalancedNs); ok && frag.MakespanNs < plan.MakespanNs {
+	hotIdx, hotNs := hotAtomic(costs, cfg)
+	if frag, ok := fragmentPlan(costs, cfg, key, hotIdx, hotNs, plan.BalancedNs); ok && frag.MakespanNs < plan.MakespanNs {
 		frag.CPUOnlyNs, frag.GPUOnlyNs = plan.CPUOnlyNs, plan.GPUOnlyNs
 		frag.BalancedNs = plan.BalancedNs
 		plan = frag
@@ -499,7 +510,6 @@ func BuildPlan(costs []PartCost, cfg Config) Plan {
 		// less than the required win over the better single backend.
 		// Otherwise the win merely fell under the floor.
 		reason := ReasonMinWinThreshold
-		_, hotNs := hotAtomic(costs, cfg)
 		if !plan.Fragmented() && hotNs > cfg.FragmentFactor*plan.BalancedNs &&
 			hotNs >= better-threshold {
 			reason = ReasonHotPartitionDominates
@@ -512,36 +522,82 @@ func BuildPlan(costs []PartCost, cfg Config) Plan {
 	return plan
 }
 
-// placeParts greedily places every costed partition except skip (an index
-// into costs, -1 for none) heaviest-first onto whichever bin yields the
-// lower combined makespan, mutating the bins and returning the sorted
-// placement lists. Bins may arrive pre-seeded (fragmentPlan seeds them
-// with the hot partition's fragments before placing the tail).
-func placeParts(costs []PartCost, cfg Config, skip int, cpu *cpuBin, gpu *gpuBin) (onCPU, onGPU []int) {
-	order := make([]int, 0, len(costs))
+// heaviestKeys returns every partition's heaviest-first placement key:
+// its dearer backend's cost, max(CPUNs, gpuNsOf).
+func heaviestKeys(costs []PartCost, dev *gpusim.Config) []float64 {
+	key := make([]float64, len(costs))
 	for i := range costs {
+		key[i] = math.Max(costs[i].CPUNs, gpuNsOf(dev, &costs[i]))
+	}
+	return key
+}
+
+// heaviestFirst returns the indices of key except skip (-1 for none),
+// sorted by key, largest first. sort.Slice is not stable, so partitions
+// with equal keys end up in whatever order its comparisons leave; the
+// placements therefore sort once per distinct skip set and reuse that
+// order, rather than deriving one skip set's order from another's.
+func heaviestFirst(key []float64, skip int) []int {
+	order := make([]int, 0, len(key))
+	for i := range key {
 		if i != skip {
 			order = append(order, i)
 		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ca, cb := &costs[order[a]], &costs[order[b]]
-		return math.Max(ca.CPUNs, gpuNsOf(cfg.Device, ca)) > math.Max(cb.CPUNs, gpuNsOf(cfg.Device, cb))
-	})
+	sort.Slice(order, func(a, b int) bool { return key[order[a]] > key[order[b]] })
+	return order
+}
+
+// place greedily places the partitions costs[i], i in order, onto
+// whichever bin yields the lower combined makespan, mutating the bins and
+// recording each decision in side[i]. Bins may arrive pre-seeded
+// (fragmentPlan seeds them with the hot partition's fragments before
+// placing the tail).
+func place(costs []PartCost, order []int, cpu *cpuBin, gpu *gpuBin, side []Backend) {
 	for _, i := range order {
 		pc := &costs[i]
 		withCPU := math.Max(cpu.timeWith(pc), gpu.time())
 		withGPU := math.Max(cpu.time(), gpu.timeWith(pc))
 		if withCPU <= withGPU {
 			cpu.add(pc)
-			onCPU = append(onCPU, pc.Part)
+			side[i] = CPU
 		} else {
 			gpu.add(pc)
-			onGPU = append(onGPU, pc.Part)
+			side[i] = GPU
 		}
 	}
-	sort.Ints(onCPU)
-	sort.Ints(onGPU)
+}
+
+// placementLists returns the partition indices side places on each
+// backend, leaving out skip (-1 for none). Walking costs in order keeps
+// both lists ascending without sorting them; a backend that received
+// nothing gets a nil list.
+func placementLists(costs []PartCost, side []Backend, skip int) (onCPU, onGPU []int) {
+	nGPU := 0
+	for i, b := range side {
+		if b == GPU && i != skip {
+			nGPU++
+		}
+	}
+	nCPU := len(costs) - nGPU
+	if skip >= 0 {
+		nCPU--
+	}
+	if nCPU > 0 {
+		onCPU = make([]int, 0, nCPU)
+	}
+	if nGPU > 0 {
+		onGPU = make([]int, 0, nGPU)
+	}
+	for i := range costs {
+		switch {
+		case i == skip:
+		case side[i] == GPU:
+			onGPU = append(onGPU, costs[i].Part)
+		default:
+			onCPU = append(onCPU, costs[i].Part)
+		}
+	}
 	return onCPU, onGPU
 }
 
@@ -567,8 +623,8 @@ func BalancedBound(costs []PartCost, cfg Config) float64 {
 		// Idealized perfectly-parallel GPU time: cycles spread over all
 		// SMs plus the partition's transfer share. A lower bound on the
 		// real block schedule, as a bound must be.
-		g[i] = cyclesToNs(cfg.Device, costs[i].GPUCycles/float64(cfg.Device.NumSMs)) +
-			transferNs(cfg.Device, costs[i].Bytes, costs[i].EstOut)
+		g[i] = cyclesToNs(&cfg.Device, costs[i].GPUCycles/float64(cfg.Device.NumSMs)) +
+			transferNs(&cfg.Device, costs[i].Bytes, costs[i].EstOut)
 		sumC += c[i]
 		sumG += g[i]
 	}
@@ -611,36 +667,28 @@ func BalancedBound(costs []PartCost, cfg Config) float64 {
 // the floor any atomic placement's makespan inherits from it.
 func hotAtomic(costs []PartCost, cfg Config) (idx int, ns float64) {
 	idx = -1
+	// An empty bin's timeWith is a partition's time alone on the GPU:
+	// block schedule, launch overhead and transfers.
+	solo := newGPUBin(cfg.Device)
 	for i := range costs {
-		solo := math.Min(costs[i].CPUNs/float64(cfg.Threads), soloGPUNs(cfg.Device, &costs[i]))
-		if solo > ns {
-			idx, ns = i, solo
+		if t := math.Min(costs[i].CPUNs/float64(cfg.Threads), solo.timeWith(&costs[i])); t > ns {
+			idx, ns = i, t
 		}
 	}
 	return idx, ns
 }
 
-// soloGPUNs is the partition's predicted modelled time running alone on
-// the GPU (block schedule, launch overhead and transfers included).
-func soloGPUNs(dev gpusim.Config, pc *PartCost) float64 {
-	b := newGPUBin(dev)
-	b.add(pc)
-	return b.time()
-}
-
-// fragmentPlan prices a plan that fragments the hot partition across both
-// backends: its build side replicated to both, its probe side cut into
-// cfg.Fragments equal ranges of which the first k go to the CPU and the
-// contiguous rest to the GPU. Every k is tried with the tail partitions
-// re-placed greedily around the seeded fragments, and the best balance is
-// returned. ok is false when fragmentation is disabled, the hot partition
-// does not exceed the balanced bound by FragmentFactor, or no cut exists.
-func fragmentPlan(costs []PartCost, cfg Config, balanced float64) (Plan, bool) {
-	if cfg.Fragments < 2 || len(costs) == 0 {
-		return Plan{}, false
-	}
-	hotIdx, hotNs := hotAtomic(costs, cfg)
-	if hotIdx < 0 || hotNs <= cfg.FragmentFactor*balanced {
+// fragmentPlan prices a plan that fragments the hot partition costs[hotIdx]
+// (hotAtomic's pick, with solo time hotNs) across both backends: its build
+// side replicated to both, its probe side cut into cfg.Fragments equal
+// ranges of which the first k go to the CPU and the contiguous rest to the
+// GPU. Every k is tried with the tail partitions re-placed greedily around
+// the seeded fragments, in one heaviest-first order (key, without the hot
+// partition) that every cut shares, and the best balance is returned. ok
+// is false when fragmentation is disabled, the hot partition does not
+// exceed the balanced bound by FragmentFactor, or no cut exists.
+func fragmentPlan(costs []PartCost, cfg Config, key []float64, hotIdx int, hotNs, balanced float64) (Plan, bool) {
+	if cfg.Fragments < 2 || hotIdx < 0 || hotNs <= cfg.FragmentFactor*balanced {
 		return Plan{}, false
 	}
 	hot := &costs[hotIdx]
@@ -652,15 +700,19 @@ func fragmentPlan(costs []PartCost, cfg Config, balanced float64) (Plan, bool) {
 		return Plan{}, false
 	}
 
-	best := Plan{FragPart: -1, MakespanNs: math.Inf(1)}
-	found := false
+	order := heaviestFirst(key, hotIdx)
+	side, bestSide := make([]Backend, len(costs)), make([]Backend, len(costs))
+	cpu := &cpuBin{threads: float64(cfg.Threads)}
+	gpu := newGPUBin(cfg.Device)
+	best := Plan{MakespanNs: math.Inf(1)}
+	bestK := 0
 	for k := 1; k < f; k++ {
 		cut := hot.NS * k / f
 		if cut == 0 || cut == hot.NS {
 			continue
 		}
-		cpu := &cpuBin{threads: float64(cfg.Threads)}
-		gpu := newGPUBin(cfg.Device)
+		cpu.workNs = 0
+		gpu.reset()
 		// Seed the bins with the hot partition's two sides — the heaviest
 		// placement decision — then place the tail greedily around them.
 		// Each side pays the full build replication: the CPU fragment's
@@ -669,30 +721,31 @@ func fragmentPlan(costs []PartCost, cfg Config, balanced float64) (Plan, bool) {
 		// reread only its probe share.
 		cpu.add(fragCost(hot, cfg, 0, cut))
 		gpu.add(fragCost(hot, cfg, cut, hot.NS))
-		onCPU, onGPU := placeParts(costs, cfg, hotIdx, cpu, gpu)
-		plan := Plan{
-			CPUParts: onCPU, GPUParts: onGPU, FragPart: hot.Part,
-			CPUNs: cpu.time(), GPUNs: gpu.time(), TransferNs: gpu.transferNs(),
-		}
-		plan.MakespanNs = math.Max(plan.CPUNs, plan.GPUNs)
-		if plan.MakespanNs < best.MakespanNs {
-			for i := 0; i < k; i++ {
-				if lo, hi := hot.NS*i/f, hot.NS*(i+1)/f; lo < hi {
-					plan.Fragments = append(plan.Fragments,
-						Fragment{Part: hot.Part, Lo: lo, Hi: hi, Backend: CPU})
-				}
+		place(costs, order, cpu, gpu, side)
+		if makespan := math.Max(cpu.time(), gpu.time()); makespan < best.MakespanNs {
+			best = Plan{
+				FragPart: hot.Part, CPUNs: cpu.time(), GPUNs: gpu.time(),
+				TransferNs: gpu.transferNs(), MakespanNs: makespan,
 			}
-			for i := k; i < f; i++ {
-				if lo, hi := hot.NS*i/f, hot.NS*(i+1)/f; lo < hi {
-					plan.Fragments = append(plan.Fragments,
-						Fragment{Part: hot.Part, Lo: lo, Hi: hi, Backend: GPU})
-				}
-			}
-			best = plan
-			found = true
+			bestK = k
+			side, bestSide = bestSide, side
 		}
 	}
-	return best, found
+	if bestK == 0 {
+		return Plan{}, false
+	}
+	best.CPUParts, best.GPUParts = placementLists(costs, bestSide, hotIdx)
+	best.Fragments = make([]Fragment, 0, f)
+	for i := 0; i < f; i++ {
+		if lo, hi := hot.NS*i/f, hot.NS*(i+1)/f; lo < hi {
+			b := GPU
+			if i < bestK {
+				b = CPU
+			}
+			best.Fragments = append(best.Fragments, Fragment{Part: hot.Part, Lo: lo, Hi: hi, Backend: b})
+		}
+	}
+	return best, true
 }
 
 // fragCost prices one probe-side fragment S[lo:hi) of the hot partition
@@ -715,7 +768,7 @@ func fragCost(hot *PartCost, cfg Config, lo, hi int) *PartCost {
 	}
 	pc.CPUNs = cfg.Calib.BuildNsPerTuple*float64(hot.NR) +
 		cfg.Calib.ProbeNsPerUnit*(float64(ns)+visits)
-	pc.GPUBlockCycles = gpuBlocks(cfg.Device, hot.NR, ns, visits, estOut, hot.TopChain)
+	pc.GPUBlockCycles = gpuBlocks(nil, cfg.Device, hot.NR, ns, visits, estOut, hot.TopChain)
 	for _, c := range pc.GPUBlockCycles {
 		pc.GPUCycles += c
 	}
@@ -799,7 +852,6 @@ func singleBackend(costs []PartCost, cfg Config, plan Plan, b Backend) Plan {
 	for i := range costs {
 		all[i] = costs[i].Part
 	}
-	sort.Ints(all)
 	plan.Split = false
 	plan.Degenerate = b
 	plan.Fragments, plan.FragPart = nil, -1
@@ -822,7 +874,7 @@ func singleBackend(costs []PartCost, cfg Config, plan Plan, b Backend) Plan {
 
 // gpuNsOf is the partition's GPU time ignoring schedule interactions,
 // used only for the heaviest-first ordering.
-func gpuNsOf(dev gpusim.Config, pc *PartCost) float64 {
+func gpuNsOf(dev *gpusim.Config, pc *PartCost) float64 {
 	max := 0.0
 	for _, c := range pc.GPUBlockCycles {
 		if c > max {
@@ -850,65 +902,91 @@ func (b *cpuBin) timeWith(pc *PartCost) float64 { return (b.workNs + pc.CPUNs) /
 type gpuBin struct {
 	dev     gpusim.Config
 	sm      []float64 // min-heap on finish time, as gpusim.scheduleInto
-	bytes   float64   // H2D input traffic
-	outRows float64   // estimated output rows (D2H at 12 bytes each)
-	blocks  int
+	scratch []float64 // sm's copy, for pricing a multi-block partition
+	// makespan is the latest finish time in sm. Block cycles are never
+	// negative, so an SM's finish time only grows and a running maximum
+	// equals a scan of the heap.
+	makespan float64
+	bytes    float64 // H2D input traffic
+	outRows  float64 // estimated output rows (D2H at 12 bytes each)
+	blocks   int
 }
 
 func newGPUBin(dev gpusim.Config) *gpuBin {
-	return &gpuBin{dev: dev, sm: make([]float64, dev.NumSMs)}
+	heaps := make([]float64, 2*dev.NumSMs)
+	return &gpuBin{dev: dev, sm: heaps[:dev.NumSMs:dev.NumSMs], scratch: heaps[dev.NumSMs:]}
+}
+
+// reset empties the bin for reuse.
+func (b *gpuBin) reset() {
+	clear(b.sm)
+	b.makespan, b.bytes, b.outRows, b.blocks = 0, 0, 0, 0
 }
 
 // add schedules the partition's blocks onto the bin's SM heap.
 func (b *gpuBin) add(pc *PartCost) {
-	for _, c := range pc.GPUBlockCycles {
-		b.sm[0] += c
-		siftDown(b.sm)
-		b.blocks++
-	}
+	b.makespan = schedule(b.sm, pc.GPUBlockCycles, b.makespan)
 	b.bytes += float64(pc.Bytes)
 	b.outRows += pc.EstOut
+	b.blocks += len(pc.GPUBlockCycles)
 }
 
 // time is the bin's predicted modelled time: schedule makespan plus
 // launch overhead (when any block exists) plus transfers.
 func (b *gpuBin) time() float64 {
-	makespan := 0.0
-	for _, t := range b.sm {
-		if t > makespan {
-			makespan = t
-		}
-	}
-	cycles := makespan
-	if b.blocks > 0 {
-		cycles += b.dev.KernelLaunchCycles
-	}
-	return cyclesToNs(b.dev, cycles) + b.transferNs()
+	return b.timeOf(b.makespan, b.blocks, b.bytes, b.outRows)
 }
 
-// timeWith is time() if pc were added, without mutating the bin.
+// timeWith is time() if pc were added, without mutating the bin. A single
+// block lands on the heap's root, the earliest-free SM, so only a
+// multi-block partition replays the schedule, on a scratch copy.
 func (b *gpuBin) timeWith(pc *PartCost) float64 {
-	saved := make([]float64, len(b.sm))
-	copy(saved, b.sm)
-	savedBytes, savedRows, savedBlocks := b.bytes, b.outRows, b.blocks
-	b.add(pc)
-	t := b.time()
-	copy(b.sm, saved)
-	b.bytes, b.outRows, b.blocks = savedBytes, savedRows, savedBlocks
-	return t
+	makespan := b.makespan
+	if len(pc.GPUBlockCycles) == 1 {
+		if t := b.sm[0] + pc.GPUBlockCycles[0]; t > makespan {
+			makespan = t
+		}
+	} else {
+		copy(b.scratch, b.sm)
+		makespan = schedule(b.scratch, pc.GPUBlockCycles, makespan)
+	}
+	return b.timeOf(makespan, b.blocks+len(pc.GPUBlockCycles),
+		b.bytes+float64(pc.Bytes), b.outRows+pc.EstOut)
+}
+
+// timeOf is the modelled time of a bin with the given schedule makespan,
+// block count and transfers.
+func (b *gpuBin) timeOf(makespan float64, blocks int, bytes, outRows float64) float64 {
+	if blocks > 0 {
+		makespan += b.dev.KernelLaunchCycles
+	}
+	return cyclesToNs(&b.dev, makespan) + transferNs(&b.dev, int(bytes), outRows)
 }
 
 func (b *gpuBin) transferNs() float64 {
-	return transferNs(b.dev, int(b.bytes), b.outRows)
+	return transferNs(&b.dev, int(b.bytes), b.outRows)
+}
+
+// schedule adds each block to the earliest-free SM of the min-heap sm and
+// returns makespan raised to the latest finish time.
+func schedule(sm, blocks []float64, makespan float64) float64 {
+	for _, c := range blocks {
+		sm[0] += c
+		if sm[0] > makespan {
+			makespan = sm[0]
+		}
+		siftDown(sm)
+	}
+	return makespan
 }
 
 // transferNs is the modelled H2D+D2H staging time for the given input
 // bytes and estimated output rows (12 bytes per result row).
-func transferNs(dev gpusim.Config, inBytes int, outRows float64) float64 {
+func transferNs(dev *gpusim.Config, inBytes int, outRows float64) float64 {
 	return (float64(inBytes) + outRows*12) / dev.PCIeBandwidth * 1e9
 }
 
-func cyclesToNs(dev gpusim.Config, cycles float64) float64 {
+func cyclesToNs(dev *gpusim.Config, cycles float64) float64 {
 	return cycles / dev.ClockHz * 1e9
 }
 

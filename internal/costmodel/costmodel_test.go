@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"skewjoin/internal/freqtable"
 	"skewjoin/internal/gpupart"
 	"skewjoin/internal/gpusim"
 	"skewjoin/internal/radix"
@@ -91,7 +92,7 @@ func TestEstimateTracksSkewedOutput(t *testing.T) {
 		rPart[i] = relation.Tuple{Key: k, Payload: relation.Payload(i)}
 		sPart[i] = relation.Tuple{Key: k, Payload: relation.Payload(i)}
 	}
-	estOut, topR := estimatePartition(rPart, sPart, 64)
+	estOut, topR := estimatePartition(rPart, sPart, 64, freqtable.New(64))
 	trueOut := float64(n/2) * float64(n/2)
 	if estOut < trueOut/4 || estOut > trueOut*4 {
 		t.Fatalf("estOut = %g, true %g (off by more than 4x)", estOut, trueOut)

@@ -71,6 +71,14 @@ func (c *Counter) Count(k relation.Key) uint32 {
 	return 0
 }
 
+// Reset empties the counter for reuse and keeps its capacity, grown or
+// not. Only occupied slots are ever read, so clearing the occupancy is
+// enough.
+func (c *Counter) Reset() {
+	clear(c.occupied)
+	c.size = 0
+}
+
 // Distinct returns the number of distinct keys counted.
 func (c *Counter) Distinct() int { return c.size }
 

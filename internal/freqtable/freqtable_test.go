@@ -49,6 +49,53 @@ func TestGrowthPreservesCounts(t *testing.T) {
 	}
 }
 
+// TestResetRestartsCounts checks that Reset empties the counter without
+// giving up its capacity, including a counter that had grown: the keys
+// counted before the reset read 0, and counting resumes from 1.
+func TestResetRestartsCounts(t *testing.T) {
+	c := New(4)
+	initial := len(c.keys)
+	for k := 0; k < 100; k++ { // grows the table several times
+		c.Add(relation.Key(k))
+		c.Add(relation.Key(k))
+	}
+	grown := len(c.keys)
+	if grown <= initial {
+		t.Fatalf("capacity %d did not grow past %d", grown, initial)
+	}
+	for round := 0; round < 2; round++ {
+		c.Reset()
+		if len(c.keys) != grown || len(c.counts) != grown || len(c.occupied) != grown {
+			t.Fatalf("round %d: Reset changed capacity to %d/%d/%d, want %d",
+				round, len(c.keys), len(c.counts), len(c.occupied), grown)
+		}
+		if c.Distinct() != 0 || c.Count(7) != 0 {
+			t.Fatalf("round %d: after Reset Distinct = %d, Count(7) = %d", round, c.Distinct(), c.Count(7))
+		}
+		c.Each(func(k relation.Key, cnt uint32) { t.Errorf("round %d: Each visited %d after Reset", round, k) })
+		// Count a different key set from the one before the reset.
+		want := make(map[relation.Key]uint32)
+		for i := 0; i < 300; i++ {
+			k := relation.Key(1000*(round+1) + i%70)
+			if got, w := c.Add(k), want[k]+1; got != w {
+				t.Fatalf("round %d: Add(%d) = %d, want %d", round, k, got, w)
+			}
+			want[k]++
+		}
+		if c.Distinct() != len(want) {
+			t.Errorf("round %d: Distinct = %d, want %d", round, c.Distinct(), len(want))
+		}
+		for k, w := range want {
+			if got := c.Count(k); got != w {
+				t.Errorf("round %d: Count(%d) = %d, want %d", round, k, got, w)
+			}
+		}
+		if c.Count(42) != 0 {
+			t.Errorf("round %d: a key counted before the reset reads %d", round, c.Count(42))
+		}
+	}
+}
+
 func TestEachVisitsAll(t *testing.T) {
 	c := New(8)
 	for k := 0; k < 50; k++ {
