@@ -1,6 +1,9 @@
 package skewjoin
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestGoldenWorkloads pins the workload generator and oracle to known
 // values for fixed seeds. Any change to the interval construction, key
@@ -40,6 +43,58 @@ func TestGoldenWorkloads(t *testing.T) {
 				t.Errorf("%s on golden workload n=%d zipf=%.1f: got (%d, %#x)",
 					alg, g.n, g.theta, res.Matches, res.Checksum)
 			}
+		}
+	}
+}
+
+// TestModelledPhasesGolden pins the per-phase modelled device time of
+// Gbase and GSH to the nanosecond. Modelled time depends only on the
+// workload, the device profile and the charges the kernels issue, not on
+// the host or on how the host stores a table, so any drift here is a
+// change to the simulated algorithms. At zipf 1.0 the 1 KiB
+// shared-memory device makes Gbase split its hot bucket list into
+// sub-lists and GSH detect, divide and join its skewed keys; the default
+// A100 profile takes neither path at this size.
+func TestModelledPhasesGolden(t *testing.T) {
+	type phase struct {
+		name string
+		ns   int64
+	}
+	smallShm := DeviceConfig{SharedMemBytes: 1 << 10}
+	golden := []struct {
+		theta  float64
+		device string
+		dev    DeviceConfig
+		alg    Algorithm
+		phases []phase
+	}{
+		{0.0, "a100", DeviceConfig{}, Gbase, []phase{{"partition", 6292}, {"join", 11330}}},
+		{0.0, "a100", DeviceConfig{}, GSH, []phase{{"partition", 13191}, {"detect", 0}, {"divide", 0}, {"nmjoin", 11330}, {"skewjoin", 0}}},
+		{1.0, "a100", DeviceConfig{}, Gbase, []phase{{"partition", 6292}, {"join", 403085}}},
+		{1.0, "a100", DeviceConfig{}, GSH, []phase{{"partition", 13756}, {"detect", 0}, {"divide", 0}, {"nmjoin", 403085}, {"skewjoin", 0}}},
+		{0.0, "shm-1KiB", smallShm, Gbase, []phase{{"partition", 7564}, {"join", 2226}}},
+		{0.0, "shm-1KiB", smallShm, GSH, []phase{{"partition", 9037}, {"detect", 0}, {"divide", 0}, {"nmjoin", 2150}, {"skewjoin", 0}}},
+		{1.0, "shm-1KiB", smallShm, Gbase, []phase{{"partition", 7564}, {"join", 223520}}},
+		{1.0, "shm-1KiB", smallShm, GSH, []phase{{"partition", 10624}, {"detect", 1517}, {"divide", 2073}, {"nmjoin", 4017}, {"skewjoin", 5424}}},
+	}
+	for _, g := range golden {
+		r, s, err := GenerateZipfPair(4096, g.theta, 21)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Join(g.alg, r, s, &Options{Device: g.dev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := Expected(r, s); res.Summary() != want {
+			t.Errorf("%s zipf %.1f %s: output %+v, oracle %+v", g.alg, g.theta, g.device, res.Summary(), want)
+		}
+		var got []phase
+		for _, p := range res.Phases {
+			got = append(got, phase{p.Name, p.Duration.Nanoseconds()})
+		}
+		if fmt.Sprint(got) != fmt.Sprint(g.phases) {
+			t.Errorf("%s zipf %.1f %s: modelled phases %v, want %v", g.alg, g.theta, g.device, got, g.phases)
 		}
 	}
 }

@@ -32,7 +32,7 @@ func Analysis(cfg Config) (*Artifact, error) {
 			}
 			gb := gbase.Join(w.R, w.S, gbase.Config{Device: cfg.Device})
 			gs := gsh.Join(w.R, w.S, gsh.Config{Device: cfg.Device})
-			return Sample{Clock: cb.Total(), Out: &cb.Summary, Metrics: []Metric{
+			return Sample{Clock: cb.Phases.Total(), Out: &cb.Summary, Metrics: []Metric{
 				{Name: "top_key_freq", Value: relation.ComputeStats(w.R).MaxKeyFreq},
 				{Name: "max_chain", Value: cb.Stats.Join.MaxChain},
 				{Name: "max_task_share", Value: share},

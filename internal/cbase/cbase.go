@@ -23,8 +23,6 @@ package cbase
 
 import (
 	"context"
-	"sync"
-	"time"
 
 	"skewjoin/internal/exec"
 	"skewjoin/internal/joinphase"
@@ -83,20 +81,11 @@ type Stats struct {
 // Result is the outcome of one Cbase run.
 type Result struct {
 	Summary outbuf.Summary
-	Phases  []exec.Phase // "partition", "join"
+	Phases  exec.Phases // "partition", "join"
 	Stats   Stats
 	// Canceled reports that Config.Ctx fired before the run completed; the
 	// summary covers only the work done up to that point.
 	Canceled bool
-}
-
-// Total returns the end-to-end time of the run.
-func (r Result) Total() time.Duration {
-	var d time.Duration
-	for _, p := range r.Phases {
-		d += p.Duration
-	}
-	return d
 }
 
 // Join runs Cbase over r and s and returns the verified output summary and
@@ -109,27 +98,9 @@ func Join(r, s relation.Relation, cfg Config) Result {
 		Threads: cfg.Threads, Bits1: cfg.Bits1, Bits2: cfg.Bits2, Ctx: cfg.Ctx,
 	}
 
-	// The R and S partitioning passes are independent, so they run
-	// overlapped with the worker pool split between them in proportion to
-	// the table sizes (partition contents are thread-count-invariant, so
-	// the overlap is output-equivalent to the sequential passes).
 	var pr, ps *radix.Partitioned
 	timer.Time("partition", func() {
-		if cfg.Threads > 1 {
-			rc, sc := rcfg, rcfg
-			rc.Threads, sc.Threads = exec.SplitThreads(cfg.Threads, r.Len(), s.Len())
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				pr = radix.Partition(r.Tuples, rc, nil)
-			}()
-			ps = radix.Partition(s.Tuples, sc, nil)
-			wg.Wait()
-		} else {
-			pr = radix.Partition(r.Tuples, rcfg, nil)
-			ps = radix.Partition(s.Tuples, rcfg, nil)
-		}
+		pr, ps = radix.PartitionPair(r.Tuples, s.Tuples, rcfg)
 	})
 	res.Stats.Fanout = rcfg.Fanout()
 	_, res.Stats.MaxPartitionR = pr.MaxPartition()

@@ -114,8 +114,8 @@ func TestPhasesRecorded(t *testing.T) {
 	if !names["partition"] || !names["join"] {
 		t.Errorf("phases = %+v", res.Phases)
 	}
-	if res.Total() <= 0 {
-		t.Errorf("total = %v", res.Total())
+	if res.Phases.Total() <= 0 {
+		t.Errorf("total = %v", res.Phases.Total())
 	}
 }
 

@@ -16,22 +16,22 @@
 // table's largest bucket, or to the build side's length — and the probe
 // itself allocates nothing.
 //
-// Four tables share one bucketing (the high bits of the mixed key):
+// Three tables share one bucketing (the high bits of the mixed key):
 //
 //   - CompactTable (compact.go): each bucket stored as one contiguous run.
 //     The CPU join phase (Cbase, CSH's NM-join and the split executor's
 //     CPU leg) builds one per join task through a per-worker Arena
-//     (arena.go) that recycles its scratch across tasks;
-//   - Table: the paper's index-linked chains, built by the simulated GPU
-//     kernels (gpupart.ProbeJoinBlock), which model the chain walk;
+//     (arena.go) that recycles its scratch across tasks, and the simulated
+//     GPU kernels (gpupart.ProbeJoinBlock) build one per block, charging
+//     the paper's chain walk through its visit counts;
 //   - Concurrent: a latch-free shared chained table built by many threads
 //     with CAS head insertion (cbase-npj builds one over the whole of R);
 //   - Incremental (incremental.go): a growable chained table for the
 //     streaming symmetric join.
 //
-// A CompactTable and a Table over the same tuples have the same buckets
-// with the same members, so probe visit counts and the largest bucket
-// (MaxChain) agree between them.
+// A CompactTable and a Concurrent over the same tuples have the same
+// buckets with the same members, so probe visit counts and the largest
+// bucket (MaxChain) agree between them.
 package chainedtable
 
 import (
@@ -41,43 +41,6 @@ import (
 	"skewjoin/internal/relation"
 	"skewjoin/internal/sanitize"
 )
-
-// Table is a bucket-chained hash table over a tuple slice. Chains are
-// index-linked: heads[b] is the index of the first tuple in bucket b and
-// next[i] links tuple i to the next tuple in its bucket (-1 terminates).
-type Table struct {
-	// shift selects the HIGH bits of the hashed key as the bucket index.
-	// Radix partitioning consumes the low hash bits, so every tuple within
-	// one partition shares them; bucketing on the high bits keeps chains
-	// short for distinct keys inside a partition.
-	shift  uint32
-	heads  []int32
-	next   []int32
-	tuples []relation.Tuple
-}
-
-// Build constructs a table over tuples with roughly one bucket per tuple
-// (rounded up to a power of two). The tuple slice is retained, not copied.
-//
-//skewlint:hotpath
-func Build(tuples []relation.Tuple) *Table {
-	nb := bucketCount(len(tuples))
-	t := &Table{
-		shift:  32 - hashfn.Log2(nb),
-		heads:  make([]int32, nb),
-		next:   make([]int32, len(tuples)),
-		tuples: tuples,
-	}
-	for b := range t.heads {
-		t.heads[b] = -1
-	}
-	for i, tp := range tuples {
-		b := hashfn.Mix32(uint32(tp.Key)) >> t.shift
-		t.next[i] = t.heads[b]
-		t.heads[b] = int32(i)
-	}
-	return t
-}
 
 // bucketCount returns the bucket count for n tuples: the next power of two,
 // clamped below at one. The seed forced a 2-bucket minimum, which made the
@@ -92,22 +55,12 @@ func bucketCount(n int) int {
 	return nb
 }
 
-// Matches collects the payload of every tuple in k's chain whose key
-// equals k into dst (see the package doc) and returns them with the
-// number of chain nodes visited — the probe cost the GPU divergence model
-// charges.
-//
-//skewlint:hotpath
-func (t *Table) Matches(k relation.Key, dst []relation.Payload) ([]relation.Payload, int) {
-	return matchChain(t.heads[hashfn.Mix32(uint32(k))>>t.shift], t.next, t.tuples, k, dst)
-}
-
 // matchChain walks the index-linked chain that starts at i, collecting
 // the payload of every tuple whose key equals k into dst, and returns the
-// matches with the number of nodes visited. It is the chain walk of every
-// chained table (Table, Concurrent, Incremental). Under the sanitize tag a
-// walk longer than the table aborts: a cycle in the next links would
-// otherwise spin forever.
+// matches with the number of nodes visited. It is the chain walk of both
+// chained tables (Concurrent, Incremental). Under the sanitize tag a walk
+// longer than the table aborts: a cycle in the next links would otherwise
+// spin forever.
 //
 //skewlint:hotpath
 func matchChain(i int32, next []int32, tuples []relation.Tuple, k relation.Key, dst []relation.Payload) ([]relation.Payload, int) {

@@ -20,9 +20,32 @@ func randomTuples(n, keyRange int, seed int64) []relation.Tuple {
 	return ts
 }
 
-// matcher is the probe primitive all four tables implement.
+// matcher is the probe primitive all three tables implement.
 type matcher interface {
 	Matches(k relation.Key, dst []relation.Payload) ([]relation.Payload, int)
+}
+
+// chained builds the reference chained table: a Concurrent filled by
+// sequential Insert, which links each bucket's tuples by head insertion in
+// tuple order — the paper's index-linked chains.
+func chained(tuples []relation.Tuple) *Concurrent {
+	c := NewConcurrent(tuples)
+	for i := range tuples {
+		c.Insert(i)
+	}
+	return c
+}
+
+// layout is one table built over a tuple set, named for error messages.
+type layout struct {
+	name string
+	m    matcher
+}
+
+// layouts builds both one-shot layouts of the same buckets over tuples:
+// the chained reference and the compact table the join phases build.
+func layouts(tuples []relation.Tuple) []layout {
+	return []layout{{"chained", chained(tuples)}, {"compact", BuildCompact(tuples)}}
 }
 
 // probeAll collects every matching payload for k, starting from no
@@ -34,7 +57,6 @@ func probeAll(m matcher, k relation.Key) []relation.Payload {
 
 func TestProbeFindsAllMatches(t *testing.T) {
 	tuples := randomTuples(5000, 200, 1)
-	table := Build(tuples)
 	want := make(map[relation.Key]map[relation.Payload]bool)
 	for _, tp := range tuples {
 		if want[tp.Key] == nil {
@@ -42,40 +64,44 @@ func TestProbeFindsAllMatches(t *testing.T) {
 		}
 		want[tp.Key][tp.Payload] = true
 	}
-	for k, ps := range want {
-		got := probeAll(table, k)
-		if len(got) != len(ps) {
-			t.Fatalf("key %d: %d matches, want %d", k, len(got), len(ps))
-		}
-		for _, p := range got {
-			if !ps[p] {
-				t.Fatalf("key %d: unexpected payload %d", k, p)
+	for _, l := range layouts(tuples) {
+		for k, ps := range want {
+			got := probeAll(l.m, k)
+			if len(got) != len(ps) {
+				t.Fatalf("%s key %d: %d matches, want %d", l.name, k, len(got), len(ps))
+			}
+			for _, p := range got {
+				if !ps[p] {
+					t.Fatalf("%s key %d: unexpected payload %d", l.name, k, p)
+				}
 			}
 		}
 	}
 }
 
 func TestProbeAbsentKey(t *testing.T) {
-	table := Build(randomTuples(100, 50, 2))
-	if got := probeAll(table, relation.Key(1<<30)); len(got) != 0 {
-		t.Errorf("absent key matched %d tuples", len(got))
+	for _, l := range layouts(randomTuples(100, 50, 2)) {
+		if got := probeAll(l.m, relation.Key(1<<30)); len(got) != 0 {
+			t.Errorf("%s: absent key matched %d tuples", l.name, len(got))
+		}
 	}
 }
 
 func TestProbeEmptyTable(t *testing.T) {
-	table := Build(nil)
-	if m, v := table.Matches(1, nil); len(m) != 0 || v != 0 {
-		t.Errorf("empty table: %d matches, %d nodes visited", len(m), v)
+	for _, l := range layouts(nil) {
+		if m, v := l.m.Matches(1, nil); len(m) != 0 || v != 0 {
+			t.Errorf("%s empty table: %d matches, %d nodes visited", l.name, len(m), v)
+		}
 	}
 }
 
 func TestVisitsAtLeastMatches(t *testing.T) {
-	tuples := randomTuples(2000, 20, 3)
-	table := Build(tuples)
-	for k := relation.Key(0); k < 20; k++ {
-		m, visits := table.Matches(k, nil)
-		if visits < len(m) {
-			t.Fatalf("key %d: %d visits < %d matches", k, visits, len(m))
+	for _, l := range layouts(randomTuples(2000, 20, 3)) {
+		for k := relation.Key(0); k < 20; k++ {
+			m, visits := l.m.Matches(k, nil)
+			if visits < len(m) {
+				t.Fatalf("%s key %d: %d visits < %d matches", l.name, k, visits, len(m))
+			}
 		}
 	}
 }
@@ -125,7 +151,7 @@ func TestBucketsPowerOfTwo(t *testing.T) {
 		if table.Len() != n {
 			t.Errorf("n=%d: Len = %d", n, table.Len())
 		}
-		if cb := len(Build(randomTuples(n, 10, 4)).heads); cb != b {
+		if cb := len(chained(randomTuples(n, 10, 4)).heads); cb != b {
 			t.Errorf("n=%d: chained buckets = %d, compact %d", n, cb, b)
 		}
 	}
@@ -135,11 +161,11 @@ func TestSingleBucketTableProbes(t *testing.T) {
 	// A 1-tuple partition gets a single bucket (shift 32 → every key maps
 	// to bucket 0); probing must still find the tuple and reject others.
 	tuples := []relation.Tuple{{Key: 42, Payload: 7}}
-	chained, compact := Build(tuples), BuildCompact(tuples)
-	if len(chained.heads) != 1 || compact.Buckets() != 1 {
-		t.Fatalf("buckets = %d chained, %d compact, want 1", len(chained.heads), compact.Buckets())
+	chain, compact := chained(tuples), BuildCompact(tuples)
+	if len(chain.heads) != 1 || compact.Buckets() != 1 {
+		t.Fatalf("buckets = %d chained, %d compact, want 1", len(chain.heads), compact.Buckets())
 	}
-	for _, probe := range []matcher{chained, compact} {
+	for _, probe := range []matcher{chain, compact} {
 		if got := probeAll(probe, 42); len(got) != 1 || got[0] != 7 {
 			t.Errorf("probe(42) = %v", got)
 		}
@@ -151,7 +177,7 @@ func TestSingleBucketTableProbes(t *testing.T) {
 
 func TestConcurrentMatchesSequential(t *testing.T) {
 	tuples := randomTuples(8000, 300, 5)
-	seq := Build(tuples)
+	seq := chained(tuples)
 	con := NewConcurrent(tuples)
 	exec.Parallel(8, func(w int) {
 		lo, hi := exec.Segment(len(tuples), 8, w)
@@ -200,11 +226,12 @@ func TestQuickTableEqualsMapSemantics(t *testing.T) {
 			tuples[i] = relation.Tuple{Key: relation.Key(k), Payload: relation.Payload(i)}
 			want[relation.Key(k)]++
 		}
-		table := Build(tuples)
-		for _, pk := range probeKeys {
-			k := relation.Key(pk)
-			if m, _ := table.Matches(k, nil); len(m) != want[k] {
-				return false
+		for _, l := range layouts(tuples) {
+			for _, pk := range probeKeys {
+				k := relation.Key(pk)
+				if m, _ := l.m.Matches(k, nil); len(m) != want[k] {
+					return false
+				}
 			}
 		}
 		return true
@@ -231,7 +258,7 @@ func scanBucket(tuples []relation.Tuple, shift uint32, k relation.Key) ([]relati
 	return ps, inBucket
 }
 
-// TestMatchesAgreeWithScan checks the probe primitive of all four tables
+// TestMatchesAgreeWithScan checks the probe primitive of all three tables
 // against a brute-force scan: for every probed key the matches agree with
 // the scan's as a multiset, and the visit count equals the number of
 // tuples in the key's bucket or chain. Each table starts from a 4-entry
@@ -252,7 +279,7 @@ func TestMatchesAgreeWithScan(t *testing.T) {
 		{"random", randomTuples(1000, 200, 71)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			table, compact := Build(c.tuples), BuildCompact(c.tuples)
+			compact := BuildCompact(c.tuples)
 			con := NewConcurrent(c.tuples)
 			inc := NewIncremental(0)
 			for i, tp := range c.tuples {
@@ -268,7 +295,6 @@ func TestMatchesAgreeWithScan(t *testing.T) {
 				m     matcher
 				shift uint32
 			}{
-				{"table", table, table.shift},
 				{"compact", compact, compact.shift},
 				{"concurrent", con, con.shift},
 				{"incremental", inc, inc.shift},

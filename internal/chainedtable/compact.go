@@ -6,23 +6,29 @@ import (
 	"skewjoin/internal/sanitize"
 )
 
-// CompactTable is the CPU join phase's build table: every bucket's entries
-// are stored contiguously in one tuple array, with starts[b] marking where
-// bucket b begins (starts has len buckets+1, so bucket b occupies
-// entries[starts[b]:starts[b+1]]). Buckets are exactly Table's — same
-// hash, same bucket count, same members — so a probe inspects the entries
-// a chain walk would visit, but as a sequential scan of one run instead of
-// one dependent load per node. Building costs one extra counting pass over
-// the tuples.
+// CompactTable is the build table of the CPU join phase and of the
+// simulated GPU kernels: every bucket's entries are stored contiguously in
+// one tuple array, with starts[b] marking where bucket b begins (starts
+// has len buckets+1, so bucket b occupies entries[starts[b]:starts[b+1]]).
+// Buckets are exactly the paper's chains — same hash, same bucket count,
+// same members as a Concurrent over the same tuples — so a probe inspects
+// the entries a chain walk would visit, but as a sequential scan of one
+// run instead of one dependent load per node. Building costs one extra
+// counting pass over the tuples.
 type CompactTable struct {
+	// shift selects the HIGH bits of the hashed key as the bucket index.
+	// Radix partitioning consumes the low hash bits, so every tuple within
+	// one partition shares them; bucketing on the high bits keeps buckets
+	// short for distinct keys inside a partition.
 	shift    uint32
 	starts   []int32
 	entries  []relation.Tuple
 	maxChain int32 // largest bucket, counted during the build
 }
 
-// BuildCompact constructs a compact table over tuples with the same bucket
-// count Build would use. The tuple slice is only read, not retained.
+// BuildCompact constructs a compact table over tuples with roughly one
+// bucket per tuple (rounded up to a power of two). The tuple slice is only
+// read, not retained.
 //
 //skewlint:hotpath
 func BuildCompact(tuples []relation.Tuple) *CompactTable {
@@ -94,7 +100,7 @@ func (t *CompactTable) rebuild(tuples []relation.Tuple) {
 // entry whose key equals k into dst (see the package doc), and returns
 // them with the number of entries inspected. It inspects the whole bucket
 // — exactly the entries a chained walk of the same bucket would visit —
-// so visit counts equal a Table's over the same tuples. A dst of
+// so visit counts equal a Concurrent's over the same tuples. A dst of
 // MaxChain entries holds any key's matches.
 //
 //skewlint:hotpath
@@ -116,8 +122,8 @@ func (t *CompactTable) Matches(k relation.Key, dst []relation.Payload) ([]relati
 }
 
 // MaxChain returns the largest bucket's entry count: the length of the
-// longest chain the same tuples would form in a Table, and the §III skew
-// symptom the join phase reports.
+// longest chain the same tuples would form in a chained table, and the
+// §III skew symptom the join phase reports.
 func (t *CompactTable) MaxChain() int { return int(t.maxChain) }
 
 // Len returns the number of tuples in the table.

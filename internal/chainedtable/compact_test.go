@@ -43,12 +43,13 @@ func probeMatches(table matcher, ts []relation.Tuple) ([]match, int) {
 	return ms, visited
 }
 
-// longestChain walks every chain of a Table and returns the longest.
-func longestChain(t *Table) int {
+// longestChain walks every chain of a chained table and returns the
+// longest.
+func longestChain(t *Concurrent) int {
 	max := 0
 	for b := range t.heads {
 		n := 0
-		for i := t.heads[b]; i >= 0; i = t.next[i] {
+		for i := t.heads[b].Load(); i >= 0; i = t.next[i] {
 			n++
 		}
 		if n > max {
@@ -84,21 +85,22 @@ func variantWorkloads() []variantWorkload {
 }
 
 // TestProbeVariantsEquivalent pins the compact table, which the CPU join
-// phase builds, to the paper's chained table, which the GPU kernels build:
+// phase and the simulated GPU kernels build, to the paper's chained table:
 // over every workload both must produce the identical match multiset, the
 // identical visit count, and a largest bucket equal to the longest chain —
-// the values the join phase reports as ProbeVisits and MaxChain.
+// the values the join phase reports as ProbeVisits and MaxChain, and the
+// chain steps the GPU kernels charge.
 func TestProbeVariantsEquivalent(t *testing.T) {
 	for _, w := range variantWorkloads() {
 		t.Run(w.name, func(t *testing.T) {
-			chained := Build(w.r)
+			chain := chained(w.r)
 			compact := BuildCompact(w.r)
-			want, wantVisits := probeMatches(chained, w.s)
+			want, wantVisits := probeMatches(chain, w.s)
 			got, visits := probeMatches(compact, w.s)
 			if visits != wantVisits {
 				t.Errorf("compact visited %d, chained %d", visits, wantVisits)
 			}
-			if mc, lc := compact.MaxChain(), longestChain(chained); mc != lc {
+			if mc, lc := compact.MaxChain(), longestChain(chain); mc != lc {
 				t.Errorf("compact MaxChain %d, longest chain %d", mc, lc)
 			}
 			if len(got) != len(want) {

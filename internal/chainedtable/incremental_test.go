@@ -7,7 +7,7 @@ import (
 )
 
 // TestIncrementalMatchesTable inserts the same tuples into an Incremental
-// and a one-shot Table and checks every key probes identically.
+// and a one-shot chained table and checks every key probes identically.
 func TestIncrementalMatchesTable(t *testing.T) {
 	tuples := make([]relation.Tuple, 0, 3000)
 	for i := 0; i < 3000; i++ {
@@ -19,7 +19,7 @@ func TestIncrementalMatchesTable(t *testing.T) {
 	for _, tp := range tuples {
 		inc.Insert(tp)
 	}
-	tab := Build(tuples)
+	tab := chained(tuples)
 
 	if inc.Len() != len(tuples) {
 		t.Fatalf("Len = %d, want %d", inc.Len(), len(tuples))

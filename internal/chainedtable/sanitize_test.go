@@ -27,30 +27,14 @@ func mustPanicWithCycle(t *testing.T, fn func()) {
 	fn()
 }
 
-// corruptTable builds a small table and rewires one chain's head node to
-// point at itself — the classic next-link corruption that would hang an
-// unsanitized probe forever.
-func corruptTable(t *testing.T) (*Table, relation.Key) {
-	t.Helper()
-	tuples := make([]relation.Tuple, 8)
-	for i := range tuples {
-		tuples[i] = relation.Tuple{Key: relation.Key(i), Payload: relation.Payload(i)}
-	}
-	tb := Build(tuples)
-	for b := range tb.heads {
-		if h := tb.heads[b]; h >= 0 {
-			tb.next[h] = h
-			return tb, tuples[h].Key
-		}
-	}
-	t.Fatal("no non-empty bucket in an 8-tuple table")
-	return nil, 0
-}
-
+// TestSanitizeProbeDetectsCycle drives the chain walk both chained tables
+// share with the classic next-link corruption — a node pointing at itself
+// — that would hang an unsanitized probe forever.
 func TestSanitizeProbeDetectsCycle(t *testing.T) {
-	tb, key := corruptTable(t)
+	tuples := []relation.Tuple{{Key: 1, Payload: 10}, {Key: 2, Payload: 20}}
+	next := []int32{1, 1} // 0 -> 1 -> 1 -> ...
 	mustPanicWithCycle(t, func() {
-		tb.Matches(key, nil)
+		matchChain(0, next, tuples, 2, nil)
 	})
 }
 
@@ -103,7 +87,7 @@ func TestSanitizeIncrementalProbeDetectsCycle(t *testing.T) {
 // sanitizer.
 func TestSanitizeCleanTableUnaffected(t *testing.T) {
 	tuples := []relation.Tuple{{Key: 1, Payload: 10}, {Key: 1, Payload: 11}, {Key: 2, Payload: 20}}
-	tb := Build(tuples)
+	tb := chained(tuples)
 	m, visited := tb.Matches(1, nil)
 	if len(m) != 2 || visited < 2 {
 		t.Fatalf("probe under sanitize returned matches=%d visited=%d", len(m), visited)

@@ -94,20 +94,11 @@ type Stats struct {
 // Result is the outcome of one CSH run.
 type Result struct {
 	Summary outbuf.Summary
-	Phases  []exec.Phase // "sample", "partition", "nmjoin"
+	Phases  exec.Phases // "sample", "partition", "nmjoin"
 	Stats   Stats
 	// Canceled reports that Config.Ctx fired before the run completed; the
 	// summary covers only the work done up to that point.
 	Canceled bool
-}
-
-// Total returns the end-to-end time of the run.
-func (r Result) Total() time.Duration {
-	var d time.Duration
-	for _, p := range r.Phases {
-		d += p.Duration
-	}
-	return d
 }
 
 // SamplePlusPartition returns the combined duration of the sample and
@@ -242,22 +233,10 @@ func Join(r, s relation.Relation, cfg Config) Result {
 					skewedS[w]++
 				},
 			})
-		} else if cfg.Threads > 1 {
-			// No skewed keys detected: the R and S passes are fully
-			// independent, exactly as in Cbase — overlap them.
-			rc, sc := rcfg, rcfg
-			rc.Threads, sc.Threads = exec.SplitThreads(cfg.Threads, r.Len(), s.Len())
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				pr = radix.Partition(r.Tuples, rc, nil)
-			}()
-			ps = radix.Partition(s.Tuples, sc, nil)
-			wg.Wait()
 		} else {
-			pr = radix.Partition(r.Tuples, rcfg, nil)
-			ps = radix.Partition(s.Tuples, rcfg, nil)
+			// No skewed keys detected: the R and S passes are fully
+			// independent, exactly as in Cbase.
+			pr, ps = radix.PartitionPair(r.Tuples, s.Tuples, rcfg)
 		}
 	})
 	for _, n := range skewedS {

@@ -272,6 +272,19 @@ type Phase struct {
 	Duration time.Duration
 }
 
+// Phases is an algorithm run's phase list, in record order.
+type Phases []Phase
+
+// Total returns the sum of the phase durations: the run's end-to-end
+// time.
+func (ps Phases) Total() time.Duration {
+	var sum time.Duration
+	for _, p := range ps {
+		sum += p.Duration
+	}
+	return sum
+}
+
 // Time runs fn and records its wall-clock duration under name.
 func (pt *PhaseTimer) Time(name string, fn func()) {
 	start := time.Now()
@@ -290,21 +303,12 @@ func (pt *PhaseTimer) Add(name string, d time.Duration) {
 }
 
 // Phases returns the recorded phases in record order.
-func (pt *PhaseTimer) Phases() []Phase {
+func (pt *PhaseTimer) Phases() Phases {
 	pt.mu.Lock()
 	defer pt.mu.Unlock()
-	out := make([]Phase, len(pt.phases))
+	out := make(Phases, len(pt.phases))
 	copy(out, pt.phases)
 	return out
-}
-
-// Total returns the sum of all recorded phase durations.
-func (pt *PhaseTimer) Total() time.Duration {
-	var sum time.Duration
-	for _, p := range pt.Phases() {
-		sum += p.Duration
-	}
-	return sum
 }
 
 // Get returns the duration recorded under name (summed if recorded more

@@ -373,7 +373,7 @@ func TestPhaseTimer(t *testing.T) {
 	if _, ok := pt.Get("missing"); ok {
 		t.Error("Get returned ok for missing phase")
 	}
-	if total := pt.Total(); total < 8*time.Millisecond {
+	if total := pt.Phases().Total(); total < 8*time.Millisecond {
 		t.Errorf("total = %v", total)
 	}
 }

@@ -26,7 +26,7 @@ func BenchmarkAblationSubListSize(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res = Join(r, s, Config{SubListTuples: sub})
 			}
-			b.ReportMetric(float64(res.Total().Microseconds()), "modelled-us")
+			b.ReportMetric(float64(res.Phases.Total().Microseconds()), "modelled-us")
 			b.ReportMetric(float64(res.Stats.SReprobes), "s-reprobes")
 		})
 	}

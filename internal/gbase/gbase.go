@@ -87,20 +87,11 @@ type Stats struct {
 // time from the simulator.
 type Result struct {
 	Summary outbuf.Summary
-	Phases  []exec.Phase // "partition", "join"
+	Phases  exec.Phases // "partition", "join"
 	Stats   Stats
 	// Trace lists every kernel launch with its block count, makespan and
 	// imbalance — the simulator's per-launch records.
 	Trace []gpusim.LaunchRecord
-}
-
-// Total returns the end-to-end modelled time of the run.
-func (r Result) Total() time.Duration {
-	var d time.Duration
-	for _, p := range r.Phases {
-		d += p.Duration
-	}
-	return d
 }
 
 // Join runs Gbase over r and s on a fresh simulated device.

@@ -19,8 +19,8 @@ func TestIncludeTransferAddsPhase(t *testing.T) {
 	if withT.Phases[0].Name != "transfer" || withT.Phases[0].Duration <= 0 {
 		t.Fatalf("transfer phase missing: %+v", withT.Phases)
 	}
-	if withT.Total() <= plain.Total() {
-		t.Errorf("transfer should add time: %v vs %v", withT.Total(), plain.Total())
+	if withT.Phases.Total() <= plain.Phases.Total() {
+		t.Errorf("transfer should add time: %v vs %v", withT.Phases.Total(), plain.Phases.Total())
 	}
 }
 

@@ -63,9 +63,15 @@ var matchScratch = sync.Pool{New: func() any { return new([]relation.Payload) }}
 // synchronises, threads compute offsets from the bitmap and write results
 // coalesced. Each S tuple's matches leave the block as one output run.
 // Returns the number of matches the block produced.
+//
+// The host computes the matches on the CPU join phase's compact layout
+// (chainedtable.CompactTable). Its buckets are the paper's chains, so a
+// probe visits exactly the nodes a chain walk would; the charges below
+// model the chained build (a shared atomic per bucket-head insert) and the
+// chain walk in shared memory, one step per visited node.
 func ProbeJoinBlock(b *gpusim.Block, rPart, sPart []relation.Tuple) int {
 	dcfg := b.Device().Config()
-	table := chainedtable.Build(rPart)
+	table := chainedtable.BuildCompact(rPart)
 
 	// Build: read the R side coalesced; per tuple a hash, a shared-memory
 	// write and a shared atomic on the bucket head.

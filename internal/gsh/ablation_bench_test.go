@@ -32,7 +32,7 @@ func BenchmarkAblationTopK(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res = Join(r, s, Config{TopK: k})
 			}
-			b.ReportMetric(float64(res.Total().Microseconds()), "modelled-us")
+			b.ReportMetric(float64(res.Phases.Total().Microseconds()), "modelled-us")
 			b.ReportMetric(float64(res.Stats.SkewedKeys), "skewed-keys")
 		})
 	}
@@ -54,7 +54,7 @@ func BenchmarkAblationDetectBefore(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					res = Join(r, s, Config{DetectBefore: before})
 				}
-				b.ReportMetric(float64(res.Total().Microseconds()), "modelled-us")
+				b.ReportMetric(float64(res.Phases.Total().Microseconds()), "modelled-us")
 				b.ReportMetric(float64(res.Phases[0].Duration.Microseconds()), "partition-us")
 			})
 		}
@@ -70,7 +70,7 @@ func BenchmarkAblationSampleRate(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res = Join(r, s, Config{SampleRate: rate})
 			}
-			b.ReportMetric(float64(res.Total().Microseconds()), "modelled-us")
+			b.ReportMetric(float64(res.Phases.Total().Microseconds()), "modelled-us")
 		})
 	}
 }

@@ -105,20 +105,11 @@ type Stats struct {
 // time from the simulator.
 type Result struct {
 	Summary outbuf.Summary
-	Phases  []exec.Phase // "partition", "detect", "divide", "nmjoin", "skewjoin"
+	Phases  exec.Phases // "partition", "detect", "divide", "nmjoin", "skewjoin"
 	Stats   Stats
 	// Trace lists every kernel launch with its block count, makespan and
 	// imbalance — the simulator's per-launch records.
 	Trace []gpusim.LaunchRecord
-}
-
-// Total returns the end-to-end modelled time of the run.
-func (r Result) Total() time.Duration {
-	var d time.Duration
-	for _, p := range r.Phases {
-		d += p.Duration
-	}
-	return d
 }
 
 // Phase returns the duration recorded under name (0 if absent).

@@ -77,14 +77,14 @@ func TestModelledTimeBeatsGbaseAtHighSkew(t *testing.T) {
 	if gs.Summary != gb.Summary {
 		t.Fatalf("summaries differ: gsh %+v vs gbase %+v", gs.Summary, gb.Summary)
 	}
-	if gs.Total() >= gb.Total() {
-		t.Errorf("at zipf 1.0 GSH (%v) should beat Gbase (%v)", gs.Total(), gb.Total())
+	if gs.Phases.Total() >= gb.Phases.Total() {
+		t.Errorf("at zipf 1.0 GSH (%v) should beat Gbase (%v)", gs.Phases.Total(), gb.Phases.Total())
 	}
 
 	r, s = workload(t, 100000, 0.2, 11)
 	gb = gbase.Join(r, s, gbase.Config{})
 	gs = Join(r, s, Config{})
-	ratio := float64(gs.Total()) / float64(gb.Total())
+	ratio := float64(gs.Phases.Total()) / float64(gb.Phases.Total())
 	if ratio > 2.0 || ratio < 0.3 {
 		t.Errorf("at zipf 0.2 GSH and Gbase should be comparable, ratio %.2f", ratio)
 	}
@@ -110,8 +110,8 @@ func TestTraceRecordsLaunches(t *testing.T) {
 			t.Errorf("trace missing phase %q", want)
 		}
 	}
-	if total != int64(res.Total()) {
-		t.Errorf("trace durations sum %d != total %d", total, res.Total())
+	if total != int64(res.Phases.Total()) {
+		t.Errorf("trace durations sum %d != total %d", total, res.Phases.Total())
 	}
 }
 
@@ -125,11 +125,11 @@ func TestPhasesCoverTotal(t *testing.T) {
 		}
 		sum += int64(p.Duration)
 	}
-	if sum != int64(res.Total()) {
-		t.Errorf("phases sum %d != total %d", sum, res.Total())
+	if sum != int64(res.Phases.Total()) {
+		t.Errorf("phases sum %d != total %d", sum, res.Phases.Total())
 	}
-	if res.AllOther() >= res.Total() {
-		t.Errorf("AllOther %v should exclude the partition phase (total %v)", res.AllOther(), res.Total())
+	if res.AllOther() >= res.Phases.Total() {
+		t.Errorf("AllOther %v should exclude the partition phase (total %v)", res.AllOther(), res.Phases.Total())
 	}
 }
 

@@ -57,18 +57,9 @@ type Stats struct {
 // modelled GPU time.
 type Result struct {
 	Summary outbuf.Summary
-	Phases  []exec.Phase // "sort", "merge"
+	Phases  exec.Phases // "sort", "merge"
 	Stats   Stats
 	Trace   []gpusim.LaunchRecord
-}
-
-// Total returns the end-to-end modelled time of the run.
-func (r Result) Total() time.Duration {
-	var d time.Duration
-	for _, p := range r.Phases {
-		d += p.Duration
-	}
-	return d
 }
 
 // Join runs the GPU sort-merge join over r and s on a fresh device.

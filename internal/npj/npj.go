@@ -13,7 +13,6 @@ package npj
 
 import (
 	"context"
-	"time"
 
 	"skewjoin/internal/chainedtable"
 	"skewjoin/internal/exec"
@@ -52,20 +51,11 @@ type Stats struct {
 // Result is the outcome of one cbase-npj run.
 type Result struct {
 	Summary outbuf.Summary
-	Phases  []exec.Phase // "build", "probe"
+	Phases  exec.Phases // "build", "probe"
 	Stats   Stats
 	// Canceled reports that Config.Ctx fired before the run completed;
 	// the partial Summary and Stats must be discarded.
 	Canceled bool
-}
-
-// Total returns the end-to-end time of the run.
-func (r Result) Total() time.Duration {
-	var d time.Duration
-	for _, p := range r.Phases {
-		d += p.Duration
-	}
-	return d
 }
 
 // Join runs the no-partition join over r and s.

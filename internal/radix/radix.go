@@ -21,6 +21,7 @@ package radix
 
 import (
 	"context"
+	"sync"
 
 	"skewjoin/internal/exec"
 	"skewjoin/internal/hashfn"
@@ -136,6 +137,30 @@ func Partition(src []relation.Tuple, cfg Config, div *Diverter) *Partitioned {
 	out := passTwo(pass1, cfg)
 	checkPlacement(out, cfg)
 	return out
+}
+
+// PartitionPair partitions r and s with the same radix bits: the
+// partition phase every radix join runs before joining partition pairs.
+// The two inputs are independent, so with two or more threads they are
+// partitioned concurrently, the workers split between them in proportion
+// to their sizes (exec.SplitThreads); at one thread they run one after
+// the other. Partition contents do not depend on the thread count, so
+// both shapes produce the partitions of two sequential Partition calls.
+func PartitionPair(r, s []relation.Tuple, cfg Config) (pr, ps *Partitioned) {
+	if cfg.Threads <= 1 {
+		return Partition(r, cfg, nil), Partition(s, cfg, nil)
+	}
+	rc, sc := cfg, cfg
+	rc.Threads, sc.Threads = exec.SplitThreads(cfg.Threads, len(r), len(s))
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		pr = Partition(r, rc, nil)
+	}()
+	ps = Partition(s, sc, nil)
+	wg.Wait()
+	return pr, ps
 }
 
 // checkPlacement runs VerifyPlacement on sanitize builds: every tuple

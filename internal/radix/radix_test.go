@@ -1,6 +1,7 @@
 package radix
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -89,16 +90,48 @@ func TestThreadCountDoesNotChangePartitionContents(t *testing.T) {
 	cfg1 := Config{Threads: 1, Bits1: 5, Bits2: 3}
 	cfg8 := Config{Threads: 8, Bits1: 5, Bits2: 3}
 	p1 := Partition(src, cfg1, nil)
-	p8 := Partition(src, cfg8, nil)
-	for part := 0; part < cfg1.Fanout(); part++ {
-		a := sortedCopy(p1.Part(part))
-		b := sortedCopy(p8.Part(part))
+	samePartitionContents(t, "8 threads", p1, Partition(src, cfg8, nil))
+
+	// PartitionPair splits the workers between its two inputs, or runs
+	// them one after the other at one thread: either way each side must
+	// hold what its own Partition call holds, an empty side included.
+	other := randomTuples(3000, 5)
+	for _, pair := range []struct {
+		name string
+		r, s []relation.Tuple
+	}{
+		{"both", src, other},
+		{"empty-r", nil, other},
+		{"empty-s", src, nil},
+	} {
+		wantR, wantS := Partition(pair.r, cfg1, nil), Partition(pair.s, cfg1, nil)
+		for threads := 1; threads <= 4; threads++ {
+			cfg := cfg1
+			cfg.Threads = threads
+			pr, ps := PartitionPair(pair.r, pair.s, cfg)
+			samePartitionContents(t, fmt.Sprintf("pair %s, R at %d threads", pair.name, threads), wantR, pr)
+			samePartitionContents(t, fmt.Sprintf("pair %s, S at %d threads", pair.name, threads), wantS, ps)
+		}
+	}
+}
+
+// samePartitionContents fails t unless got has want's fanout and every
+// partition holds the same tuples as want's, in any order.
+func samePartitionContents(t *testing.T, what string, want, got *Partitioned) {
+	t.Helper()
+	if got.Fanout() != want.Fanout() || got.Total() != want.Total() {
+		t.Fatalf("%s: fanout %d with %d tuples, want %d with %d",
+			what, got.Fanout(), got.Total(), want.Fanout(), want.Total())
+	}
+	for part := 0; part < want.Fanout(); part++ {
+		a := sortedCopy(want.Part(part))
+		b := sortedCopy(got.Part(part))
 		if len(a) != len(b) {
-			t.Fatalf("partition %d: size %d vs %d", part, len(a), len(b))
+			t.Fatalf("%s: partition %d: size %d vs %d", what, part, len(a), len(b))
 		}
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("partition %d: content differs at %d", part, i)
+				t.Fatalf("%s: partition %d: content differs at %d", what, part, i)
 			}
 		}
 	}

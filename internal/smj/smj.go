@@ -15,7 +15,6 @@ package smj
 import (
 	"context"
 	"sort"
-	"time"
 
 	"skewjoin/internal/exec"
 	"skewjoin/internal/outbuf"
@@ -54,20 +53,11 @@ type Stats struct {
 // Result is the outcome of one sort-merge join run.
 type Result struct {
 	Summary outbuf.Summary
-	Phases  []exec.Phase // "sort", "merge"
+	Phases  exec.Phases // "sort", "merge"
 	Stats   Stats
 	// Canceled reports that Config.Ctx fired before the run completed;
 	// the partial Summary and Stats must be discarded.
 	Canceled bool
-}
-
-// Total returns the end-to-end time of the run.
-func (r Result) Total() time.Duration {
-	var d time.Duration
-	for _, p := range r.Phases {
-		d += p.Duration
-	}
-	return d
 }
 
 // Join runs the sort-merge join over r and s.

@@ -132,20 +132,11 @@ type Stats struct {
 // Result is the outcome of one streaming symmetric join run.
 type Result struct {
 	Summary outbuf.Summary
-	Phases  []exec.Phase // "stream"
+	Phases  exec.Phases // "stream"
 	Stats   Stats
 	// Canceled reports that Config.Ctx fired before the run completed or
 	// hit its limit; the partial Summary and Stats must be discarded.
 	Canceled bool
-}
-
-// Total returns the end-to-end time of the run.
-func (r Result) Total() time.Duration {
-	var d time.Duration
-	for _, p := range r.Phases {
-		d += p.Duration
-	}
-	return d
 }
 
 // task is one chunk of one input: side 0 streams R tuples, side 1

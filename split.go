@@ -1,9 +1,9 @@
 package skewjoin
 
 import (
-	"sync"
 	"time"
 
+	"skewjoin/internal/cbase"
 	"skewjoin/internal/costmodel"
 	"skewjoin/internal/exec"
 	"skewjoin/internal/gpupart"
@@ -128,38 +128,19 @@ func (st *SplitStats) JoinSideNs() int64 {
 // merge both output streams into the volcano consumers.
 func joinSplit(r, s Relation, opts *Options) (Result, error) {
 	ctx := opts.Context
-	threads := opts.Threads
-	if threads <= 0 {
-		threads = exec.DefaultThreads()
-	}
-	bits1, bits2 := opts.Bits1, opts.Bits2
-	if bits1 == 0 && bits2 == 0 {
-		bits1, bits2 = 6, 5
-	}
-	bits1, bits2 = radix.ClampBits(bits1, bits2)
+	// The CPU leg is Cbase's join phase: it takes Cbase's defaults for the
+	// thread count, the radix bits and the skew factor.
+	ccfg := cbase.Config{Threads: opts.Threads, Bits1: opts.Bits1, Bits2: opts.Bits2}.Defaults()
+	threads := ccfg.Threads
 	dcfg := opts.Device.Defaults()
 
 	var timer exec.PhaseTimer
-	rcfg := radix.Config{Threads: threads, Bits1: bits1, Bits2: bits2, Ctx: ctx}
+	rcfg := radix.Config{Threads: threads, Bits1: ccfg.Bits1, Bits2: ccfg.Bits2, Ctx: ctx}
 
 	// Shared prefix 1: partition R and S, overlapped like cbase.
 	var pr, ps *radix.Partitioned
 	timer.Time("partition", func() {
-		if threads > 1 {
-			rc, sc := rcfg, rcfg
-			rc.Threads, sc.Threads = exec.SplitThreads(threads, r.Len(), s.Len())
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				pr = radix.Partition(r.Tuples, rc, nil)
-			}()
-			ps = radix.Partition(s.Tuples, sc, nil)
-			wg.Wait()
-		} else {
-			pr = radix.Partition(r.Tuples, rcfg, nil)
-			ps = radix.Partition(s.Tuples, rcfg, nil)
-		}
+		pr, ps = radix.PartitionPair(r.Tuples, s.Tuples, rcfg)
 	})
 	if err := ctxErr(ctx); err != nil {
 		return Result{}, err
@@ -224,7 +205,7 @@ func joinSplit(r, s Relation, opts *Options) (Result, error) {
 			return nil
 		}
 		cpuStats = joinphase.Run(pr, ps, joinphase.Config{
-			Threads: threads, SkewFactor: 4,
+			Threads: threads, SkewFactor: ccfg.SkewFactor,
 			Ctx: ctx, Parts: plan.CPUParts, Ranges: cpuRanges,
 		}, bufs)
 		for _, b := range bufs {
