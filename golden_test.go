@@ -48,10 +48,14 @@ func TestGoldenWorkloads(t *testing.T) {
 }
 
 // TestModelledPhasesGolden pins the per-phase modelled device time of
-// Gbase and GSH to the nanosecond. Modelled time depends only on the
-// workload, the device profile and the charges the kernels issue, not on
-// the host or on how the host stores a table, so any drift here is a
-// change to the simulated algorithms. At zipf 1.0 the 1 KiB
+// Gbase and GSH to the nanosecond, and the exact stream their consumers
+// receive. Modelled time depends only on the workload, the device profile
+// and the charges the kernels issue, not on the host or on how the host
+// stores a table, so any drift here is a change to the simulated
+// algorithms. The digest folds every batch each simulated SM's consumer
+// receives, in flush order, so it moves if a kernel emits the same
+// results in another order or splits them into other batches; serial and
+// host-parallel simulation must both produce it. At zipf 1.0 the 1 KiB
 // shared-memory device makes Gbase split its hot bucket list into
 // sub-lists and GSH detect, divide and join its skewed keys; the default
 // A100 profile takes neither path at this size.
@@ -67,34 +71,128 @@ func TestModelledPhasesGolden(t *testing.T) {
 		dev    DeviceConfig
 		alg    Algorithm
 		phases []phase
+		digest uint64
 	}{
-		{0.0, "a100", DeviceConfig{}, Gbase, []phase{{"partition", 6292}, {"join", 11330}}},
-		{0.0, "a100", DeviceConfig{}, GSH, []phase{{"partition", 13191}, {"detect", 0}, {"divide", 0}, {"nmjoin", 11330}, {"skewjoin", 0}}},
-		{1.0, "a100", DeviceConfig{}, Gbase, []phase{{"partition", 6292}, {"join", 403085}}},
-		{1.0, "a100", DeviceConfig{}, GSH, []phase{{"partition", 13756}, {"detect", 0}, {"divide", 0}, {"nmjoin", 403085}, {"skewjoin", 0}}},
-		{0.0, "shm-1KiB", smallShm, Gbase, []phase{{"partition", 7564}, {"join", 2226}}},
-		{0.0, "shm-1KiB", smallShm, GSH, []phase{{"partition", 9037}, {"detect", 0}, {"divide", 0}, {"nmjoin", 2150}, {"skewjoin", 0}}},
-		{1.0, "shm-1KiB", smallShm, Gbase, []phase{{"partition", 7564}, {"join", 223520}}},
-		{1.0, "shm-1KiB", smallShm, GSH, []phase{{"partition", 10624}, {"detect", 1517}, {"divide", 2073}, {"nmjoin", 4017}, {"skewjoin", 5424}}},
+		{0.0, "a100", DeviceConfig{}, Gbase, []phase{{"partition", 6292}, {"join", 11330}}, 0x280019c80261adee},
+		{0.0, "a100", DeviceConfig{}, GSH, []phase{{"partition", 13191}, {"detect", 0}, {"divide", 0}, {"nmjoin", 11330}, {"skewjoin", 0}}, 0x280019c80261adee},
+		{1.0, "a100", DeviceConfig{}, Gbase, []phase{{"partition", 6292}, {"join", 403085}}, 0xbe35f618966753dc},
+		{1.0, "a100", DeviceConfig{}, GSH, []phase{{"partition", 13756}, {"detect", 0}, {"divide", 0}, {"nmjoin", 403085}, {"skewjoin", 0}}, 0xbe35f618966753dc},
+		{0.0, "shm-1KiB", smallShm, Gbase, []phase{{"partition", 7564}, {"join", 2226}}, 0x8413aa575ef32616},
+		{0.0, "shm-1KiB", smallShm, GSH, []phase{{"partition", 9037}, {"detect", 0}, {"divide", 0}, {"nmjoin", 2150}, {"skewjoin", 0}}, 0xfc3a9d74130647f0},
+		{1.0, "shm-1KiB", smallShm, Gbase, []phase{{"partition", 7564}, {"join", 223520}}, 0xc97b29a467369872},
+		{1.0, "shm-1KiB", smallShm, GSH, []phase{{"partition", 10624}, {"detect", 1517}, {"divide", 2073}, {"nmjoin", 4017}, {"skewjoin", 5424}}, 0xa74fd90d9df33abc},
 	}
 	for _, g := range golden {
 		r, s, err := GenerateZipfPair(4096, g.theta, 21)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Join(g.alg, r, s, &Options{Device: g.dev})
+		want := Expected(r, s)
+		for _, hostpar := range []int{0, 4} {
+			dev := g.dev
+			dev.HostParallelism = hostpar
+			sd := newStreamDigest(0)
+			res, err := Join(g.alg, r, s, &Options{Device: dev, Consumer: sd.consumer})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Summary() != want {
+				t.Errorf("%s zipf %.1f %s hostpar %d: output %+v, oracle %+v", g.alg, g.theta, g.device, hostpar, res.Summary(), want)
+			}
+			var got []phase
+			for _, p := range res.Phases {
+				got = append(got, phase{p.Name, p.Duration.Nanoseconds()})
+			}
+			if fmt.Sprint(got) != fmt.Sprint(g.phases) {
+				t.Errorf("%s zipf %.1f %s hostpar %d: modelled phases %v, want %v", g.alg, g.theta, g.device, hostpar, got, g.phases)
+			}
+			if d := sd.sum(); d != g.digest {
+				t.Errorf("%s zipf %.1f %s hostpar %d: stream digest %#x, want %#x", g.alg, g.theta, g.device, hostpar, d, g.digest)
+			}
+		}
+	}
+
+	// A split on the coupled device with a pinned calibration places the
+	// same partitions and fragments on every run, so the simulated SMs'
+	// streams are deterministic too; the CPU workers' interleaving is
+	// not, so only the SMs' consumers (worker index >= Threads) are
+	// digested. At zipf 1.25 the plan fragments the hot partition, so
+	// the SMs probe its build side too.
+	r, s, err := GenerateZipfPair(4096, 1.25, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Expected(r, s)
+	const splitDigest, splitGPUJoinNs = 0x7906fbcb97fe5fc3, 1213444
+	for _, hostpar := range []int{0, 4} {
+		opts := fragmentOptions(8, hostpar)
+		sd := newStreamDigest(opts.Threads)
+		opts.Consumer = sd.consumer
+		res, err := Join(Split, r, s, &opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := Expected(r, s); res.Summary() != want {
-			t.Errorf("%s zipf %.1f %s: output %+v, oracle %+v", g.alg, g.theta, g.device, res.Summary(), want)
+		if res.Summary() != want {
+			t.Errorf("split hostpar %d: output %+v, oracle %+v", hostpar, res.Summary(), want)
 		}
-		var got []phase
-		for _, p := range res.Phases {
-			got = append(got, phase{p.Name, p.Duration.Nanoseconds()})
+		if res.Split.GPUFragments == 0 {
+			t.Fatalf("split hostpar %d: no fragment of the hot partition ran on the simulated GPU: %+v", hostpar, res.Split.Plan)
 		}
-		if fmt.Sprint(got) != fmt.Sprint(g.phases) {
-			t.Errorf("%s zipf %.1f %s: modelled phases %v, want %v", g.alg, g.theta, g.device, got, g.phases)
+		if res.Split.GPUJoinNs != splitGPUJoinNs {
+			t.Errorf("split hostpar %d: modelled GPU join %d ns, want %d", hostpar, res.Split.GPUJoinNs, splitGPUJoinNs)
+		}
+		if d := sd.sum(); d != splitDigest {
+			t.Errorf("split hostpar %d: SM stream digest %#x, want %#x", hostpar, d, splitDigest)
 		}
 	}
+}
+
+// streamDigest folds every batch handed to the consumers of workers
+// from..N-1 into one order-sensitive hash per worker: FNV-1a over the
+// batch length and each result's key and payloads, in flush order.
+type streamDigest struct {
+	from    int
+	workers []*uint64
+}
+
+func newStreamDigest(from int) *streamDigest { return &streamDigest{from: from} }
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// consumer is an Options.Consumer factory; Join calls it sequentially
+// before any worker runs, and each worker feeds only its own hash.
+func (d *streamDigest) consumer(worker int) ResultConsumer {
+	for len(d.workers) <= worker {
+		d.workers = append(d.workers, nil)
+	}
+	if worker < d.from {
+		return func([]JoinResult) {}
+	}
+	h := new(uint64)
+	*h = fnvOffset
+	d.workers[worker] = h
+	return func(batch []JoinResult) {
+		x := (*h ^ uint64(len(batch))) * fnvPrime
+		for _, r := range batch {
+			x = (x ^ uint64(r.Key)) * fnvPrime
+			x = (x ^ uint64(r.PayloadR)) * fnvPrime
+			x = (x ^ uint64(r.PayloadS)) * fnvPrime
+		}
+		*h = x
+	}
+}
+
+// sum combines the digested workers' hashes in worker-index order.
+func (d *streamDigest) sum() uint64 {
+	x := uint64(fnvOffset)
+	for w, h := range d.workers {
+		if h != nil {
+			x = (x ^ uint64(w)) * fnvPrime
+			x = (x ^ *h) * fnvPrime
+		}
+	}
+	return x
 }

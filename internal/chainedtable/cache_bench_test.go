@@ -2,6 +2,7 @@ package chainedtable
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"skewjoin/internal/relation"
@@ -11,16 +12,19 @@ import (
 // paths the paper compares: the paper's Cbase emits each result after a
 // hash-chain step plus key comparison, while CSH's skew path emits results
 // from a sequential scan of the skewed R array with no comparison. The
-// chain is one key's, in a Concurrent filled by sequential Insert.
+// chain is one key's, in a Concurrent whose tuples are inserted in a
+// seeded shuffled order: a chain linked in tuple order would be walked at
+// a fixed stride the hardware prefetcher follows, while a shuffled one
+// makes every step a load whose address depends on the previous one, as
+// in a table built from unordered input.
 //
 // The gap between the two is the per-output speedup ceiling of CSH over
 // Cbase, and it widens with the working-set size: small chains are
-// cache-resident and chain-walking is only ~2-3x dearer than scanning, but
-// once the chain's next[]/tuple arrays spill out of cache each step is a
-// dependent memory miss. The paper's 8x (32M tuples, 1.79M-tuple chains)
-// lives in that out-of-cache regime; this benchmark shows where the
-// current host sits at each size (DESIGN.md §1, EXPERIMENTS.md
-// §Deviations).
+// cache-resident, but once the chain's next[]/tuple arrays spill out of
+// cache each step is a dependent memory miss. The paper's 8x (32M
+// tuples, 1.79M-tuple chains) lives in that out-of-cache regime; this
+// benchmark shows where the current host sits at each size (DESIGN.md
+// §1, EXPERIMENTS.md §Deviations).
 func BenchmarkChainWalkVsSequentialScan(b *testing.B) {
 	for _, size := range []int{1 << 10, 1 << 14, 1 << 18, 1 << 21} {
 		tuples := make([]relation.Tuple, size)
@@ -33,9 +37,13 @@ func BenchmarkChainWalkVsSequentialScan(b *testing.B) {
 		}
 
 		b.Run(fmt.Sprintf("chainwalk/size=%d", size), func(b *testing.B) {
-			table := chained(tuples)
+			table := NewConcurrent(tuples)
+			for _, i := range rand.New(rand.NewSource(int64(size))).Perm(size) {
+				table.Insert(i)
+			}
 			scratch := make([]relation.Payload, size)
 			b.SetBytes(int64(size) * relation.TupleSize)
+			b.ResetTimer()
 			sink := 0
 			for i := 0; i < b.N; i++ {
 				m, _ := table.Matches(42, scratch)
@@ -56,18 +64,26 @@ func BenchmarkChainWalkVsSequentialScan(b *testing.B) {
 	}
 }
 
-// BenchmarkBuild measures compact-table construction across partition
-// sizes — the per-task cost the join phase pays before probing.
+// BenchmarkBuild measures table construction across partition sizes —
+// the per-task cost a join pays before probing: the compact table the CPU
+// join phase builds, and the run table the simulated GPU kernels build
+// over the same buckets.
 func BenchmarkBuild(b *testing.B) {
 	for _, size := range []int{1 << 10, 1 << 14, 1 << 18} {
 		tuples := make([]relation.Tuple, size)
 		for i := range tuples {
 			tuples[i] = relation.Tuple{Key: relation.Key(i * 2654435761), Payload: relation.Payload(i)}
 		}
-		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+		b.Run(fmt.Sprintf("compact/size=%d", size), func(b *testing.B) {
 			b.SetBytes(int64(size) * relation.TupleSize)
 			for i := 0; i < b.N; i++ {
 				BuildCompact(tuples)
+			}
+		})
+		b.Run(fmt.Sprintf("runs/size=%d", size), func(b *testing.B) {
+			b.SetBytes(int64(size) * relation.TupleSize)
+			for i := 0; i < b.N; i++ {
+				BuildRuns(tuples)
 			}
 		})
 	}

@@ -4,10 +4,11 @@
 // key hash into the same bucket, so a popular key produces one long bucket;
 // probing it costs one key comparison per entry. That behaviour — the
 // paper's central criticism of the baselines under skew — is what every
-// table here reproduces: a probe (Matches) compares every entry of its
-// key's bucket, collects the matching payloads into the caller's scratch,
-// and the visit count it returns is the bucket's length. The caller then
-// emits one probing tuple's matches as a single output run.
+// table here reproduces: a probe's visit count is the length of its key's
+// bucket, and the caller emits one probing tuple's matches as a single
+// output run. Three tables find the matches the way Cbase does, with
+// Matches: it compares every entry of the key's bucket and collects the
+// matching payloads into the caller's scratch.
 //
 // Matches treats its dst argument as scratch: it overwrites dst from index
 // 0 up to its capacity and returns the filled prefix. A scratch too short
@@ -16,22 +17,26 @@
 // table's largest bucket, or to the build side's length — and the probe
 // itself allocates nothing.
 //
-// Three tables share one bucketing (the high bits of the mixed key):
+// Four tables share one bucketing (the high bits of the mixed key):
 //
 //   - CompactTable (compact.go): each bucket stored as one contiguous run.
 //     The CPU join phase (Cbase, CSH's NM-join and the split executor's
 //     CPU leg) builds one per join task through a per-worker Arena
-//     (arena.go) that recycles its scratch across tasks, and the simulated
-//     GPU kernels (gpupart.ProbeJoinBlock) build one per block, charging
-//     the paper's chain walk through its visit counts;
+//     (arena.go) that recycles its scratch across tasks;
+//   - RunTable (runs.go): a CompactTable's buckets with each key's tuples
+//     grouped, so Run hands out a key's matches as a slice of the table
+//     without comparing or copying. The simulated GPU kernels
+//     (gpupart.ProbeJoinBlock) build one per block; they charge the
+//     paper's chain walk through its visit counts, and their output is
+//     modelled, not measured, so the host need not pay the comparisons;
 //   - Concurrent: a latch-free shared chained table built by many threads
 //     with CAS head insertion (cbase-npj builds one over the whole of R);
 //   - Incremental (incremental.go): a growable chained table for the
 //     streaming symmetric join.
 //
-// A CompactTable and a Concurrent over the same tuples have the same
-// buckets with the same members, so probe visit counts and the largest
-// bucket (MaxChain) agree between them.
+// A CompactTable, a RunTable and a Concurrent over the same tuples have the
+// same buckets with the same members, so their probe visit counts agree,
+// and so does the largest bucket (MaxChain) where a table reports it.
 package chainedtable
 
 import (

@@ -2,6 +2,7 @@ package chainedtable
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -42,10 +43,15 @@ type layout struct {
 	m    matcher
 }
 
-// layouts builds both one-shot layouts of the same buckets over tuples:
-// the chained reference and the compact table the join phases build.
+// layouts builds the one-shot layouts of the same buckets over tuples:
+// the chained reference, the compact table the CPU join phase builds and
+// the run table the simulated GPU kernels build.
 func layouts(tuples []relation.Tuple) []layout {
-	return []layout{{"chained", chained(tuples)}, {"compact", BuildCompact(tuples)}}
+	return []layout{
+		{"chained", chained(tuples)},
+		{"compact", BuildCompact(tuples)},
+		{"runs", runMatcher{BuildRuns(tuples)}},
+	}
 }
 
 // probeAll collects every matching payload for k, starting from no
@@ -258,17 +264,55 @@ func scanBucket(tuples []relation.Tuple, shift uint32, k relation.Key) ([]relati
 	return ps, inBucket
 }
 
-// TestMatchesAgreeWithScan checks the probe primitive of all three tables
+// sameBucket returns count distinct keys, starting with k, that share k's
+// bucket in a one-shot table over n tuples.
+func sameBucket(k relation.Key, n, count int) []relation.Key {
+	shift := 32 - hashfn.Log2(bucketCount(n))
+	want := hashfn.Mix32(uint32(k)) >> shift
+	keys := []relation.Key{k}
+	for c := k + 1; len(keys) < count; c++ {
+		if hashfn.Mix32(uint32(c))>>shift == want {
+			keys = append(keys, c)
+		}
+	}
+	return keys
+}
+
+// interleaved returns copies tuples of every key, the keys taking turns,
+// with payloads numbering the tuples in order.
+func interleaved(keys []relation.Key, copies int) []relation.Tuple {
+	ts := make([]relation.Tuple, 0, len(keys)*copies)
+	for i := 0; i < copies; i++ {
+		for _, k := range keys {
+			ts = append(ts, relation.Tuple{Key: k, Payload: relation.Payload(len(ts))})
+		}
+	}
+	return ts
+}
+
+// runMatcher adapts a RunTable to the matcher the equivalence tests
+// sweep; a run needs no scratch.
+type runMatcher struct{ *RunTable }
+
+func (m runMatcher) Matches(k relation.Key, _ []relation.Payload) ([]relation.Payload, int) {
+	return m.Run(k)
+}
+
+// TestMatchesAgreeWithScan checks the probe primitive of all four tables
 // against a brute-force scan: for every probed key the matches agree with
 // the scan's as a multiset, and the visit count equals the number of
-// tuples in the key's bucket or chain. Each table starts from a 4-entry
-// scratch, which the hot key's 300 matches outgrow.
+// tuples in the key's bucket or chain. The run table must also hand out
+// each key's matches in exactly the compact table's order. Each table that
+// fills scratch starts from a 4-entry scratch, which the hot keys' 300
+// matches outgrow. Two hot keys interleaved in one bucket, and a dozen
+// keys sharing one, make the run table regroup a bucket.
 func TestMatchesAgreeWithScan(t *testing.T) {
 	hot := make([]relation.Tuple, 300, 500)
 	for i := range hot {
 		hot[i] = relation.Tuple{Key: 7, Payload: relation.Payload(i)}
 	}
 	hot = append(hot, randomTuples(200, 1000, 70)...)
+	twoHot := append(interleaved(sameBucket(7, 800, 2), 300), randomTuples(200, 1000, 72)...)
 	for _, c := range []struct {
 		name   string
 		tuples []relation.Tuple
@@ -277,9 +321,12 @@ func TestMatchesAgreeWithScan(t *testing.T) {
 		{"one-bucket", []relation.Tuple{{Key: 42, Payload: 7}}},
 		{"hot-key", hot},
 		{"random", randomTuples(1000, 200, 71)},
+		{"two-hot-keys-one-bucket", twoHot},
+		{"many-keys-one-bucket", interleaved(sameBucket(7, 60, 12), 5)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			compact := BuildCompact(c.tuples)
+			runs := BuildRuns(c.tuples)
 			con := NewConcurrent(c.tuples)
 			inc := NewIncremental(0)
 			for i, tp := range c.tuples {
@@ -296,6 +343,7 @@ func TestMatchesAgreeWithScan(t *testing.T) {
 				shift uint32
 			}{
 				{"compact", compact, compact.shift},
+				{"runs", runMatcher{runs}, runs.shift},
 				{"concurrent", con, con.shift},
 				{"incremental", inc, inc.shift},
 			} {
@@ -305,6 +353,11 @@ func TestMatchesAgreeWithScan(t *testing.T) {
 					want, wantVisits := scanBucket(c.tuples, tb.shift, k)
 					if visits != wantVisits {
 						t.Fatalf("%s key %d: %d visits, bucket holds %d", tb.name, k, visits, wantVisits)
+					}
+					if tb.name == "runs" {
+						if cm, _ := compact.Matches(k, nil); !slices.Equal(got, cm) {
+							t.Fatalf("runs key %d: run %v, compact matches %v", k, got, cm)
+						}
 					}
 					sorted := append([]relation.Payload(nil), got...)
 					sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
@@ -317,7 +370,9 @@ func TestMatchesAgreeWithScan(t *testing.T) {
 							t.Fatalf("%s key %d: matches %v, scan %v", tb.name, k, sorted, want)
 						}
 					}
-					scratch = got // a caller keeps the grown scratch
+					if tb.name != "runs" {
+						scratch = got // a caller keeps the grown scratch
+					}
 				}
 			}
 		})

@@ -39,13 +39,24 @@ func BuildCompact(tuples []relation.Tuple) *CompactTable {
 
 // rebuild (re)initialises t over tuples, reusing t's previous starts and
 // entries arrays when they have the capacity (an Arena's steady state) and
-// allocating otherwise. Counting pass → exclusive prefix sum → scatter →
-// shift-down to restore starts.
+// allocating otherwise.
 //
 //skewlint:hotpath
 func (t *CompactTable) rebuild(tuples []relation.Tuple) {
+	t.shift, t.starts, t.entries, t.maxChain = bucketize(tuples, t.starts, t.entries)
+}
+
+// bucketize lays tuples out bucket by bucket, the bucketing every one-shot
+// table shares: bucketCount(len(tuples)) buckets on the high bits of the
+// mixed key, and bucket b's tuples in entries[starts[b]:starts[b+1]] in
+// input order. starts and entries are reused when they have the capacity
+// and allocated otherwise. It returns the bucket shift, both arrays and
+// the largest bucket. Counting pass → exclusive prefix sum → stable
+// scatter → shift-down to restore starts.
+//
+//skewlint:hotpath
+func bucketize(tuples []relation.Tuple, starts []int32, entries []relation.Tuple) (uint32, []int32, []relation.Tuple, int32) {
 	nb := bucketCount(len(tuples))
-	starts, entries := t.starts, t.entries
 	if cap(starts) >= nb+1 {
 		starts = starts[:nb+1]
 	} else {
@@ -56,14 +67,12 @@ func (t *CompactTable) rebuild(tuples []relation.Tuple) {
 	} else {
 		entries = make([]relation.Tuple, len(tuples))
 	}
-	t.shift = 32 - hashfn.Log2(nb)
-	t.starts = starts
-	t.entries = entries
+	shift := 32 - hashfn.Log2(nb)
 	for b := range starts {
 		starts[b] = 0
 	}
 	for _, tp := range tuples {
-		starts[hashfn.Mix32(uint32(tp.Key))>>t.shift]++
+		starts[hashfn.Mix32(uint32(tp.Key))>>shift]++
 	}
 	// Exclusive prefix sum: starts[b] becomes bucket b's first slot. The
 	// counts pass through here once, so the largest bucket is free.
@@ -77,10 +86,9 @@ func (t *CompactTable) rebuild(tuples []relation.Tuple) {
 		}
 	}
 	starts[nb] = sum
-	t.maxChain = maxChain
 	// Scatter, advancing each bucket's cursor past its filled slots...
 	for _, tp := range tuples {
-		b := hashfn.Mix32(uint32(tp.Key)) >> t.shift
+		b := hashfn.Mix32(uint32(tp.Key)) >> shift
 		entries[starts[b]] = tp
 		starts[b]++
 	}
@@ -91,9 +99,10 @@ func (t *CompactTable) rebuild(tuples []relation.Tuple) {
 	}
 	starts[0] = 0
 	if sanitize.Enabled && int(starts[nb]) != len(tuples) {
-		sanitize.Failf("chainedtable: compact build lost tuples (starts[%d]=%d, want %d)",
+		sanitize.Failf("chainedtable: bucketing lost tuples (starts[%d]=%d, want %d)",
 			nb, starts[nb], len(tuples))
 	}
+	return shift, starts, entries, maxChain
 }
 
 // Matches scans k's bucket sequentially, collecting the payload of every

@@ -14,17 +14,37 @@ import (
 // chain-cycle diagnostic.
 func mustPanicWithCycle(t *testing.T, fn func()) {
 	t.Helper()
+	mustPanicWith(t, "cycle", fn)
+}
+
+// mustPanicWith runs fn and asserts the sanitizer aborted it with a
+// diagnostic containing want.
+func mustPanicWith(t *testing.T, want string, fn func()) {
+	t.Helper()
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("expected the sanitize cycle detector to panic; it did not fire")
+			t.Fatalf("expected a sanitize %q diagnostic; the check did not fire", want)
 		}
 		msg := fmt.Sprint(r)
-		if !strings.Contains(msg, "sanitize:") || !strings.Contains(msg, "cycle") {
-			t.Fatalf("panic is not the cycle diagnostic: %q", msg)
+		if !strings.Contains(msg, "sanitize:") || !strings.Contains(msg, want) {
+			t.Fatalf("panic is not the %q diagnostic: %q", want, msg)
 		}
 	}()
 	fn()
+}
+
+// TestSanitizeRunTableChecksGroups breaks a run table's groups in the two
+// ways a faulty build could — a group reaching past its bucket, and one
+// key split over two groups — and asserts the tiling check catches each.
+func TestSanitizeRunTableChecksGroups(t *testing.T) {
+	tuples := interleaved([]relation.Key{3}, 4) // one bucket of four
+	past := BuildRuns(tuples)
+	past.ends[0] = int32(len(tuples) + 1)
+	mustPanicWith(t, "outside bucket", past.checkGroups)
+	split := BuildRuns(tuples)
+	split.ends[0] = 1
+	mustPanicWith(t, "two groups", split.checkGroups)
 }
 
 // TestSanitizeProbeDetectsCycle drives the chain walk both chained tables
@@ -94,5 +114,8 @@ func TestSanitizeCleanTableUnaffected(t *testing.T) {
 	}
 	if got := BuildCompact(tuples).MaxChain(); got < 2 {
 		t.Fatalf("compact MaxChain under sanitize = %d", got)
+	}
+	if run, visited := BuildRuns(tuples).Run(1); len(run) != 2 || visited < 2 {
+		t.Fatalf("run table under sanitize returned run=%v visited=%d", run, visited)
 	}
 }

@@ -7,8 +7,6 @@
 package gpupart
 
 import (
-	"sync"
-
 	"skewjoin/internal/chainedtable"
 	"skewjoin/internal/gpusim"
 	"skewjoin/internal/hashfn"
@@ -50,10 +48,6 @@ func Functional(tuples []relation.Tuple, bits1, bits2 uint32) *radix.Partitioned
 	return radix.Partition(tuples, radix.Config{Threads: 1, Bits1: bits1, Bits2: bits2}, nil)
 }
 
-// matchScratch recycles ProbeJoinBlock's match scratch across blocks,
-// launches and the host workers of a parallel launch.
-var matchScratch = sync.Pool{New: func() any { return new([]relation.Payload) }}
-
 // ProbeJoinBlock is the per-block join kernel shared by Gbase's join phase
 // and GSH's NM-join (the paper: "we implement a normal join procedure
 // (NM-Join) similar to Gbase"). The block builds a chained hash table over
@@ -64,14 +58,17 @@ var matchScratch = sync.Pool{New: func() any { return new([]relation.Payload) }}
 // coalesced. Each S tuple's matches leave the block as one output run.
 // Returns the number of matches the block produced.
 //
-// The host computes the matches on the CPU join phase's compact layout
-// (chainedtable.CompactTable). Its buckets are the paper's chains, so a
-// probe visits exactly the nodes a chain walk would; the charges below
-// model the chained build (a shared atomic per bucket-head insert) and the
-// chain walk in shared memory, one step per visited node.
+// The host computes the matches on a chainedtable.RunTable: the buckets
+// of the CPU join phase's compact layout, which are the paper's chains,
+// grouped by key. A probe's visit count is its bucket's length, exactly
+// the nodes a chain walk would visit, and its matches are a slice of the
+// table that the block emits as is; the table is never modified, so a
+// host-parallel launch's tape can hold the run until it replays. The
+// charges below model the chained build (a shared atomic per bucket-head
+// insert) and the chain walk in shared memory, one step per visited node.
 func ProbeJoinBlock(b *gpusim.Block, rPart, sPart []relation.Tuple) int {
 	dcfg := b.Device().Config()
-	table := chainedtable.BuildCompact(rPart)
+	table := chainedtable.BuildRuns(rPart)
 
 	// Build: read the R side coalesced; per tuple a hash, a shared-memory
 	// write and a shared atomic on the bucket head.
@@ -79,25 +76,18 @@ func ProbeJoinBlock(b *gpusim.Block, rPart, sPart []relation.Tuple) int {
 	b.UniformWork(len(rPart), 4)
 	b.Atomic(len(rPart))
 
-	// Probe: read S coalesced, walk chains. An S tuple matches at most
-	// every R tuple, so a len(rPart) scratch holds any tuple's matches.
+	// Probe: read S coalesced, walk chains.
 	b.GlobalCoalesced(len(sPart) * relation.TupleSize)
 	visits := make([]int, len(sPart))
-	sp := matchScratch.Get().(*[]relation.Payload)
-	if len(*sp) < len(rPart) {
-		*sp = make([]relation.Payload, len(rPart))
-	}
-	scratch := *sp
 	matches := 0
 	for i, ts := range sPart {
-		m, v := table.Matches(ts.Key, scratch)
+		m, v := table.Run(ts.Key)
 		visits[i] = v
 		if len(m) > 0 {
-			b.Out.PushScratchRun(ts.Key, m, ts.Payload)
+			b.Out.PushRun(ts.Key, m, ts.Payload)
 			matches += len(m)
 		}
 	}
-	matchScratch.Put(sp)
 	// Each chain step costs a shared access and a key compare, plus the
 	// write-bitmap output procedure of §III: an atomic bit set, a popcount
 	// over the bitmap and an offset computation — per tuple, per chain

@@ -56,15 +56,15 @@ func FuzzHostParallelLaunch(f *testing.F) {
 				b.Atomic(work % 5)
 				b.Barrier(work % 3)
 				b.UniformWork(work, 1.5)
-				// Scratch runs from one slice the kernel overwrites after
-				// every call, as a probe loop reuses its match scratch.
-				scratch := make([]relation.Payload, 4)
+				// Probe-style runs: consecutive slices of one append-only
+				// per-block array, which a tape retains until it replays.
+				payloads := make([]relation.Payload, 0, 4*work)
 				for i := 0; i < work; i++ {
-					m := scratch[:1+i%len(scratch)]
-					for j := range m {
-						m[j] = relation.Payload(h) + relation.Payload(i*7+j)
+					lo := len(payloads)
+					for j := 0; j <= i%4; j++ {
+						payloads = append(payloads, relation.Payload(h)+relation.Payload(i*7+j))
 					}
-					b.Out.PushScratchRun(relation.Key(h>>32)+relation.Key(i), m, relation.Payload(i))
+					b.Out.PushRun(relation.Key(h>>32)+relation.Key(i), payloads[lo:], relation.Payload(i))
 				}
 				if work%2 == 0 {
 					b.Out.PushRun(relation.Key(b.Idx), []relation.Payload{1, 2, 3}, relation.Payload(work))

@@ -32,14 +32,15 @@ func stressKernel(seed int64) func(b *Block) {
 		visits := []int{work % 5, work % 3, work % 7}
 		b.WarpLoop(visits, 4)
 
-		// Scratch runs reuse one slice, overwritten before every call.
-		scratch := make([]relation.Payload, 3)
+		// Probe-style runs: consecutive slices of one append-only
+		// per-block array, as a probe hands out slices of its build table.
+		payloads := make([]relation.Payload, 0, 3*work)
 		for i := 0; i < work; i++ {
-			m := scratch[:1+rng.Intn(len(scratch))]
-			for j := range m {
-				m[j] = relation.Payload(rng.Uint32())
+			lo := len(payloads)
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				payloads = append(payloads, relation.Payload(rng.Uint32()))
 			}
-			b.Out.PushScratchRun(relation.Key(rng.Uint32()), m, relation.Payload(rng.Uint32()))
+			b.Out.PushRun(relation.Key(rng.Uint32()), payloads[lo:], relation.Payload(rng.Uint32()))
 		}
 		run := make([]relation.Payload, 1+work%4)
 		for i := range run {

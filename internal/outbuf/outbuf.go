@@ -140,14 +140,6 @@ func (b *Buffer) PushRun(k relation.Key, rps []relation.Payload, ps relation.Pay
 	b.checksum += coefPayloadR*prSum + n*(coefKey*uint64(k)+coefPayloadS*uint64(ps))
 }
 
-// PushScratchRun is PushRun for a run held in the caller's scratch,
-// which the caller overwrites after the call — a probe's matches. A
-// Buffer writes the run into its ring at once, so this is PushRun; a Tape
-// copies the run instead of retaining it.
-func (b *Buffer) PushScratchRun(k relation.Key, rps []relation.Payload, ps relation.Payload) {
-	b.PushRun(k, rps, ps)
-}
-
 // PushRunS emits one result per S payload in sps, all matching the same
 // R tuple (k, pr). This is GSH's skew-join fast path: one thread block per
 // skewed R tuple streaming the skewed S array with coalesced accesses.

@@ -113,7 +113,7 @@ func TestPushRunEmpty(t *testing.T) {
 	b := New(4)
 	b.PushRun(1, nil, 2)
 	b.PushRunS(1, 2, nil)
-	b.PushScratchRun(1, []relation.Payload{}, 2)
+	b.PushRun(1, []relation.Payload{}, 2)
 	if b.Count() != 0 || b.Checksum() != 0 || b.pos != 0 {
 		t.Errorf("empty runs changed state: %d, %d", b.Count(), b.Checksum())
 	}
@@ -170,7 +170,7 @@ func TestFlushDeliversEveryResultExactlyOnce(t *testing.T) {
 	}
 	b.PushRun(99, []relation.Payload{1, 2, 3, 4, 5}, 7)
 	b.PushRunS(98, 6, []relation.Payload{8, 9})
-	b.PushScratchRun(97, []relation.Payload{10, 11, 12}, 13)
+	b.PushRun(97, []relation.Payload{10, 11, 12}, 13)
 	b.Flush()
 	want := int(b.Count())
 	if len(delivered) != want {

@@ -7,9 +7,9 @@ import (
 )
 
 // A batch here is a slice of results emitted the way a probe emits them:
-// each maximal run sharing one key and S payload goes out as one scratch
-// run. These tests check that a batch emitted as runs cannot be told
-// apart from the same results emitted one at a time.
+// each maximal run sharing one key and S payload goes out as one run. These
+// tests check that a batch emitted as runs cannot be told apart from the
+// same results emitted one at a time.
 
 // batchOf returns n results in runs of three that share key and S payload.
 func batchOf(n int) []Result {
@@ -25,21 +25,20 @@ func batchOf(n int) []Result {
 	return rs
 }
 
-// pushBatch emits rs as maximal runs through one reused scratch slice and
-// overwrites the scratch after every call, so a writer that kept the
-// slice instead of its contents would hold wrong payloads.
+// pushBatch emits rs as maximal runs, each a slice of one payload array
+// that nothing overwrites, as a probe hands out slices of its build table:
+// a Tape retains the runs until it replays.
 func pushBatch(w Writer, rs []Result) {
-	var scratch []relation.Payload
+	payloads := make([]relation.Payload, len(rs))
+	for i := range rs {
+		payloads[i] = rs[i].PayloadR
+	}
 	for i := 0; i < len(rs); {
-		scratch = scratch[:0]
 		j := i
-		for ; j < len(rs) && rs[j].Key == rs[i].Key && rs[j].PayloadS == rs[i].PayloadS; j++ {
-			scratch = append(scratch, rs[j].PayloadR)
+		for j < len(rs) && rs[j].Key == rs[i].Key && rs[j].PayloadS == rs[i].PayloadS {
+			j++
 		}
-		w.PushScratchRun(rs[i].Key, scratch, rs[i].PayloadS)
-		for k := range scratch {
-			scratch[k] = ^relation.Payload(0)
-		}
+		w.PushRun(rs[i].Key, payloads[i:j:j], rs[i].PayloadS)
 		i = j
 	}
 }
@@ -80,7 +79,6 @@ func TestPushBatchEmpty(t *testing.T) {
 	pushBatch(b, []Result{})
 	b.PushRun(1, nil, 2)
 	b.PushRunS(1, 2, []relation.Payload{})
-	b.PushScratchRun(1, nil, 2)
 	if b.Count() != count || b.Checksum() != sum || b.pos != pos {
 		t.Errorf("empty batches changed state: count %d→%d, checksum %d→%d, pos %d→%d",
 			count, b.Count(), sum, b.Checksum(), pos, b.pos)
@@ -93,9 +91,9 @@ func TestPushBatchEmpty(t *testing.T) {
 	var tape Tape
 	pushBatch(&tape, nil)
 	tape.PushRun(1, []relation.Payload{}, 2)
-	tape.PushScratchRun(1, []relation.Payload{}, 2)
-	if tape.Count() != 0 || len(tape.ops) != 0 || len(tape.copies) != 0 {
-		t.Errorf("empty batch staged: count %d, %d ops, %d copied payloads", tape.Count(), len(tape.ops), len(tape.copies))
+	tape.PushRunS(1, 2, []relation.Payload{})
+	if tape.Count() != 0 || len(tape.ops) != 0 {
+		t.Errorf("empty batch staged: count %d, %d ops", tape.Count(), len(tape.ops))
 	}
 }
 

@@ -9,15 +9,14 @@ import "skewjoin/internal/relation"
 // execution it writes into a private Tape that is later replayed into the
 // shared Buffer in block-index order.
 //
-// Every result is part of a run sharing one key and one side's payload.
-// PushRun and PushRunS take a run the caller keeps intact until the
-// launch ends (GSH's and GSMJ's skew-join arrays), which a Tape retains;
-// PushScratchRun takes a run in the caller's scratch (a probe's matches),
-// which a Tape copies.
+// Every result is part of a run sharing one key and one side's payload,
+// and a Tape retains the run rather than copying it, so the caller keeps
+// it intact until the launch ends: a probe's matches are a slice of the
+// block's read-only build table (chainedtable.RunTable), and GSH's and
+// GSMJ's skew-join runs are slices of arrays nothing overwrites.
 type Writer interface {
 	PushRun(k relation.Key, rps []relation.Payload, ps relation.Payload)
 	PushRunS(k relation.Key, pr relation.Payload, sps []relation.Payload)
-	PushScratchRun(k relation.Key, rps []relation.Payload, ps relation.Payload)
 	Count() uint64
 }
 
@@ -26,19 +25,12 @@ var (
 	_ Writer = (*Tape)(nil)
 )
 
-// Tape op kinds.
-const (
-	opRunR  = iota // PushRun(key, run, p)
-	opRunS         // PushRunS(key, p, run)
-	opCopyR        // PushRun(key, copies[lo:hi], p)
-)
-
+// tapeOp is one recorded run: PushRunS's when runS is set, else PushRun's.
 type tapeOp struct {
-	kind   uint8
-	key    relation.Key
-	p      relation.Payload   // the payload every result of the run shares
-	lo, hi int                // copied run (opCopyR)
-	run    []relation.Payload // retained caller slice (opRunR/opRunS)
+	runS bool
+	key  relation.Key
+	p    relation.Payload   // the payload every result of the run shares
+	run  []relation.Payload // the retained caller slice
 }
 
 // Tape records a sequence of emit operations so they can be replayed into
@@ -48,22 +40,20 @@ type tapeOp struct {
 // host-parallel kernel launch; the simulator replays the tapes in
 // block-index order to make parallel execution bit-identical to serial.
 //
-// PushRun and PushRunS retain the payload slice instead of copying it —
-// the skew fast paths stay O(1) per call — so callers must not mutate
-// those slices before Replay. PushScratchRun copies its run onto the
-// tape, since the caller reuses its scratch for the next probe; the tape
-// then holds memory proportional to the block's probe output, the cost of
-// deferring the shared ring writes until the deterministic merge.
+// PushRun and PushRunS retain the payload slice instead of copying it, so
+// each call costs O(1) and the tape holds one op per run — a probe's run
+// per probing tuple — not one payload per result: its memory follows the
+// block's inputs, not its output. Callers must not mutate those slices
+// before Replay.
 //
 // When no flush consumer is installed on the destination buffers the
 // record stream is unobservable — the ring overwrites, Flush is a no-op,
 // and only the count and linear checksum survive — so SummaryOnly puts
 // the tape in a mode that folds each operation into those two scalars
-// and retains and copies nothing. A skewed launch's output then stages in
-// O(1) memory per block instead of materialising the whole result set.
+// and retains nothing. A skewed launch's output then stages in O(1)
+// memory per block.
 type Tape struct {
 	ops      []tapeOp
-	copies   []relation.Payload
 	count    uint64
 	checksum uint64
 	sumOnly  bool
@@ -93,20 +83,7 @@ func (t *Tape) PushRun(k relation.Key, rps []relation.Payload, ps relation.Paylo
 		t.checksum += coefPayloadR*prSum + n*(coefKey*uint64(k)+coefPayloadS*uint64(ps))
 		return
 	}
-	t.ops = append(t.ops, tapeOp{kind: opRunR, key: k, p: ps, run: rps})
-}
-
-// PushScratchRun records a run held in the caller's scratch (see
-// Buffer.PushScratchRun). rps is copied, not retained.
-func (t *Tape) PushScratchRun(k relation.Key, rps []relation.Payload, ps relation.Payload) {
-	if t.sumOnly || len(rps) == 0 {
-		t.PushRun(k, rps, ps) // folds into the scalars or records nothing; rps is not kept
-		return
-	}
-	lo := len(t.copies)
-	t.copies = append(t.copies, rps...)
-	t.count += uint64(len(rps))
-	t.ops = append(t.ops, tapeOp{kind: opCopyR, key: k, p: ps, lo: lo, hi: len(t.copies)})
+	t.ops = append(t.ops, tapeOp{key: k, p: ps, run: rps})
 }
 
 // PushRunS records a run of results matching one R tuple (see
@@ -125,7 +102,7 @@ func (t *Tape) PushRunS(k relation.Key, pr relation.Payload, sps []relation.Payl
 		t.checksum += coefPayloadS*psSum + n*(coefKey*uint64(k)+coefPayloadR*uint64(pr))
 		return
 	}
-	t.ops = append(t.ops, tapeOp{kind: opRunS, key: k, p: pr, run: sps})
+	t.ops = append(t.ops, tapeOp{runS: true, key: k, p: pr, run: sps})
 }
 
 // Count returns the number of results recorded so far.
@@ -147,13 +124,10 @@ func (t *Tape) Replay(dst *Buffer) {
 	}
 	for i := range t.ops {
 		op := &t.ops[i]
-		switch op.kind {
-		case opRunR:
-			dst.PushRun(op.key, op.run, op.p)
-		case opRunS:
+		if op.runS {
 			dst.PushRunS(op.key, op.p, op.run)
-		case opCopyR:
-			dst.PushRun(op.key, t.copies[op.lo:op.hi], op.p)
+		} else {
+			dst.PushRun(op.key, op.run, op.p)
 		}
 	}
 }
@@ -161,7 +135,6 @@ func (t *Tape) Replay(dst *Buffer) {
 // Reset clears the tape for reuse, keeping its capacity and mode.
 func (t *Tape) Reset() {
 	t.ops = t.ops[:0]
-	t.copies = t.copies[:0]
 	t.count = 0
 	t.checksum = 0
 }

@@ -2,32 +2,26 @@ package outbuf
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"skewjoin/internal/relation"
 )
 
 // applyOps drives the same random operation sequence against any Writer.
-// Scratch runs come from one slice refilled for every call, as a probe
-// loop reuses its match scratch; retained runs stay intact until Replay.
+// The runs are consecutive slices of one append-only payload array, as a
+// probe hands out slices of its build table, so they stay intact until
+// Replay; some are empty.
 func applyOps(w Writer, rng *rand.Rand, nOps int) {
-	scratch := make([]relation.Payload, 8)
+	payloads := make([]relation.Payload, 0, 8*nOps)
 	for i := 0; i < nOps; i++ {
-		op := rng.Intn(3)
-		run := scratch[:rng.Intn(len(scratch)+1)]
-		if op != 0 {
-			run = make([]relation.Payload, len(run))
+		lo := len(payloads)
+		for n := rng.Intn(9); n > 0; n-- {
+			payloads = append(payloads, relation.Payload(rng.Uint32()))
 		}
-		for j := range run {
-			run[j] = relation.Payload(rng.Uint32())
-		}
-		switch op {
-		case 0:
-			w.PushScratchRun(relation.Key(rng.Uint32()), run, relation.Payload(rng.Uint32()))
-		case 1:
+		run := payloads[lo:len(payloads):len(payloads)]
+		if rng.Intn(2) == 0 {
 			w.PushRun(relation.Key(rng.Uint32()), run, relation.Payload(rng.Uint32()))
-		default:
+		} else {
 			w.PushRunS(relation.Key(rng.Uint32()), relation.Payload(rng.Uint32()), run)
 		}
 	}
@@ -35,8 +29,8 @@ func applyOps(w Writer, rng *rand.Rand, nOps int) {
 
 // TestTapeReplayMatchesDirect drives an identical random operation stream
 // into a Buffer directly and into a Tape replayed into a second Buffer:
-// ring contents, count, checksum and the flush batch sequence must all be
-// bit-identical. This is the invariant that makes host-parallel GPU
+// ring slots and cursor, count, checksum and the flush batch sequence must
+// all be bit-identical; the runs wrap the 64-slot ring many times. This is the invariant that makes host-parallel GPU
 // simulation reproducible: a block's tape replay is indistinguishable
 // from the block having written to the shared buffer itself.
 func TestTapeReplayMatchesDirect(t *testing.T) {
@@ -65,6 +59,9 @@ func TestTapeReplayMatchesDirect(t *testing.T) {
 		if tape.Count() != direct.Count() {
 			t.Fatalf("seed %d: tape count %d, direct count %d", seed, tape.Count(), direct.Count())
 		}
+		if !sameRing(direct, replayed) {
+			t.Fatalf("seed %d: replayed ring slots differ from direct", seed)
+		}
 		ds, rs := Summarize([]*Buffer{direct}), Summarize([]*Buffer{replayed})
 		if ds != rs {
 			t.Fatalf("seed %d: direct summary %+v, replay summary %+v", seed, ds, rs)
@@ -86,83 +83,17 @@ func TestTapeReplayMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestTapeScratchRunReplaysLikeBuffer issues the same scratch runs to a
-// Buffer and to a Tape replayed into a second Buffer, overwriting the
-// caller's scratch after every call as a probe loop does: a tape that
-// kept the slice instead of copying it would replay the overwritten
-// values. The runs cross the ring wrap. With a consumer the ring slots,
-// cursor, count, checksum and flush batches must be bit-identical; in
-// summary-only mode the count and checksum must be, and the tape must
-// keep nothing.
-func TestTapeScratchRunReplaysLikeBuffer(t *testing.T) {
-	issue := func(w Writer) {
-		scratch := make([]relation.Payload, 16)
-		for i, n := range []int{3, 13, 1, 16, 0, 7, 11} {
-			for j := range scratch[:n] {
-				scratch[j] = relation.Payload(100*i + j)
-			}
-			w.PushScratchRun(relation.Key(i), scratch[:n], relation.Payload(i+50))
-			for j := range scratch {
-				scratch[j] = 0xdead
-			}
-		}
-	}
-	record := func(dst *[][]Result) FlushFunc {
-		return func(batch []Result) { *dst = append(*dst, append([]Result(nil), batch...)) }
-	}
-
-	var directBatches, replayBatches [][]Result
-	direct := New(8)
-	direct.SetFlush(record(&directBatches))
-	issue(direct)
-	var tape Tape
-	issue(&tape)
-	replayed := New(8)
-	replayed.SetFlush(record(&replayBatches))
-	tape.Replay(replayed)
-	if tape.Count() != direct.Count() || replayed.Count() != direct.Count() || replayed.Checksum() != direct.Checksum() {
-		t.Fatalf("replay (%d, %d), tape count %d; direct (%d, %d)",
-			replayed.Count(), replayed.Checksum(), tape.Count(), direct.Count(), direct.Checksum())
-	}
-	if !sameRing(direct, replayed) {
-		t.Fatal("replayed ring slots differ from direct")
-	}
-	direct.Flush()
-	replayed.Flush()
-	if !reflect.DeepEqual(directBatches, replayBatches) {
-		t.Fatalf("flush batches differ:\ndirect: %v\nreplay: %v", directBatches, replayBatches)
-	}
-	if len(directBatches) < 6 {
-		t.Fatalf("%d flush batches; the runs should wrap the 8-slot ring at least 6 times", len(directBatches))
-	}
-
-	plain := New(8)
-	issue(plain)
-	var sum Tape
-	sum.SummaryOnly()
-	issue(&sum)
-	if len(sum.ops) != 0 || len(sum.copies) != 0 {
-		t.Fatalf("summary-only tape kept %d ops, %d payloads", len(sum.ops), len(sum.copies))
-	}
-	folded := New(8)
-	sum.Replay(folded)
-	if folded.Count() != plain.Count() || folded.Checksum() != plain.Checksum() {
-		t.Fatalf("summary-only replay (%d, %d), direct (%d, %d)",
-			folded.Count(), folded.Checksum(), plain.Count(), plain.Checksum())
-	}
-}
-
 // TestTapeReset reuses a tape after Reset and checks the replay reflects
 // only the second recording.
 func TestTapeReset(t *testing.T) {
 	var tape Tape
-	tape.PushScratchRun(1, []relation.Payload{2}, 3)
+	tape.PushRunS(1, 2, []relation.Payload{3})
 	tape.PushRun(4, []relation.Payload{5, 6}, 7)
 	tape.Reset()
-	if tape.Count() != 0 || len(tape.ops) != 0 || len(tape.copies) != 0 {
-		t.Fatalf("after Reset: count %d, %d ops, %d payloads", tape.Count(), len(tape.ops), len(tape.copies))
+	if tape.Count() != 0 || len(tape.ops) != 0 {
+		t.Fatalf("after Reset: count %d, %d ops", tape.Count(), len(tape.ops))
 	}
-	tape.PushScratchRun(8, []relation.Payload{9}, 10)
+	tape.PushRun(8, []relation.Payload{9}, 10)
 
 	want := New(16)
 	want.PushRun(8, []relation.Payload{9}, 10)
@@ -179,7 +110,7 @@ func TestTapeEmptyRunsSkipped(t *testing.T) {
 	var tape Tape
 	tape.PushRun(1, nil, 2)
 	tape.PushRunS(3, 4, nil)
-	tape.PushScratchRun(5, nil, 6)
+	tape.PushRun(5, []relation.Payload{}, 6)
 	if tape.Count() != 0 || len(tape.ops) != 0 {
 		t.Fatalf("empty ops recorded: count %d, %d ops", tape.Count(), len(tape.ops))
 	}
@@ -205,9 +136,8 @@ func TestTapeSummaryOnlyMatchesFull(t *testing.T) {
 			t.Fatalf("seed %d: summary-only replay (%d, %d) != full replay (%d, %d)",
 				seed, b.Count(), b.Checksum(), a.Count(), a.Checksum())
 		}
-		if len(sum.ops) != 0 || len(sum.copies) != 0 {
-			t.Fatalf("seed %d: summary-only tape retained records: %d ops, %d payloads",
-				seed, len(sum.ops), len(sum.copies))
+		if len(sum.ops) != 0 {
+			t.Fatalf("seed %d: summary-only tape retained %d ops", seed, len(sum.ops))
 		}
 	}
 }
@@ -216,13 +146,13 @@ func TestTapeSummaryOnlyMatchesFull(t *testing.T) {
 func TestTapeSummaryOnlyReset(t *testing.T) {
 	var tape Tape
 	tape.SummaryOnly()
-	tape.PushScratchRun(1, []relation.Payload{2}, 3)
+	tape.PushRun(1, []relation.Payload{2}, 3)
 	tape.Reset()
 	if tape.Count() != 0 || tape.checksum != 0 {
 		t.Fatalf("reset left count %d checksum %d", tape.Count(), tape.checksum)
 	}
-	tape.PushScratchRun(1, []relation.Payload{2}, 3)
-	if len(tape.copies) != 0 {
+	tape.PushRun(1, []relation.Payload{2}, 3)
+	if len(tape.ops) != 0 {
 		t.Fatal("summary-only mode lost across Reset")
 	}
 }
