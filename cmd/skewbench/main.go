@@ -5,7 +5,7 @@
 // per-join memory footprints (memory).
 //
 // The gpu experiment measures the host worker pool that executes the
-// simulated GPU's thread blocks against serial simulation (plus an A/A
+// simulated GPU's thread blocks against one worker (plus an A/A
 // control), writing BENCH_gpu.json via make bench-gpu. It and the sweeps
 // below are excluded from "all"; run them explicitly.
 //

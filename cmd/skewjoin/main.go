@@ -50,7 +50,7 @@ func main() {
 		device  = flag.String("device", "a100", "simulated GPU profile: a100 (discrete flagship) or coupled (integrated GPU a small multiple faster than the host)")
 		policy  = flag.String("policy", "", "split placement policy: model (default), static, cpu, or gpu (with -backend split)")
 		frags   = flag.Int("fragments", 0, "max pieces to cut a dominating hot partition into across both backends (with -backend split; 0 = default 8, negative disables fragmentation)")
-		hostpar = flag.Int("hostpar", 0, "host workers simulating GPU thread blocks (0 = serial; output is identical)")
+		hostpar = flag.Int("hostpar", 0, "host workers simulating GPU thread blocks (0 or 1 = one; output is identical)")
 		verify  = flag.Bool("verify", true, "check the output against the oracle")
 		trace   = flag.Bool("gputrace", false, "print the simulator's per-kernel launch records (GPU algorithms)")
 	)

@@ -48,14 +48,14 @@ func TestGoldenWorkloads(t *testing.T) {
 }
 
 // TestModelledPhasesGolden pins the per-phase modelled device time of
-// Gbase and GSH to the nanosecond, and the exact stream their consumers
-// receive. Modelled time depends only on the workload, the device profile
-// and the charges the kernels issue, not on the host or on how the host
-// stores a table, so any drift here is a change to the simulated
-// algorithms. The digest folds every batch each simulated SM's consumer
-// receives, in flush order, so it moves if a kernel emits the same
-// results in another order or splits them into other batches; serial and
-// host-parallel simulation must both produce it. At zipf 1.0 the 1 KiB
+// Gbase, GSH and GSMJ to the nanosecond, and the exact stream their
+// consumers receive. Modelled time depends only on the workload, the
+// device profile and the charges the kernels issue, not on the host or on
+// how the host stores a table, so any drift here is a change to the
+// simulated algorithms. The digest folds every batch each simulated SM's
+// consumer receives, in flush order, so it moves if a kernel emits the
+// same results in another order or splits them into other batches; one
+// host worker and four must both produce it. At zipf 1.0 the 1 KiB
 // shared-memory device makes Gbase split its hot bucket list into
 // sub-lists and GSH detect, divide and join its skewed keys; the default
 // A100 profile takes neither path at this size.
@@ -81,6 +81,10 @@ func TestModelledPhasesGolden(t *testing.T) {
 		{0.0, "shm-1KiB", smallShm, GSH, []phase{{"partition", 9037}, {"detect", 0}, {"divide", 0}, {"nmjoin", 2150}, {"skewjoin", 0}}, 0xfc3a9d74130647f0},
 		{1.0, "shm-1KiB", smallShm, Gbase, []phase{{"partition", 7564}, {"join", 223520}}, 0xc97b29a467369872},
 		{1.0, "shm-1KiB", smallShm, GSH, []phase{{"partition", 10624}, {"detect", 1517}, {"divide", 2073}, {"nmjoin", 4017}, {"skewjoin", 5424}}, 0xa74fd90d9df33abc},
+		{0.0, "a100", DeviceConfig{}, GSMJ, []phase{{"sort", 174824}, {"merge", 1512}}, 0x8c15659a9de94d22},
+		{1.0, "a100", DeviceConfig{}, GSMJ, []phase{{"sort", 174824}, {"merge", 17243}}, 0x43070790b1a0ba9a},
+		{0.0, "shm-1KiB", smallShm, GSMJ, []phase{{"sort", 174824}, {"merge", 1512}}, 0x8c15659a9de94d22},
+		{1.0, "shm-1KiB", smallShm, GSMJ, []phase{{"sort", 174824}, {"merge", 5740}}, 0x74c26709a7f2423e},
 	}
 	for _, g := range golden {
 		r, s, err := GenerateZipfPair(4096, g.theta, 21)

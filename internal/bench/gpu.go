@@ -8,7 +8,7 @@
 // time (which must be bit-identical across every variant — parallel host
 // execution may never change simulated results) and the *wall-clock* time
 // the host spent producing it (which is what HostParallelism improves).
-// The seed/control pair re-measures the serial path twice — an A/A
+// The seed/control pair re-measures the one-worker path twice — an A/A
 // estimate of the harness noise floor against which the parallel speedups
 // must be read.
 package bench
@@ -26,12 +26,11 @@ import (
 // dynamic host scheduling matters most).
 var gpuZipfs = []float64{0.0, 0.5, 1.0}
 
-// gpuSweep measures every GPU algorithm (the groups) under the serial
-// seed path, an A/A control re-measuring it, a single-worker pool
-// (isolates pool overhead from parallel speedup), and one worker per host
-// core (the arms; Par is the HostParallelism).
+// gpuSweep measures every GPU algorithm (the groups) on one host worker
+// (HostParallelism 0, the default), an A/A control re-measuring it, and
+// one worker per host core (the arms; Par is the HostParallelism).
 func gpuSweep(cfg Config) *Sweep {
-	as := []Arm{{"seed(serial)", 0}, {"control(serial)", 0}, {"par1", 1}}
+	as := []Arm{{"seed(serial)", 0}, {"control(serial)", 0}}
 	if n := exec.DefaultThreads(); n > 1 {
 		as = append(as, Arm{fmt.Sprintf("par%d", n), n})
 	}

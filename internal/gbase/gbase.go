@@ -22,6 +22,13 @@
 // each sub-list against the *full* S partition. This re-probes every S
 // tuple once per sub-list and does nothing about S-side skew — the two
 // weaknesses the paper demonstrates.
+//
+// The bucket lists are modelled, not materialised: the partition kernels
+// charge their bucket allocations, and the tuples come from the shared
+// radix partitioner (gpupart.Functional), which keeps each partition's
+// tuples in input order — the tuples, in the order, of Gbase's bucket
+// list, which fills each bucket before linking the next. A sub-list of
+// whole buckets is then a tuple range of the partition.
 package gbase
 
 import (
@@ -31,6 +38,7 @@ import (
 	"skewjoin/internal/gpupart"
 	"skewjoin/internal/gpusim"
 	"skewjoin/internal/outbuf"
+	"skewjoin/internal/radix"
 	"skewjoin/internal/relation"
 )
 
@@ -117,16 +125,16 @@ func Join(r, s relation.Relation, cfg Config) Result {
 		transferDur = dev.Transfer("transfer", "gbase-h2d", r.Bytes()+s.Bytes())
 	}
 
-	// Partition phase (modelled cost + the bucket-list structure).
+	// Partition phase (modelled cost + the partitioned tables).
 	dur := partitionTable(dev, cfg, r.Tuples, 1<<bits1)
-	rLists := partitionBuckets(r.Tuples, bits1, bits2, cfg.BucketTuples)
+	pr := gpupart.Functional(r.Tuples, bits1, bits2)
 	durS := partitionTable(dev, cfg, s.Tuples, 1<<bits1)
-	sLists := partitionBuckets(s.Tuples, bits1, bits2, cfg.BucketTuples)
-	res.Stats.MaxPartitionR = maxListTotal(rLists)
-	res.Stats.MaxPartitionS = maxListTotal(sLists)
+	ps := gpupart.Functional(s.Tuples, bits1, bits2)
+	_, res.Stats.MaxPartitionR = pr.MaxPartition()
+	_, res.Stats.MaxPartitionS = ps.MaxPartition()
 
 	// Join phase.
-	joinDur := joinPhase(dev, cfg, rLists, sLists, capacity, &res.Stats)
+	joinDur := joinPhase(dev, cfg, pr, ps, capacity, &res.Stats)
 
 	dev.FlushOutputs()
 	res.Summary = dev.OutputSummary()
@@ -192,60 +200,46 @@ func partitionPass(dev *gpusim.Device, cfg Config, n, fanout int) time.Duration 
 }
 
 type joinTask struct {
-	rl     *bucketList
-	lo, hi int // bucket range of the R sub-list
-	sl     *bucketList
-	sub    bool // true when this block is a sub-list of a decomposed partition
+	r, s []relation.Tuple // the R sub-list and the full S partition
 }
 
 // joinPhase runs one thread block per (R sub-list, S partition) pair. An R
-// partition whose bucket list holds more tuples than fit in shared memory
-// is decomposed into disjoint runs of consecutive buckets — the paper's
-// sub-list technique — each joined against the full S list.
-func joinPhase(dev *gpusim.Device, cfg Config, rLists, sLists []*bucketList, capacity int, st *Stats) time.Duration {
+// partition holding more tuples than fit in shared memory is decomposed
+// into disjoint runs of consecutive buckets — the paper's sub-list
+// technique — each joined against the full S partition. A sub-list is
+// max(1, subSize/BucketTuples) whole buckets of consecutive tuples (the
+// last may be shorter).
+func joinPhase(dev *gpusim.Device, cfg Config, pr, ps *radix.Partitioned, capacity int, st *Stats) time.Duration {
 	subSize := cfg.SubListTuples
 	if subSize <= 0 || subSize > capacity {
 		subSize = capacity
 	}
-	bucketsPerSub := subSize / cfg.BucketTuples
-	if bucketsPerSub < 1 {
-		bucketsPerSub = 1
-	}
+	subTuples := max(1, subSize/cfg.BucketTuples) * cfg.BucketTuples
 	var tasks []joinTask
-	for p := range rLists {
-		rl, sl := rLists[p], sLists[p]
-		if rl.total == 0 || sl.total == 0 {
+	for p := 0; p < pr.Fanout(); p++ {
+		rPart, sPart := pr.Part(p), ps.Part(p)
+		if len(rPart) == 0 || len(sPart) == 0 {
 			continue
 		}
-		if rl.total <= capacity {
-			tasks = append(tasks, joinTask{rl: rl, lo: 0, hi: len(rl.buckets), sl: sl})
+		if len(rPart) <= capacity {
+			tasks = append(tasks, joinTask{r: rPart, s: sPart})
 			continue
 		}
-		for lo := 0; lo < len(rl.buckets); lo += bucketsPerSub {
-			hi := lo + bucketsPerSub
-			if hi > len(rl.buckets) {
-				hi = len(rl.buckets)
-			}
-			tasks = append(tasks, joinTask{rl: rl, lo: lo, hi: hi, sl: sl, sub: true})
+		for lo := 0; lo < len(rPart); lo += subTuples {
+			tasks = append(tasks, joinTask{r: rPart[lo:min(lo+subTuples, len(rPart))], s: sPart})
+			st.SubListBlocks++
+			st.SReprobes += uint64(len(sPart))
 		}
 	}
 	st.JoinBlocks = len(tasks)
-	for _, t := range tasks {
-		if t.sub {
-			st.SubListBlocks++
-			st.SReprobes += uint64(t.sl.total)
-		}
-	}
 	if len(tasks) == 0 {
 		return 0
 	}
 
 	return dev.Launch("join", "gbase-join", len(tasks), func(b *gpusim.Block) {
 		t := tasks[b.Idx]
-		// The block walks its R sub-list's buckets into shared memory and
-		// probes with every tuple of the full S bucket list.
-		rSub := t.rl.gather(nil, t.lo, t.hi)
-		sPart := t.sl.gather(nil, 0, len(t.sl.buckets))
-		gpupart.ProbeJoinBlock(b, rSub, sPart)
+		// The block reads its R sub-list into shared memory and probes
+		// with every tuple of the full S partition.
+		gpupart.ProbeJoinBlock(b, t.r, t.s)
 	})
 }

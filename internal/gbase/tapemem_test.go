@@ -10,8 +10,8 @@ import (
 	"skewjoin/internal/outbuf"
 )
 
-// TestHostParallelTapeMemoryBoundedByBuild pins what a host-parallel
-// launch stages when a consumer watches the stream: each block's tape
+// TestHostParallelTapeMemoryBoundedByBuild pins what a launch stages, on
+// one worker and on two, when a consumer watches the stream: each block's tape
 // holds one op per probing tuple that matched, each op retaining a run of
 // the block's build table, so the join's allocations follow the build
 // and probe sides, not the output. At zipf 1.0 the output is over 20
@@ -22,30 +22,32 @@ import (
 // allocations.
 func TestHostParallelTapeMemoryBoundedByBuild(t *testing.T) {
 	r, s := workload(t, 1<<14, 1.0, 5)
-	var seen uint64
-	cfg := Config{
-		Device: gpusim.Config{HostParallelism: 2},
-		Flush: func(int) outbuf.FlushFunc {
-			return func(batch []outbuf.Result) { seen += uint64(len(batch)) }
-		},
-	}
-	Join(r, s, cfg) // warm up the pools and lazy set-up
-	seen = 0
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res := Join(r, s, cfg)
-	runtime.ReadMemStats(&after)
-	if seen != res.Summary.Count {
-		t.Fatalf("consumer saw %d results, join reports %d", seen, res.Summary.Count)
-	}
-	if res.Summary.Count < 20*uint64(r.Len()) {
-		t.Fatalf("%d results from %d tuples: too few for the bound to tell copies from retained runs",
-			res.Summary.Count, r.Len())
-	}
-	bytes := after.TotalAlloc - before.TotalAlloc
-	t.Logf("%d bytes for %d results (%.3f per result)", bytes, res.Summary.Count, float64(bytes)/float64(res.Summary.Count))
-	if bytes >= 4*res.Summary.Count {
-		t.Errorf("join allocated %d bytes for %d results, want < %d (4 per result)",
-			bytes, res.Summary.Count, 4*res.Summary.Count)
+	for _, par := range []int{0, 2} {
+		var seen uint64
+		cfg := Config{
+			Device: gpusim.Config{HostParallelism: par},
+			Flush: func(int) outbuf.FlushFunc {
+				return func(batch []outbuf.Result) { seen += uint64(len(batch)) }
+			},
+		}
+		Join(r, s, cfg) // warm up the pools and lazy set-up
+		seen = 0
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := Join(r, s, cfg)
+		runtime.ReadMemStats(&after)
+		if seen != res.Summary.Count {
+			t.Fatalf("par=%d: consumer saw %d results, join reports %d", par, seen, res.Summary.Count)
+		}
+		if res.Summary.Count < 20*uint64(r.Len()) {
+			t.Fatalf("%d results from %d tuples: too few for the bound to tell copies from retained runs",
+				res.Summary.Count, r.Len())
+		}
+		bytes := after.TotalAlloc - before.TotalAlloc
+		t.Logf("par=%d: %d bytes for %d results (%.3f per result)", par, bytes, res.Summary.Count, float64(bytes)/float64(res.Summary.Count))
+		if bytes >= 4*res.Summary.Count {
+			t.Errorf("par=%d: join allocated %d bytes for %d results, want < %d (4 per result)",
+				par, bytes, res.Summary.Count, 4*res.Summary.Count)
+		}
 	}
 }

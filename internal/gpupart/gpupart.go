@@ -62,8 +62,8 @@ func Functional(tuples []relation.Tuple, bits1, bits2 uint32) *radix.Partitioned
 // of the CPU join phase's compact layout, which are the paper's chains,
 // grouped by key. A probe's visit count is its bucket's length, exactly
 // the nodes a chain walk would visit, and its matches are a slice of the
-// table that the block emits as is; the table is never modified, so a
-// host-parallel launch's tape can hold the run until it replays. The
+// table that the block emits as is; the table is never modified, so the
+// launch's tape can hold the run until it replays. The
 // charges below model the chained build (a shared atomic per bucket-head
 // insert) and the chain walk in shared memory, one step per visited node.
 func ProbeJoinBlock(b *gpusim.Block, rPart, sPart []relation.Tuple) int {

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"skewjoin/internal/gpusim"
+	"skewjoin/internal/radix"
 	"skewjoin/internal/relation"
 	"skewjoin/internal/zipf"
 )
@@ -56,6 +57,48 @@ func TestFunctionalMatchesRadixPlacement(t *testing.T) {
 	}
 	if p.Fanout() != 1<<7 {
 		t.Fatalf("fanout = %d", p.Fanout())
+	}
+}
+
+// TestFunctionalKeepsInputOrder pins what Gbase's sub-lists rely on:
+// partition p holds exactly the input tuples whose key maps to p under
+// the two-pass radix bits, in input order — the contents and order of a
+// bucket list that fills each bucket before linking the next, so a run
+// of whole buckets is a tuple range of the partition.
+func TestFunctionalKeepsInputOrder(t *testing.T) {
+	check := func(tuples []relation.Tuple, bits1, bits2 uint32) bool {
+		p := Functional(tuples, bits1, bits2)
+		want := make([][]relation.Tuple, 1<<(bits1+bits2))
+		for _, tp := range tuples {
+			part := radix.PartOf(tp.Key, radix.Config{Bits1: bits1, Bits2: bits2})
+			want[part] = append(want[part], tp)
+		}
+		for i := range want {
+			got := p.Part(i)
+			if len(got) != len(want[i]) {
+				return false
+			}
+			for j := range got {
+				if got[j] != want[i][j] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	g := zipf.MustNew(zipf.Config{Theta: 1.0, Universe: 5000, Seed: 2})
+	if !check(g.NewRelation(20000, 1).Tuples, 3, 2) {
+		t.Fatal("zipf 1.0: partitions differ from the input's order-preserving split")
+	}
+	f := func(keys []uint16) bool {
+		tuples := make([]relation.Tuple, len(keys))
+		for i, k := range keys {
+			tuples[i] = relation.Tuple{Key: relation.Key(k), Payload: relation.Payload(i)}
+		}
+		return check(tuples, 2, 2)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
 	}
 }
 

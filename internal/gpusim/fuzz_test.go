@@ -7,12 +7,12 @@ import (
 	"skewjoin/internal/relation"
 )
 
-// FuzzHostParallelLaunch is the differential fuzzer behind the
-// host-parallel overhaul: arbitrary launch shapes (block counts, cost
-// mixes, output patterns, pool sizes) must leave a parallel device in
-// exactly the serial device's state — same LaunchRecord cycles, same
-// Stats, same output summary, and the same flushed output bytes in the
-// same batch order. The corpus seeds cover the structural edges (0/1
+// FuzzHostParallelLaunch is the differential fuzzer of the worker count:
+// arbitrary launch shapes (block counts, cost mixes, output patterns, pool
+// sizes) must leave a many-worker device in exactly the one-worker
+// device's state — same LaunchRecord cycles, same Stats, same output
+// summary, and the same flushed output bytes in the same batch order
+// across all SMs. The corpus seeds cover the structural edges (0/1
 // blocks, more workers than blocks, giant-block skew).
 func FuzzHostParallelLaunch(f *testing.F) {
 	f.Add(uint8(0), uint8(0), int64(1))
@@ -45,7 +45,7 @@ func FuzzHostParallelLaunch(f *testing.F) {
 			})
 			dev.Launch("fuzz", "fuzz-kernel", blocks, func(b *Block) {
 				// Derive the block's cost/output mix from seed and index
-				// only, so serial and parallel runs compute identical work.
+				// only, so every worker count computes identical work.
 				h := uint64(seed)*0x9e3779b97f4a7c15 + uint64(b.Idx)*0xc2b2ae3d27d4eb4f
 				work := int(h%97) + 1
 				if h%11 == 0 {

@@ -64,16 +64,16 @@ type Config struct {
 	// 1555 GB/s global memory).
 	PCIeBandwidth float64
 
-	// HostParallelism is the number of host worker goroutines that
-	// execute a launch's thread blocks (functional execution plus cost
-	// accounting). 0 or negative — the default — runs blocks serially on
-	// the calling goroutine, the seed behaviour. N > 0 runs blocks on a
-	// pool of min(N, blocks) workers claiming block chunks from a
-	// lock-free fetch-add queue (internal/exec); every block charges a
-	// private cost accumulator and stages its output on a private tape,
-	// and the results are merged in block-index order, so modelled
-	// cycles, Stats and output are bit-identical to serial execution.
-	// The knob changes only host wall-clock time, never modelled time.
+	// HostParallelism is the number of host workers that execute a
+	// launch's thread blocks (functional execution plus cost accounting).
+	// 0, negative or 1 — the default is 0 — runs every block on the
+	// calling goroutine. N > 1 runs them on min(N, blocks) goroutines
+	// claiming block chunks from a lock-free fetch-add queue
+	// (internal/exec). Either way each worker stages its blocks' stats and
+	// output, and the launch merges them with the output in block-index
+	// order (see hostparallel.go), so modelled cycles, Stats and output do
+	// not depend on the setting. It changes only host wall-clock time,
+	// never modelled time.
 	HostParallelism int
 }
 
@@ -204,8 +204,7 @@ type Stats struct {
 }
 
 // add folds another accumulator into s. Every field is an integer sum, so
-// folding per-block deltas in any order gives identical totals; the
-// simulator nevertheless merges in block-index order.
+// folding per-worker deltas in any order gives identical totals.
 func (s *Stats) add(o Stats) {
 	s.Launches += o.Launches
 	s.Blocks += o.Blocks
@@ -236,7 +235,7 @@ type LaunchRecord struct {
 // Not safe for concurrent launches: overlapping Launch, Serialize or
 // Transfer calls corrupt the accumulated state, and under the `sanitize`
 // build tag they are detected and abort with a diagnostic panic. (With
-// Config.HostParallelism > 0 a single Launch fans its blocks out over
+// Config.HostParallelism > 1 a single Launch fans its blocks out over
 // host workers internally; that is the supported way to parallelise.)
 type Device struct {
 	cfg     Config
@@ -246,6 +245,7 @@ type Device struct {
 	cycles  float64
 
 	smScratch []float64    // schedule()'s per-SM min-heap, reused across launches
+	stages    []stage      // the host workers' staging areas, reused across launches
 	busy      atomic.Int32 // sanitize-only overlapping-call detector
 }
 
@@ -292,12 +292,13 @@ func (d *Device) PartitionCapacityTuples() int {
 }
 
 // Block is the kernel-side handle: identity plus cost accounting plus the
-// output destination — the SM's shared buffer in serial execution, a
-// private staging tape in host-parallel execution. A Block is only valid
-// for the duration of the kernel call; kernels must not retain it.
+// output destination, a tape of the host worker running the block, which
+// the launch replays into the block's SM ring in block order. A Block is
+// only valid for the duration of the kernel call; kernels must not retain
+// it.
 type Block struct {
 	Idx    int
-	Out    outbuf.Writer
+	Out    *outbuf.Tape
 	dev    *Device
 	cycles float64
 	stats  Stats
@@ -307,24 +308,27 @@ type Block struct {
 // the SM array, accounts the launch under phase, and returns the modelled
 // launch duration. Modelled cycles are whatever the blocks charged.
 //
-// With Config.HostParallelism <= 0 blocks execute functionally in index
-// order on the calling goroutine. With N > 0 they execute on a pool of N
-// host workers; each block's cost, stats and output are staged privately
-// and merged in block-index order (see hostparallel.go), so the launch's
-// records, stats and output are bit-identical either way. Kernels must
-// confine functional side effects to the Block (cost methods, Out) and
-// per-block state — e.g. write to slot Idx of a results slice — never to
-// memory shared across blocks.
+// Blocks run on Config.HostParallelism host workers (one when it is 1 or
+// less); each worker stages its blocks' cost, stats and output, and the
+// launch merges them with the output in block-index order (see
+// hostparallel.go), so the launch's records, stats and output do not
+// depend on the worker count. Kernels must confine functional side
+// effects to the Block (cost methods, Out) and per-block state — e.g.
+// write to slot Idx of a results slice — never to memory shared across
+// blocks, and must leave the run slices they push intact until the
+// launch returns.
 func (d *Device) Launch(phase, name string, blocks int, kernel func(b *Block)) time.Duration {
 	d.enter("Launch")
 	defer d.leave()
 	cfg := d.cfg
 	cycles := make([]float64, blocks)
+	d.runBlocks(blocks, kernel, cycles)
 	var sum, maxb float64
-	if workers := hostWorkers(cfg.HostParallelism, blocks); workers > 0 {
-		sum, maxb = d.runBlocksParallel(workers, blocks, kernel, cycles)
-	} else {
-		sum, maxb = d.runBlocksSerial(blocks, kernel, cycles)
+	for _, c := range cycles {
+		sum += c
+		if c > maxb {
+			maxb = c
+		}
 	}
 
 	makespan := scheduleInto(d.smScratch, cycles) + cfg.KernelLaunchCycles
@@ -342,31 +346,6 @@ func (d *Device) Launch(phase, name string, blocks int, kernel func(b *Block)) t
 		SumBlocks: sum, Duration: dur, Imbalance: imb, PhaseLabel: phase,
 	})
 	return dur
-}
-
-// runBlocksSerial executes the launch's blocks in index order on the
-// calling goroutine — the seed path. Blocks write straight into their
-// SM's shared output ring; per-block stats fold into the device after
-// each block. One Block handle is reused across iterations so the loop's
-// steady-state allocation count stays pinned (see the AllocsPerRun test).
-//
-//skewlint:hotpath
-func (d *Device) runBlocksSerial(blocks int, kernel func(b *Block), cycles []float64) (sum, maxb float64) {
-	b := &Block{dev: d}
-	for i := 0; i < blocks; i++ {
-		b.Idx = i
-		b.Out = d.bufs[i%d.cfg.NumSMs]
-		b.cycles = 0
-		b.stats = Stats{}
-		kernel(b)
-		cycles[i] = b.cycles
-		sum += b.cycles
-		if b.cycles > maxb {
-			maxb = b.cycles
-		}
-		d.stats.add(b.stats)
-	}
-	return sum, maxb
 }
 
 // schedule assigns block cycle costs to SMs in launch order, each to the
@@ -507,8 +486,8 @@ func (d *Device) Stats() Stats { return d.stats }
 func (d *Device) OutputSummary() outbuf.Summary { return outbuf.Summarize(d.bufs) }
 
 // hasFlush reports whether any SM output buffer has a flush consumer
-// installed — the condition under which host-parallel staging must
-// retain full record tapes rather than summary-only scalars.
+// installed — the condition under which a launch's staging must retain
+// its runs rather than summary-only scalars.
 func (d *Device) hasFlush() bool {
 	for i := range d.bufs {
 		if d.bufs[i].HasFlush() {

@@ -51,6 +51,9 @@ func stressKernel(seed int64) func(b *Block) {
 	}
 }
 
+// sweepShapes are the block counts of launchSweep's launches.
+var sweepShapes = []int{1, 3, 64, 257}
+
 // launchSweep runs a few launches of different shapes on one device,
 // recording every flush batch per SM, and returns the flush streams.
 func launchSweep(cfg Config, seed int64) (*Device, [][][]outbuf.Result) {
@@ -63,7 +66,7 @@ func launchSweep(cfg Config, seed int64) (*Device, [][][]outbuf.Result) {
 			streams[sm] = append(streams[sm], cp)
 		}
 	})
-	for i, blocks := range []int{1, 3, 64, 257} {
+	for i, blocks := range sweepShapes {
 		dev.Launch("phase", fmt.Sprintf("stress-%d", blocks), blocks, stressKernel(seed+int64(i)))
 	}
 	dev.Serialize("tail", "stress-serialize", 12345)
@@ -71,11 +74,10 @@ func launchSweep(cfg Config, seed int64) (*Device, [][][]outbuf.Result) {
 	return dev, streams
 }
 
-// TestHostParallelismBitIdentical is the tentpole invariant: for every
-// worker-pool size, a device run under HostParallelism must reproduce the
-// serial device bit for bit — launch records (incl. float makespans),
-// stats, total elapsed time, output summary, and the exact flush batch
-// streams of every SM ring.
+// TestHostParallelismBitIdentical: for every worker-pool size, a device
+// must reproduce the one-worker device (HostParallelism 0) bit for bit —
+// launch records (incl. float makespans), stats, total elapsed time,
+// output summary, and the exact flush batch streams of every SM ring.
 func TestHostParallelismBitIdentical(t *testing.T) {
 	base := Config{NumSMs: 8, SharedMemBytes: 4 << 10}
 	serialDev, serialStreams := launchSweep(base, 99)
@@ -107,11 +109,11 @@ func TestHostParallelismBitIdentical(t *testing.T) {
 }
 
 // TestHostWorkers pins the pool-size resolution: non-positive settings
-// mean serial, and the pool never exceeds the block count.
+// mean one worker, and the pool never exceeds the block count.
 func TestHostWorkers(t *testing.T) {
 	cases := []struct{ par, blocks, want int }{
-		{0, 100, 0},
-		{-3, 100, 0},
+		{0, 100, 1},
+		{-3, 100, 1},
 		{1, 100, 1},
 		{4, 100, 4},
 		{8, 3, 3},
@@ -138,12 +140,62 @@ func TestLaunchChunk(t *testing.T) {
 }
 
 // TestHostParallelEmptyLaunch: a zero-block launch must not spin up the
-// pool and must behave exactly like serial.
+// pool and still charges the launch overhead.
 func TestHostParallelEmptyLaunch(t *testing.T) {
 	cfg := Config{NumSMs: 4, HostParallelism: 4}
 	dev := NewDevice(cfg)
 	dur := dev.Launch("p", "empty", 0, func(b *Block) { t.Error("kernel ran for 0 blocks") })
 	if dur <= 0 {
 		t.Errorf("empty launch duration %v, want launch overhead > 0", dur)
+	}
+}
+
+// TestLaunchMatchesBlocksRunInOrder checks the staging against its
+// definition: the output and stats of running every block in index order
+// and pushing its runs straight into its SM's ring. The reference stages
+// nothing across blocks — each block's runs are replayed as soon as it
+// returns — so a merge that reordered blocks, dropped a tape or leaked
+// runs across launches shows up here at any worker count.
+func TestLaunchMatchesBlocksRunInOrder(t *testing.T) {
+	cfg := Config{NumSMs: 8, SharedMemBytes: 4 << 10}
+	ref := NewDevice(cfg)
+	streams := make([][][]outbuf.Result, cfg.NumSMs)
+	bufs := make([]*outbuf.Buffer, cfg.NumSMs)
+	for sm := range bufs {
+		bufs[sm] = outbuf.New(0)
+		bufs[sm].SetFlush(func(batch []outbuf.Result) {
+			streams[sm] = append(streams[sm], append([]outbuf.Result(nil), batch...))
+		})
+	}
+	var stats Stats
+	for i, blocks := range sweepShapes {
+		kernel := stressKernel(99 + int64(i))
+		for idx := 0; idx < blocks; idx++ {
+			b := &Block{Idx: idx, Out: &outbuf.Tape{}, dev: ref}
+			kernel(b)
+			b.Out.Replay(bufs[idx%cfg.NumSMs])
+			stats.add(b.stats)
+		}
+	}
+	for _, b := range bufs {
+		b.Flush()
+	}
+	want := outbuf.Summarize(bufs)
+
+	for _, par := range []int{0, 1, 3} {
+		c := cfg
+		c.HostParallelism = par
+		dev, got := launchSweep(c, 99)
+		if dev.OutputSummary() != want {
+			t.Errorf("par=%d: output summary %+v, want %+v", par, dev.OutputSummary(), want)
+		}
+		st := dev.Stats()
+		st.Launches, st.Blocks = 0, 0
+		if st != stats {
+			t.Errorf("par=%d: stats %+v, want %+v", par, st, stats)
+		}
+		if !reflect.DeepEqual(got, streams) {
+			t.Errorf("par=%d: flush batch streams differ from the blocks run in order", par)
+		}
 	}
 }

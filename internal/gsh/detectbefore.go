@@ -130,7 +130,7 @@ func partitionWithCheck(dev *gpusim.Device, tuples []relation.Tuple, idOf map[re
 	// Per-block staging for the functional side effects (pass 0 only):
 	// each block records its chunk's skewed payloads in a private slot and
 	// the host merges the slots in block-index order after the launch, so
-	// the per-key array order matches serial execution exactly.
+	// the per-key array order matches the blocks running in index order.
 	type chunkOut struct {
 		skewed int
 		perKey [][]relation.Payload // indexed like `skewed`

@@ -184,10 +184,10 @@ func Join(r, s relation.Relation, cfg Config) Result {
 	}
 
 	// Phase 1: count-then-partition, two passes.
-	partDur := partitionTable(dev, r.Tuples, bits1, bits2)
 	pr := gpupart.Functional(r.Tuples, bits1, bits2)
-	partDur += partitionTable(dev, s.Tuples, bits1, bits2)
+	partDur := partitionTable(dev, r.Tuples, pr, bits1, bits2)
 	ps := gpupart.Functional(s.Tuples, bits1, bits2)
+	partDur += partitionTable(dev, s.Tuples, ps, bits1, bits2)
 
 	// Phases 2+3: detect and divide large partitions.
 	pairs, skewed, detectDur, divideDur := detectAndDivide(dev, cfg, pr, ps, capacity, &res.Stats)
@@ -229,16 +229,19 @@ func Join(r, s relation.Relation, cfg Config) Result {
 // grows far beyond average and its block dominates the pass-2 makespan.
 // That is the mechanism behind Table I's GSH partition row growing from
 // 5.9ms to 24.5ms while Gbase's chunk-balanced bucket scheme stays flat.
-func partitionTable(dev *gpusim.Device, tuples []relation.Tuple, bits1, bits2 uint32) time.Duration {
+//
+// part is the table's final partitioning (bits1+bits2 radix bits): pass-1
+// partition p is its consecutive partitions p<<bits2 .. (p+1)<<bits2 - 1,
+// so the pass-2 block sizes come from its offsets.
+func partitionTable(dev *gpusim.Device, tuples []relation.Tuple, part *radix.Partitioned, bits1, bits2 uint32) time.Duration {
 	// Pass 1: chunk-parallel scatter on the low bits1 bits.
 	dur := partitionPass(dev, tuples, 0, bits1)
 
 	// Pass 2: one block per pass-1 partition (count scan + prefix sum +
 	// copy scan over the partition's contiguous region).
-	p1 := gpupart.Functional(tuples, bits1, 0)
 	fan2 := 1 << bits2
-	dur += dev.Launch("partition", "gsh-partition-pass2", p1.Fanout(), func(b *gpusim.Block) {
-		c := p1.Size(b.Idx)
+	dur += dev.Launch("partition", "gsh-partition-pass2", 1<<bits1, func(b *gpusim.Block) {
+		c := part.Offsets[(b.Idx+1)*fan2] - part.Offsets[b.Idx*fan2]
 		b.GlobalCoalesced(c * relation.TupleSize) // count scan
 		b.UniformWork(c, 2)
 		b.Compute(fan2)                               // partition-local prefix sum

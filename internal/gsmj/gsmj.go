@@ -37,6 +37,9 @@ type Config struct {
 	// work. 0 = the shared-memory partition capacity; negative disables
 	// tiling (one block per range regardless of run size).
 	RunTileTuples int
+	// Flush optionally installs a per-SM batch consumer on the device's
+	// output buffers (the volcano model's upper operator).
+	Flush func(sm int) outbuf.FlushFunc
 }
 
 // Defaults fills zero fields.
@@ -66,6 +69,9 @@ type Result struct {
 func Join(r, s relation.Relation, cfg Config) Result {
 	cfg = cfg.Defaults()
 	dev := gpusim.NewDevice(cfg.Device)
+	if cfg.Flush != nil {
+		dev.SetFlush(cfg.Flush)
+	}
 	var res Result
 
 	// Sort phase: modelled cost of 4 LSD passes per table; functional
@@ -77,6 +83,7 @@ func Join(r, s relation.Relation, cfg Config) Result {
 	// Merge phase.
 	mergeDur := mergePhase(dev, cfg, sr, ss, &res.Stats)
 
+	dev.FlushOutputs()
 	res.Summary = dev.OutputSummary()
 	res.Stats.Sim = dev.Stats()
 	res.Trace = dev.Records()
@@ -269,10 +276,10 @@ func collectTasks(sr, ss []relation.Tuple, loKey, hiKey uint64, rc *runCollector
 // range task's bounds). Returns the number of results emitted.
 //
 // Run payloads are staged in an append-only arena rather than a reused
-// scratch slice: a Writer may retain the run slice past the call (the
-// host-parallel Tape does), so earlier runs must never be overwritten.
-func emitRuns(rRange, sRange []relation.Tuple, tile int, out outbuf.Writer) uint64 {
-	before := out.Count()
+// scratch slice: the tape retains each run slice until the launch
+// replays it, so earlier runs must never be overwritten.
+func emitRuns(rRange, sRange []relation.Tuple, tile int, out *outbuf.Tape) uint64 {
+	var matches uint64
 	ri, si := 0, 0
 	var arena []relation.Payload
 	for ri < len(rRange) && si < len(sRange) {
@@ -300,10 +307,11 @@ func emitRuns(rRange, sRange []relation.Tuple, tile int, out outbuf.Writer) uint
 			for _, t := range sRange[si:sEnd] {
 				out.PushRun(key, rps, t.Payload)
 			}
+			matches += uint64(len(rps) * (sEnd - si))
 			ri, si = rEnd, sEnd
 		}
 	}
-	return out.Count() - before
+	return matches
 }
 
 // runBounds returns `ranges`+1 key bounds cutting sr into contiguous

@@ -7,8 +7,15 @@ import (
 	"skewjoin/internal/relation"
 )
 
+// runWriter is the emission API a Buffer and a Tape share, so one
+// operation stream can drive either.
+type runWriter interface {
+	PushRun(k relation.Key, rps []relation.Payload, ps relation.Payload)
+	PushRunS(k relation.Key, pr relation.Payload, sps []relation.Payload)
+}
+
 // push1 emits one result as a run of one.
-func push1(w Writer, k relation.Key, pr, ps relation.Payload) {
+func push1(w runWriter, k relation.Key, pr, ps relation.Payload) {
 	w.PushRun(k, []relation.Payload{pr}, ps)
 }
 

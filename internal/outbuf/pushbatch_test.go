@@ -28,7 +28,7 @@ func batchOf(n int) []Result {
 // pushBatch emits rs as maximal runs, each a slice of one payload array
 // that nothing overwrites, as a probe hands out slices of its build table:
 // a Tape retains the runs until it replays.
-func pushBatch(w Writer, rs []Result) {
+func pushBatch(w runWriter, rs []Result) {
 	payloads := make([]relation.Payload, len(rs))
 	for i := range rs {
 		payloads[i] = rs[i].PayloadR
@@ -92,8 +92,8 @@ func TestPushBatchEmpty(t *testing.T) {
 	pushBatch(&tape, nil)
 	tape.PushRun(1, []relation.Payload{}, 2)
 	tape.PushRunS(1, 2, []relation.Payload{})
-	if tape.Count() != 0 || len(tape.ops) != 0 {
-		t.Errorf("empty batch staged: count %d, %d ops", tape.Count(), len(tape.ops))
+	if tape.count != 0 || len(tape.ops) != 0 {
+		t.Errorf("empty batch staged: count %d, %d ops", tape.count, len(tape.ops))
 	}
 }
 

@@ -2,16 +2,18 @@ package outbuf
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"skewjoin/internal/relation"
 )
 
-// applyOps drives the same random operation sequence against any Writer.
+// applyOps drives the same random operation sequence into a Buffer or a
+// Tape.
 // The runs are consecutive slices of one append-only payload array, as a
 // probe hands out slices of its build table, so they stay intact until
 // Replay; some are empty.
-func applyOps(w Writer, rng *rand.Rand, nOps int) {
+func applyOps(w runWriter, rng *rand.Rand, nOps int) {
 	payloads := make([]relation.Payload, 0, 8*nOps)
 	for i := 0; i < nOps; i++ {
 		lo := len(payloads)
@@ -56,8 +58,8 @@ func TestTapeReplayMatchesDirect(t *testing.T) {
 		tape.Replay(replayed)
 		replayed.Flush()
 
-		if tape.Count() != direct.Count() {
-			t.Fatalf("seed %d: tape count %d, direct count %d", seed, tape.Count(), direct.Count())
+		if tape.count != direct.Count() {
+			t.Fatalf("seed %d: tape count %d, direct count %d", seed, tape.count, direct.Count())
 		}
 		if !sameRing(direct, replayed) {
 			t.Fatalf("seed %d: replayed ring slots differ from direct", seed)
@@ -90,8 +92,8 @@ func TestTapeReset(t *testing.T) {
 	tape.PushRunS(1, 2, []relation.Payload{3})
 	tape.PushRun(4, []relation.Payload{5, 6}, 7)
 	tape.Reset()
-	if tape.Count() != 0 || len(tape.ops) != 0 {
-		t.Fatalf("after Reset: count %d, %d ops", tape.Count(), len(tape.ops))
+	if tape.count != 0 || len(tape.ops) != 0 {
+		t.Fatalf("after Reset: count %d, %d ops", tape.count, len(tape.ops))
 	}
 	tape.PushRun(8, []relation.Payload{9}, 10)
 
@@ -111,8 +113,8 @@ func TestTapeEmptyRunsSkipped(t *testing.T) {
 	tape.PushRun(1, nil, 2)
 	tape.PushRunS(3, 4, nil)
 	tape.PushRun(5, []relation.Payload{}, 6)
-	if tape.Count() != 0 || len(tape.ops) != 0 {
-		t.Fatalf("empty ops recorded: count %d, %d ops", tape.Count(), len(tape.ops))
+	if tape.count != 0 || len(tape.ops) != 0 {
+		t.Fatalf("empty ops recorded: count %d, %d ops", tape.count, len(tape.ops))
 	}
 }
 
@@ -126,8 +128,8 @@ func TestTapeSummaryOnlyMatchesFull(t *testing.T) {
 		sum.SummaryOnly()
 		applyOps(&full, rand.New(rand.NewSource(seed)), 200)
 		applyOps(&sum, rand.New(rand.NewSource(seed)), 200)
-		if full.Count() != sum.Count() {
-			t.Fatalf("seed %d: counts diverge: %d vs %d", seed, full.Count(), sum.Count())
+		if full.count != sum.count {
+			t.Fatalf("seed %d: counts diverge: %d vs %d", seed, full.count, sum.count)
 		}
 		a, b := New(8), New(8)
 		full.Replay(a)
@@ -148,11 +150,85 @@ func TestTapeSummaryOnlyReset(t *testing.T) {
 	tape.SummaryOnly()
 	tape.PushRun(1, []relation.Payload{2}, 3)
 	tape.Reset()
-	if tape.Count() != 0 || tape.checksum != 0 {
-		t.Fatalf("reset left count %d checksum %d", tape.Count(), tape.checksum)
+	if tape.count != 0 || tape.checksum != 0 {
+		t.Fatalf("reset left count %d checksum %d", tape.count, tape.checksum)
 	}
 	tape.PushRun(1, []relation.Payload{2}, 3)
 	if len(tape.ops) != 0 {
 		t.Fatal("summary-only mode lost across Reset")
+	}
+}
+
+// TestTapeTaggedReplayInterleaves records one random operation stream,
+// in groups of consecutive tags, on two tapes that take turns: replaying,
+// again and again, the tape whose next tag is lowest — the simulator's
+// block-order merge — must reproduce the direct pushes' ring, summary and
+// flush batches, with each tag's runs going to the buffer it picks.
+func TestTapeTaggedReplayInterleaves(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		record := func(dst *[][]Result) FlushFunc {
+			return func(batch []Result) {
+				*dst = append(*dst, append([]Result(nil), batch...))
+			}
+		}
+		var directBatches, replayBatches [2][][]Result
+		var direct, replayed [2]*Buffer
+		for i := range direct {
+			direct[i], replayed[i] = New(32), New(32)
+			direct[i].SetFlush(record(&directBatches[i]))
+			replayed[i].SetFlush(record(&replayBatches[i]))
+		}
+
+		rng, replayRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		var tapes [2]Tape
+		for tag := 0; tag < 40; tag++ {
+			n := rng.Intn(4)
+			replayRng.Intn(4)
+			applyOps(direct[tag%2], rng, n)
+			tape := &tapes[(tag/3)%2] // runs of three tags per tape
+			tape.Tag(tag)
+			applyOps(tape, replayRng, n)
+		}
+		for {
+			var next *Tape
+			lowest := 0
+			for i := range tapes {
+				if tag, ok := tapes[i].Next(); ok && (next == nil || tag < lowest) {
+					next, lowest = &tapes[i], tag
+				}
+			}
+			if next == nil {
+				break
+			}
+			next.ReplayNext(replayed[lowest%2])
+		}
+		for i := range direct {
+			direct[i].Flush()
+			replayed[i].Flush()
+			if !sameRing(direct[i], replayed[i]) {
+				t.Fatalf("seed %d: buffer %d ring differs after the tagged replay", seed, i)
+			}
+			if ds, rs := Summarize([]*Buffer{direct[i]}), Summarize([]*Buffer{replayed[i]}); ds != rs {
+				t.Fatalf("seed %d: buffer %d summary %+v, want %+v", seed, i, rs, ds)
+			}
+			if !reflect.DeepEqual(directBatches[i], replayBatches[i]) {
+				t.Fatalf("seed %d: buffer %d flush batches differ", seed, i)
+			}
+		}
+	}
+}
+
+// TestTapeResetDropsRuns: a reused tape must not keep the arrays of the
+// runs it replayed alive, nor replay them again.
+func TestTapeResetDropsRuns(t *testing.T) {
+	var tape Tape
+	tape.PushRun(1, []relation.Payload{2, 3}, 4)
+	tape.Replay(New(8))
+	if _, ok := tape.Next(); ok {
+		t.Fatal("replayed run still pending")
+	}
+	tape.Reset()
+	if tape.ops[:1][0].run != nil {
+		t.Fatal("Reset kept a replayed run's slice")
 	}
 }

@@ -98,9 +98,9 @@ type JoinRequest struct {
 	// admission budget (default: the whole budget; clamped to it).
 	Threads int `json:"threads,omitempty"`
 	// HostParallelism sets the host worker-pool size for simulated-GPU
-	// block execution (gbase/gsh/gsmj and split's GPU leg): N>0 runs
+	// block execution (gbase/gsh/gsmj and split's GPU leg): N>1 runs
 	// kernel launches on N host workers (clamped to the request's admitted
-	// thread weight); 0 or negative simulates serially, as neither device
+	// thread weight); 0, 1 or negative runs them on one, as neither device
 	// profile sets a pool. Output and modelled times are bit-identical
 	// either way.
 	HostParallelism int `json:"host_parallelism,omitempty"`

@@ -11,7 +11,7 @@ import (
 
 // TestJoinHostParallelism exercises the host_parallelism request knob: a
 // GPU join run with host-parallel simulation must return exactly the
-// summary and modelled timings of a serial run — the knob only changes
+// summary and modelled timings of a one-worker run — the knob only changes
 // how fast the host produces them — and a direct library call with the
 // same setting must agree.
 func TestJoinHostParallelism(t *testing.T) {
@@ -38,7 +38,7 @@ func TestJoinHostParallelism(t *testing.T) {
 		return jr
 	}
 
-	serial := runJoin(-1)                // negative: force the serial seed path
+	serial := runJoin(-1)                // negative: one worker
 	for _, hp := range []int{1, 4, 99} { // 99 exceeds the budget: clamped
 		par := runJoin(hp)
 		if par.Matches != serial.Matches || par.Checksum != serial.Checksum {

@@ -516,10 +516,6 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if sink != nil && alg == skewjoin.GSMJ {
-		writeError(w, http.StatusBadRequest, "consumer %q is not supported for gsmj", req.Consumer)
-		return
-	}
 	rRel, sRel := rEntry.Rel, sEntry.Rel
 	if len(req.ExcludeKeys) > 0 {
 		if len(req.ExcludeKeys) > maxExcludeKeys {

@@ -250,6 +250,19 @@ func TestServiceConsumers(t *testing.T) {
 		t.Errorf("streamed row count %d != match summary %d", *resp.Rows, resp.Matches)
 	}
 
+	// A pinned GPU sort-merge join feeds the consumer too.
+	status, raw = doJSON(t, "POST", ts.URL+"/join", JoinRequest{R: "r", S: "s", Algorithm: "gsmj", Consumer: "count"})
+	if status != http.StatusOK {
+		t.Fatalf("gsmj count join: status %d: %s", status, raw)
+	}
+	resp = JoinResponse{}
+	if err := json.Unmarshal(raw, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Rows == nil || *resp.Rows != resp.Matches || resp.Matches == 0 {
+		t.Errorf("gsmj: streamed rows %v, matches %d", resp.Rows, resp.Matches)
+	}
+
 	// topk is exact: keys and weights are the closed form's freqR·freqS,
 	// ties to the smaller key, at any thread count — so 1 and 2 threads
 	// return identical answers. The second k cuts between tied weights.

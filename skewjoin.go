@@ -120,9 +120,9 @@ type Options struct {
 	TopK int
 	// Device configures the simulated GPU (zero fields = A100). Its
 	// HostParallelism field sets the host worker pool that executes the
-	// simulated thread blocks (Gbase, GSH, GSMJ and Split's GPU leg; 0 =
-	// serial); parallel execution is bit-identical to serial and changes
-	// only the wall-clock cost of simulation.
+	// simulated thread blocks (Gbase, GSH, GSMJ and Split's GPU leg; 0 or
+	// 1 = one worker); any setting is bit-identical to one worker and
+	// changes only the wall-clock cost of simulation.
 	Device DeviceConfig
 	// OutBufCap overrides the per-worker output ring capacity.
 	OutBufCap int
@@ -374,7 +374,7 @@ func Join(alg Algorithm, r, s Relation, opts *Options) (Result, error) {
 	case Split:
 		return joinSplit(r, s, opts)
 	case GSMJ:
-		res := gsmj.Join(r, s, gsmj.Config{Device: opts.Device})
+		res := gsmj.Join(r, s, gsmj.Config{Device: opts.Device, Flush: opts.Consumer})
 		if err := ctxErr(ctx); err != nil {
 			return Result{}, err
 		}

@@ -2,7 +2,10 @@ package skewjoin
 
 import (
 	"path/filepath"
+	"sync"
 	"testing"
+
+	"skewjoin/internal/outbuf"
 )
 
 func TestJoinAllAlgorithmsAgree(t *testing.T) {
@@ -30,6 +33,42 @@ func TestJoinAllAlgorithmsAgree(t *testing.T) {
 		}
 		if res.Total <= 0 || len(res.Phases) == 0 {
 			t.Errorf("%s: empty timing: %+v", alg, res)
+		}
+	}
+}
+
+// TestEveryAlgorithmFeedsItsConsumers: Options.Consumer is honoured by
+// every implementation — the consumers together receive exactly Matches
+// rows, and those rows are the joined output (their checksum is the
+// result's).
+func TestEveryAlgorithmFeedsItsConsumers(t *testing.T) {
+	r, s, err := GenerateZipfPair(1<<12, 0.8, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Expected(r, s)
+	for _, alg := range ExtendedAlgorithms() {
+		var rows, sum uint64
+		var mu sync.Mutex
+		res, err := Join(alg, r, s, &Options{Threads: 2, Consumer: func(int) ResultConsumer {
+			return func(batch []JoinResult) {
+				mu.Lock()
+				defer mu.Unlock()
+				rows += uint64(len(batch))
+				for _, x := range batch {
+					sum += outbuf.ChecksumTerm(x.Key, x.PayloadR, x.PayloadS)
+				}
+			}
+		}})
+		if err != nil {
+			t.Fatalf("%s: %v", alg, err)
+		}
+		if res.Summary() != want {
+			t.Errorf("%s: summary %+v, oracle %+v", alg, res.Summary(), want)
+		}
+		if rows != res.Matches || sum != res.Checksum {
+			t.Errorf("%s: consumers saw %d rows (checksum %#x) of %d matches (checksum %#x)",
+				alg, rows, sum, res.Matches, res.Checksum)
 		}
 	}
 }

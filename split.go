@@ -124,7 +124,7 @@ func (st *SplitStats) JoinSideNs() int64 {
 
 // joinSplit is the co-processing executor: radix-partition both inputs
 // (overlapped, as cbase), plan the per-partition placement, then run the
-// CPU join workers and the host-parallel GPU simulation concurrently and
+// CPU join workers and the GPU simulation concurrently and
 // merge both output streams into the volcano consumers.
 func joinSplit(r, s Relation, opts *Options) (Result, error) {
 	ctx := opts.Context
@@ -313,8 +313,8 @@ type splitGPUTask struct {
 // (each re-probing its full S share, Gbase's skew behaviour the cost
 // model mirrors), and the D2H staging of the results. A fragment's
 // blocks replicate the full R side but probe only S[sLo:sHi). With
-// Options.Device.HostParallelism > 0 the launch's blocks execute on a host
-// worker pool, bit-identically to serial execution.
+// Options.Device.HostParallelism > 1 the launch's blocks execute on a host
+// worker pool, bit-identically to one worker.
 //
 //skewlint:hotpath
 func runSplitGPU(opts *Options, dev *gpusim.Device, pr, ps *radix.Partitioned, parts []int, frags []joinphase.ProbeRange) error {
