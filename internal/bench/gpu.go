@@ -8,9 +8,9 @@
 // time (which must be bit-identical across every variant — parallel host
 // execution may never change simulated results) and the *wall-clock* time
 // the host spent producing it (which is what HostParallelism improves).
-// The seed/control pair re-measures the one-worker path twice — an A/A
-// estimate of the harness noise floor against which the parallel speedups
-// must be read.
+// The one-worker arm and its twin, one-worker-aa, measure the same path
+// twice — an A/A estimate of the harness noise floor against which the
+// parallel speedups must be read.
 package bench
 
 import (
@@ -30,13 +30,13 @@ var gpuZipfs = []float64{0.0, 0.5, 1.0}
 // (HostParallelism 0, the default), an A/A control re-measuring it, and
 // one worker per host core (the arms; Par is the HostParallelism).
 func gpuSweep(cfg Config) *Sweep {
-	as := []Arm{{"seed(serial)", 0}, {"control(serial)", 0}}
+	as := []Arm{{"one-worker", 0}, {"one-worker-aa", 0}}
 	if n := exec.DefaultThreads(); n > 1 {
 		as = append(as, Arm{fmt.Sprintf("par%d", n), n})
 	}
 	return &Sweep{
 		Name: "gpu", Zipfs: cfg.zipfs(gpuZipfs), Arms: as,
-		Twin: [2]string{"seed(serial)", "control(serial)"}, Warm: true,
+		Twin: [2]string{"one-worker", "one-worker-aa"}, Warm: true,
 		Groups: func(*Workload) ([]Group, error) {
 			return []Group{{Label: "gbase"}, {Label: "gsh"}, {Label: "gsmj"}}, nil
 		},
@@ -75,31 +75,31 @@ func gpuGate(group []Cell) []string {
 			continue
 		}
 		if m, m0 := c.Metrics["modelled_ns"], group[0].Metrics["modelled_ns"]; m != m0 {
-			errs = append(errs, fmt.Sprintf("%s %s @ zipf %.1f: modelled time %v ns differs from serial %v ns",
-				c.Group, c.Arm, c.Zipf, m, m0))
+			errs = append(errs, fmt.Sprintf("%s %s @ zipf %.1f: modelled time %v ns differs from %s's %v ns",
+				c.Group, c.Arm, c.Zipf, m, group[0].Arm, m0))
 		}
 	}
 	return errs
 }
 
 // printGPU renders one block per zipf factor, one line per algo/variant
-// with both clocks and the speedup of each variant over the seed row of
-// its (algo, zipf) group.
+// with both clocks and the speedup of each variant over the one-worker
+// row of its (algo, zipf) group.
 func printGPU(w io.Writer, a *Artifact) {
 	fmt.Fprintf(w, "== GPU-simulation A/B benchmark (n=%v, host cpus=%v, best of %v) ==\n",
 		a.Config["tuples"], a.Config["host_cpus"], a.Config["repeats"])
 	fmt.Fprintf(w, "wall = host time simulating; modelled = simulated device time (identical across variants)\n")
-	var seed Cell
+	var base Cell
 	for i, c := range a.Cells {
 		if i == 0 || c.Zipf != a.Cells[i-1].Zipf {
 			fmt.Fprintf(w, "-- zipf %.1f --\n", c.Zipf)
 		}
 		if c.Arm == a.sweep.Arms[0].Name {
-			seed = c
+			base = c
 		}
 		speedup := ""
-		if seed.BestNS > 0 && c.BestNS > 0 {
-			speedup = fmt.Sprintf("  %5.2fx", float64(seed.BestNS)/float64(c.BestNS))
+		if base.BestNS > 0 && c.BestNS > 0 {
+			speedup = fmt.Sprintf("  %5.2fx", float64(base.BestNS)/float64(c.BestNS))
 		}
 		fmt.Fprintf(w, "%-6s %-16s  wall %10s%s  modelled %10s\n",
 			c.Group, c.Arm, FormatDuration(time.Duration(c.BestNS)), speedup, ns(c.num("modelled_ns")))

@@ -10,6 +10,7 @@ import (
 	"skewjoin/internal/exec"
 	"skewjoin/internal/hashfn"
 	"skewjoin/internal/relation"
+	"skewjoin/internal/zipf"
 )
 
 func randomTuples(n, keyRange int, seed int64) []relation.Tuple {
@@ -247,6 +248,63 @@ func TestQuickTableEqualsMapSemantics(t *testing.T) {
 	}
 }
 
+// TestQuickRunSumMatchesPayloads: for random tuples over a small key
+// domain (so keys repeat and share buckets) and for zipf 0–1.2 relations,
+// the sum a RunTable hands out with each key's run equals the sum of the
+// run's payloads, and an absent key's run is empty with sum 0.
+func TestQuickRunSumMatchesPayloads(t *testing.T) {
+	check := func(tuples []relation.Tuple, probes []relation.Key) bool {
+		rt := BuildRuns(tuples)
+		for _, k := range probes {
+			run, sum, _ := rt.Run(k)
+			var want uint64
+			for _, p := range run {
+				want += uint64(p)
+			}
+			if sum != want {
+				t.Logf("key %d: run of %d sums to %d, table says %d", k, len(run), want, sum)
+				return false
+			}
+		}
+		return true
+	}
+	f := func(keys []uint8, payloads []uint32, probeKeys []uint8) bool {
+		tuples := make([]relation.Tuple, len(keys))
+		for i, k := range keys {
+			p := uint32(i) * 0x9e3779b9
+			if i < len(payloads) {
+				p = payloads[i]
+			}
+			tuples[i] = relation.Tuple{Key: relation.Key(k), Payload: relation.Payload(p)}
+		}
+		probes := make([]relation.Key, 0, len(keys)+len(probeKeys))
+		for _, k := range keys {
+			probes = append(probes, relation.Key(k))
+		}
+		for _, k := range probeKeys {
+			probes = append(probes, relation.Key(k)+1000) // absent
+		}
+		return check(tuples, probes)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	for _, theta := range []float64{0, 0.5, 1.0, 1.2} {
+		g, err := zipf.New(zipf.Config{Theta: theta, Universe: 4096, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel := g.NewRelation(4096, 1)
+		probes := []relation.Key{1 << 31}
+		for _, tp := range rel.Tuples {
+			probes = append(probes, tp.Key)
+		}
+		if !check(rel.Tuples, probes) {
+			t.Errorf("zipf %.1f: a run's sum differs from its payloads'", theta)
+		}
+	}
+}
+
 // scanBucket is the brute-force reference for a probe: the payloads of
 // every tuple with key k, and the number of tuples that hash into k's
 // bucket under the given bucket shift.
@@ -295,7 +353,8 @@ func interleaved(keys []relation.Key, copies int) []relation.Tuple {
 type runMatcher struct{ *RunTable }
 
 func (m runMatcher) Matches(k relation.Key, _ []relation.Payload) ([]relation.Payload, int) {
-	return m.Run(k)
+	run, _, visits := m.Run(k)
+	return run, visits
 }
 
 // TestMatchesAgreeWithScan checks the probe primitive of all four tables

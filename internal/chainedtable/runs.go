@@ -14,8 +14,10 @@ import (
 // comparing every entry and copying the matches. Within a group the tuples
 // keep their input order, so a run is element for element what
 // CompactTable.Matches returns, and a bucket's length — the visit count
-// the kernels charge — is the CompactTable's. The table is read-only once
-// built, so its runs stay valid for as long as anyone holds them.
+// the kernels charge — is the CompactTable's. Each group also carries its
+// payloads' sum, so a summary-only output tape folds a run without reading
+// it. The table is read-only once built, so its runs stay valid for as
+// long as anyone holds them.
 type RunTable struct {
 	shift uint32
 	// Bucket b is entries[starts[b]:starts[b+1]], as in a CompactTable,
@@ -23,8 +25,10 @@ type RunTable struct {
 	starts  []int32
 	entries []relation.Tuple
 	// ends[i], for the first entry i of a group, is the group's end, so
-	// the group's payloads are payloads[i:ends[i]].
+	// the group's payloads are payloads[i:ends[i]], and sums[i] is their
+	// sum mod 2^64.
 	ends     []int32
+	sums     []uint64
 	payloads []relation.Payload
 }
 
@@ -39,6 +43,7 @@ func BuildRuns(tuples []relation.Tuple) *RunTable {
 		starts:   starts,
 		entries:  entries,
 		ends:     make([]int32, len(entries)),
+		sums:     make([]uint64, len(entries)),
 		payloads: make([]relation.Payload, len(entries)),
 	}
 	// A bucket of one or two tuples is grouped already; the longer ones
@@ -55,13 +60,16 @@ func BuildRuns(tuples []relation.Tuple) *RunTable {
 		}
 	}
 	// Equal keys share a bucket, so a group is a maximal stretch of equal
-	// keys and never crosses into the next bucket.
+	// keys and never crosses into the next bucket. Walking backwards, each
+	// entry takes its group's end and the sum of the payloads from it to
+	// that end, which at the group's first entry is the group's sum.
 	for i := len(entries) - 1; i >= 0; i-- {
-		end := int32(i + 1)
+		end, sum := int32(i+1), uint64(entries[i].Payload)
 		if i+1 < len(entries) && entries[i+1].Key == entries[i].Key {
-			end = t.ends[i+1]
+			end, sum = t.ends[i+1], sum+t.sums[i+1]
 		}
 		t.ends[i] = end
+		t.sums[i] = sum
 		t.payloads[i] = entries[i].Payload
 	}
 	if sanitize.Enabled {
@@ -94,8 +102,8 @@ func groupBucket(bucket, tmp []relation.Tuple, order []uint64) {
 }
 
 // checkGroups verifies under the sanitize tag that the groups tile every
-// bucket: walking a bucket group by group lands exactly on its end, and
-// no key has two groups.
+// bucket — walking a bucket group by group lands exactly on its end, and
+// no key has two groups — and that each group's sum is its payloads'.
 func (t *RunTable) checkGroups() {
 	for b := 0; b+1 < len(t.starts); b++ {
 		lo, hi := t.starts[b], t.starts[b+1]
@@ -110,24 +118,31 @@ func (t *RunTable) checkGroups() {
 						t.entries[i].Key, b, i, j)
 				}
 			}
+			var sum uint64
+			for _, p := range t.payloads[i:t.ends[i]] {
+				sum += uint64(p)
+			}
+			if sum != t.sums[i] {
+				sanitize.Failf("chainedtable: group at %d has sum %d, its payloads sum to %d", i, t.sums[i], sum)
+			}
 		}
 	}
 }
 
 // Run returns k's matches — the payloads of every tuple with key k, in
-// input order — as a slice of the table's payload array, with the number
-// of tuples in k's bucket: the entries a CompactTable's Matches would
-// compare. The slice must not be modified.
+// input order — as a slice of the table's payload array, their sum mod
+// 2^64, and the number of tuples in k's bucket: the entries a
+// CompactTable's Matches would compare. The slice must not be modified.
 //
 //skewlint:hotpath
-func (t *RunTable) Run(k relation.Key) ([]relation.Payload, int) {
+func (t *RunTable) Run(k relation.Key) ([]relation.Payload, uint64, int) {
 	b := hashfn.Mix32(uint32(k)) >> t.shift
 	lo, hi := t.starts[b], t.starts[b+1]
 	for i := lo; i < hi; i = t.ends[i] {
 		if t.entries[i].Key == k {
 			end := t.ends[i]
-			return t.payloads[i:end:end], int(hi - lo)
+			return t.payloads[i:end:end], t.sums[i], int(hi - lo)
 		}
 	}
-	return nil, int(hi - lo)
+	return nil, 0, int(hi - lo)
 }

@@ -34,9 +34,10 @@ func mustPanicWith(t *testing.T, want string, fn func()) {
 	fn()
 }
 
-// TestSanitizeRunTableChecksGroups breaks a run table's groups in the two
-// ways a faulty build could — a group reaching past its bucket, and one
-// key split over two groups — and asserts the tiling check catches each.
+// TestSanitizeRunTableChecksGroups breaks a run table's groups in the
+// three ways a faulty build could — a group reaching past its bucket, one
+// key split over two groups, and a group sum that is not its payloads' —
+// and asserts the check catches each.
 func TestSanitizeRunTableChecksGroups(t *testing.T) {
 	tuples := interleaved([]relation.Key{3}, 4) // one bucket of four
 	past := BuildRuns(tuples)
@@ -45,6 +46,9 @@ func TestSanitizeRunTableChecksGroups(t *testing.T) {
 	split := BuildRuns(tuples)
 	split.ends[0] = 1
 	mustPanicWith(t, "two groups", split.checkGroups)
+	sum := BuildRuns(tuples)
+	sum.sums[0]++
+	mustPanicWith(t, "sum", sum.checkGroups)
 }
 
 // TestSanitizeProbeDetectsCycle drives the chain walk both chained tables
@@ -115,7 +119,7 @@ func TestSanitizeCleanTableUnaffected(t *testing.T) {
 	if got := BuildCompact(tuples).MaxChain(); got < 2 {
 		t.Fatalf("compact MaxChain under sanitize = %d", got)
 	}
-	if run, visited := BuildRuns(tuples).Run(1); len(run) != 2 || visited < 2 {
+	if run, _, visited := BuildRuns(tuples).Run(1); len(run) != 2 || visited < 2 {
 		t.Fatalf("run table under sanitize returned run=%v visited=%d", run, visited)
 	}
 }

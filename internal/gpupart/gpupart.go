@@ -3,13 +3,17 @@
 // functional (result-producing) radix partitioning both algorithms use.
 // The two algorithms charge different modelled costs for producing this
 // result — Gbase's dynamic bucket lists vs GSH's count-then-partition —
-// and those cost kernels live with the respective algorithm packages.
+// and those cost kernels live with the respective algorithm packages. It
+// also holds the join kernels the GPU algorithms share: ProbeJoinBlock
+// (Gbase's join phase, GSH's NM-join, the split's GPU leg) and
+// TileJoinBlock (GSH's skew join, GSMJ's tiled runs).
 package gpupart
 
 import (
 	"skewjoin/internal/chainedtable"
 	"skewjoin/internal/gpusim"
 	"skewjoin/internal/hashfn"
+	"skewjoin/internal/outbuf"
 	"skewjoin/internal/radix"
 	"skewjoin/internal/relation"
 )
@@ -62,10 +66,11 @@ func Functional(tuples []relation.Tuple, bits1, bits2 uint32) *radix.Partitioned
 // of the CPU join phase's compact layout, which are the paper's chains,
 // grouped by key. A probe's visit count is its bucket's length, exactly
 // the nodes a chain walk would visit, and its matches are a slice of the
-// table that the block emits as is; the table is never modified, so the
-// launch's tape can hold the run until it replays. The
-// charges below model the chained build (a shared atomic per bucket-head
-// insert) and the chain walk in shared memory, one step per visited node.
+// table that the block emits as is, with the sum the table keeps for it;
+// the table is never modified, so the launch's tape can hold the run until
+// it replays. The charges below model the chained build (a shared atomic
+// per bucket-head insert) and the chain walk in shared memory, one step
+// per visited node.
 func ProbeJoinBlock(b *gpusim.Block, rPart, sPart []relation.Tuple) int {
 	dcfg := b.Device().Config()
 	table := chainedtable.BuildRuns(rPart)
@@ -81,10 +86,10 @@ func ProbeJoinBlock(b *gpusim.Block, rPart, sPart []relation.Tuple) int {
 	visits := make([]int, len(sPart))
 	matches := 0
 	for i, ts := range sPart {
-		m, v := table.Run(ts.Key)
+		m, sum, v := table.Run(ts.Key)
 		visits[i] = v
 		if len(m) > 0 {
-			b.Out.PushRun(ts.Key, m, ts.Payload)
+			b.Out.PushRun(ts.Key, m, ts.Payload, sum)
 			matches += len(m)
 		}
 	}
@@ -115,4 +120,36 @@ func ProbeJoinBlock(b *gpusim.Block, rPart, sPart []relation.Tuple) int {
 	b.UniformWork(matches, 1)
 	b.GlobalCoalesced(matches * 12)
 	return matches
+}
+
+// Tile is one S tile of a skewed key's run: the S payloads one thread
+// block streams against one R tuple, with their sum, taken once for all
+// the R tuples that stream the tile.
+type Tile struct {
+	Key relation.Key
+	SPs []relation.Payload
+	Sum uint64
+}
+
+// AppendTiles cuts sps, the S payloads of key k, into tiles of step
+// payloads, the last one possibly shorter, and appends them to tiles.
+func AppendTiles(tiles []Tile, k relation.Key, sps []relation.Payload, step int) []Tile {
+	for lo := 0; lo < len(sps); lo += step {
+		run := sps[lo:min(lo+step, len(sps))]
+		tiles = append(tiles, Tile{Key: k, SPs: run, Sum: outbuf.PayloadSum(run)})
+	}
+	return tiles
+}
+
+// TileJoinBlock is the skew-join kernel GSH's skew join and GSMJ's tiled
+// runs share: one block joins the R tuple with payload rp and t's S
+// tile. One scattered read fetches the block's R tuple, a coalesced
+// stream reads the tile's S payloads (the key is implicit), and a
+// coalesced write emits one result per S tuple.
+func TileJoinBlock(b *gpusim.Block, t *Tile, rp relation.Payload) {
+	b.GlobalRandom(1)
+	b.GlobalCoalesced(len(t.SPs) * 4)
+	b.UniformWork(len(t.SPs), 2) // pair assembly
+	b.GlobalCoalesced(len(t.SPs) * 12)
+	b.Out.PushRunS(t.Key, rp, t.SPs, t.Sum)
 }

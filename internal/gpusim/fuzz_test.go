@@ -64,10 +64,10 @@ func FuzzHostParallelLaunch(f *testing.F) {
 					for j := 0; j <= i%4; j++ {
 						payloads = append(payloads, relation.Payload(h)+relation.Payload(i*7+j))
 					}
-					b.Out.PushRun(relation.Key(h>>32)+relation.Key(i), payloads[lo:], relation.Payload(i))
+					b.Out.PushRun(relation.Key(h>>32)+relation.Key(i), payloads[lo:], relation.Payload(i), outbuf.PayloadSum(payloads[lo:]))
 				}
 				if work%2 == 0 {
-					b.Out.PushRun(relation.Key(b.Idx), []relation.Payload{1, 2, 3}, relation.Payload(work))
+					b.Out.PushRun(relation.Key(b.Idx), []relation.Payload{1, 2, 3}, relation.Payload(work), 6)
 				}
 			})
 			dev.FlushOutputs()

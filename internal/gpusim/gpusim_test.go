@@ -216,7 +216,7 @@ func TestWarpLoopRaggedTailNotWaste(t *testing.T) {
 func TestOutputBuffersSharedPerSM(t *testing.T) {
 	d := NewDevice(Config{NumSMs: 2})
 	d.Launch("p", "k", 4, func(b *Block) {
-		b.Out.PushRun(1, []relation.Payload{2}, 3)
+		b.Out.PushRun(1, []relation.Payload{2}, 3, 2)
 	})
 	sum := d.OutputSummary()
 	if sum.Count != 4 {
@@ -263,7 +263,7 @@ func TestSetFlushAndFlushOutputs(t *testing.T) {
 		return func(batch []outbuf.Result) { got[sm] += len(batch) }
 	})
 	d.Launch("p", "k", 2, func(b *Block) {
-		b.Out.PushRun(1, []relation.Payload{2}, 3)
+		b.Out.PushRun(1, []relation.Payload{2}, 3, 2)
 	})
 	d.FlushOutputs()
 	if got[0]+got[1] != 2 {

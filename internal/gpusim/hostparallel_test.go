@@ -40,14 +40,15 @@ func stressKernel(seed int64) func(b *Block) {
 			for n := 1 + rng.Intn(3); n > 0; n-- {
 				payloads = append(payloads, relation.Payload(rng.Uint32()))
 			}
-			b.Out.PushRun(relation.Key(rng.Uint32()), payloads[lo:], relation.Payload(rng.Uint32()))
+			b.Out.PushRun(relation.Key(rng.Uint32()), payloads[lo:], relation.Payload(rng.Uint32()), outbuf.PayloadSum(payloads[lo:]))
 		}
 		run := make([]relation.Payload, 1+work%4)
 		for i := range run {
 			run[i] = relation.Payload(rng.Uint32())
 		}
-		b.Out.PushRun(relation.Key(b.Idx), run, 7)
-		b.Out.PushRunS(relation.Key(b.Idx), 9, run)
+		sum := outbuf.PayloadSum(run)
+		b.Out.PushRun(relation.Key(b.Idx), run, 7, sum)
+		b.Out.PushRunS(relation.Key(b.Idx), 9, run, sum)
 	}
 }
 

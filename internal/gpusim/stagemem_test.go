@@ -23,7 +23,7 @@ func TestLaunchStagingMemoryPinned(t *testing.T) {
 	payloads := []relation.Payload{1, 2, 3, 4}
 	kernel := func(b *Block) {
 		b.Compute(4)
-		b.Out.PushRun(relation.Key(b.Idx), payloads, relation.Payload(b.Idx))
+		b.Out.PushRun(relation.Key(b.Idx), payloads, relation.Payload(b.Idx), 10)
 	}
 	for _, par := range []int{0, 2} {
 		dev := NewDevice(Config{NumSMs: 8, HostParallelism: par})

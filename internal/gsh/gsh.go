@@ -531,13 +531,15 @@ func sTile(cfg Config, capacity int) int {
 // skewJoin produces the join results for the skewed keys: for every skewed
 // key, one thread block per (R tuple, S tile) streams its slice of the
 // skewed S array with coalesced reads and writes (§IV-B step 5, plus the
-// S-tiling extension; tile <= 0 disables tiling).
+// S-tiling extension; tile <= 0 disables tiling). A task is an R payload
+// and the index of its tile, whose payload sum is taken once for all the
+// R tuples of its key.
 func skewJoin(dev *gpusim.Device, skewed []*skewedKey, tile int, st *Stats) time.Duration {
 	type task struct {
-		key relation.Key
-		rp  relation.Payload
-		sps []relation.Payload
+		tile int32
+		rp   relation.Payload
 	}
+	var tiles []gpupart.Tile
 	var tasks []task
 	for _, sk := range skewed {
 		if len(sk.rps) == 0 || len(sk.sps) == 0 {
@@ -547,13 +549,11 @@ func skewJoin(dev *gpusim.Device, skewed []*skewedKey, tile int, st *Stats) time
 		if tile > 0 && tile < step {
 			step = tile
 		}
+		first := len(tiles)
+		tiles = gpupart.AppendTiles(tiles, sk.key, sk.sps, step)
 		for _, rp := range sk.rps {
-			for lo := 0; lo < len(sk.sps); lo += step {
-				hi := lo + step
-				if hi > len(sk.sps) {
-					hi = len(sk.sps)
-				}
-				tasks = append(tasks, task{key: sk.key, rp: rp, sps: sk.sps[lo:hi]})
+			for i := first; i < len(tiles); i++ {
+				tasks = append(tasks, task{tile: int32(i), rp: rp})
 			}
 		}
 	}
@@ -563,12 +563,6 @@ func skewJoin(dev *gpusim.Device, skewed []*skewedKey, tile int, st *Stats) time
 	}
 	return dev.Launch("skewjoin", "gsh-skewjoin", len(tasks), func(b *gpusim.Block) {
 		t := tasks[b.Idx]
-		// One scattered read for the block's own R tuple, then a coalesced
-		// stream over the skewed S array producing one result per S tuple.
-		b.GlobalRandom(1)
-		b.GlobalCoalesced(len(t.sps) * 4)  // S payloads (key is implicit)
-		b.UniformWork(len(t.sps), 2)       // pair assembly
-		b.GlobalCoalesced(len(t.sps) * 12) // coalesced result write
-		b.Out.PushRunS(t.key, t.rp, t.sps)
+		gpupart.TileJoinBlock(b, &tiles[t.tile], t.rp)
 	})
 }

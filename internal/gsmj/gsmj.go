@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"skewjoin/internal/exec"
+	"skewjoin/internal/gpupart"
 	"skewjoin/internal/gpusim"
 	"skewjoin/internal/outbuf"
 	"skewjoin/internal/relation"
@@ -139,11 +140,11 @@ func sortCost(dev *gpusim.Device, n int) time.Duration {
 type mergeTask struct {
 	srLo, srHi int // R index range (whole runs)
 	ssLo, ssHi int // S index range
-	// For a tiled run: one R tuple against one S tile.
+	// For a tiled run: the R tuple with payload rp against the phase's
+	// S tile tiles[tile].
 	tiled bool
-	key   relation.Key
+	tile  int32
 	rp    relation.Payload
-	sps   []relation.Payload
 }
 
 // mergePhase cuts the sorted key space into ranges and launches one block
@@ -182,15 +183,12 @@ func mergePhase(dev *gpusim.Device, cfg Config, sr, ss []relation.Tuple, st *Sta
 		return 0
 	}
 
+	tiles := runStats.tiles
 	return dev.Launch("merge", "gsmj-merge", len(tasks), func(b *gpusim.Block) {
 		t := tasks[b.Idx]
 		if t.tiled {
 			// One R tuple against one S tile: coalesced stream.
-			b.GlobalRandom(1)
-			b.GlobalCoalesced(len(t.sps) * 4)
-			b.UniformWork(len(t.sps), 2)
-			b.GlobalCoalesced(len(t.sps) * 12)
-			b.Out.PushRunS(t.key, t.rp, t.sps)
+			gpupart.TileJoinBlock(b, &tiles[t.tile], t.rp)
 			return
 		}
 		// Range merge: stream both sorted ranges, emit per-run products.
@@ -198,7 +196,7 @@ func mergePhase(dev *gpusim.Device, cfg Config, sr, ss []relation.Tuple, st *Sta
 		sRange := ss[t.ssLo:t.ssHi]
 		b.GlobalCoalesced((len(rRange) + len(sRange)) * relation.TupleSize)
 		b.UniformWork(len(rRange)+len(sRange), 2)
-		matches := emitRuns(rRange, sRange, tile, b.Out)
+		matches := emitRuns(rRange, sRange, b.Out)
 		b.UniformWork(int(matches), 2)
 		b.GlobalCoalesced(int(matches) * 12)
 	})
@@ -210,6 +208,7 @@ type runCollector struct {
 	capacity int
 	runs     int
 	tiled    int
+	tiles    []gpupart.Tile // the S tiles of every tiled run
 }
 
 // collectTasks walks the key range [loKey, hiKey) and appends either one
@@ -252,15 +251,11 @@ func collectTasks(sr, ss []relation.Tuple, loKey, hiKey uint64, rc *runCollector
 			for _, t := range ss[sLo:sEnd] {
 				sps = append(sps, t.Payload)
 			}
+			first := len(rc.tiles)
+			rc.tiles = gpupart.AppendTiles(rc.tiles, key, sps, rc.tile)
 			for _, rt := range sr[ri:rEnd] {
-				for lo := 0; lo < len(sps); lo += rc.tile {
-					hi := lo + rc.tile
-					if hi > len(sps) {
-						hi = len(sps)
-					}
-					*tasks = append(*tasks, mergeTask{
-						tiled: true, key: key, rp: rt.Payload, sps: sps[lo:hi],
-					})
+				for i := first; i < len(rc.tiles); i++ {
+					*tasks = append(*tasks, mergeTask{tiled: true, tile: int32(i), rp: rt.Payload})
 				}
 			}
 			normLoR, normLoS = rEnd, sEnd
@@ -277,8 +272,9 @@ func collectTasks(sr, ss []relation.Tuple, loKey, hiKey uint64, rc *runCollector
 //
 // Run payloads are staged in an append-only arena rather than a reused
 // scratch slice: the tape retains each run slice until the launch
-// replays it, so earlier runs must never be overwritten.
-func emitRuns(rRange, sRange []relation.Tuple, tile int, out *outbuf.Tape) uint64 {
+// replays it, so earlier runs must never be overwritten. A key's R
+// payloads are summed as they are staged, once for all its S tuples.
+func emitRuns(rRange, sRange []relation.Tuple, out *outbuf.Tape) uint64 {
 	var matches uint64
 	ri, si := 0, 0
 	var arena []relation.Payload
@@ -300,12 +296,14 @@ func emitRuns(rRange, sRange []relation.Tuple, tile int, out *outbuf.Tape) uint6
 				sEnd++
 			}
 			start := len(arena)
+			var sum uint64
 			for _, t := range rRange[ri:rEnd] {
 				arena = append(arena, t.Payload)
+				sum += uint64(t.Payload)
 			}
 			rps := arena[start:len(arena):len(arena)]
 			for _, t := range sRange[si:sEnd] {
-				out.PushRun(key, rps, t.Payload)
+				out.PushRun(key, rps, t.Payload, sum)
 			}
 			matches += uint64(len(rps) * (sEnd - si))
 			ri, si = rEnd, sEnd

@@ -7,11 +7,23 @@ import (
 	"skewjoin/internal/relation"
 )
 
-// runWriter is the emission API a Buffer and a Tape share, so one
-// operation stream can drive either.
+// runWriter is the emission API of a Buffer, and of a Tape through
+// summed, so one operation stream can drive either.
 type runWriter interface {
 	PushRun(k relation.Key, rps []relation.Payload, ps relation.Payload)
 	PushRunS(k relation.Key, pr relation.Payload, sps []relation.Payload)
+}
+
+// summed adapts a Tape to runWriter, taking each run's payload sum as an
+// emitter does before it pushes.
+type summed struct{ *Tape }
+
+func (w summed) PushRun(k relation.Key, rps []relation.Payload, ps relation.Payload) {
+	w.Tape.PushRun(k, rps, ps, PayloadSum(rps))
+}
+
+func (w summed) PushRunS(k relation.Key, pr relation.Payload, sps []relation.Payload) {
+	w.Tape.PushRunS(k, pr, sps, PayloadSum(sps))
 }
 
 // push1 emits one result as a run of one.

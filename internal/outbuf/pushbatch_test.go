@@ -52,7 +52,7 @@ func TestPushBatchEquivalentToPushes(t *testing.T) {
 	direct := New(16)
 	pushBatch(direct, rs)
 	var tape Tape
-	pushBatch(&tape, rs)
+	pushBatch(summed{&tape}, rs)
 	replayed := New(16)
 	tape.Replay(replayed)
 	for _, c := range []struct {
@@ -89,9 +89,9 @@ func TestPushBatchEmpty(t *testing.T) {
 	}
 
 	var tape Tape
-	pushBatch(&tape, nil)
-	tape.PushRun(1, []relation.Payload{}, 2)
-	tape.PushRunS(1, 2, []relation.Payload{})
+	pushBatch(summed{&tape}, nil)
+	tape.PushRun(1, []relation.Payload{}, 2, 0)
+	tape.PushRunS(1, 2, []relation.Payload{}, 0)
 	if tape.count != 0 || len(tape.ops) != 0 {
 		t.Errorf("empty batch staged: count %d, %d ops", tape.count, len(tape.ops))
 	}

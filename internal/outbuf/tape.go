@@ -1,6 +1,9 @@
 package outbuf
 
-import "skewjoin/internal/relation"
+import (
+	"skewjoin/internal/relation"
+	"skewjoin/internal/sanitize"
+)
 
 // tapeOp is one recorded run: PushRunS's when runS is set, else PushRun's.
 type tapeOp struct {
@@ -35,7 +38,10 @@ type tapeOp struct {
 // and only the count and linear checksum survive — so SummaryOnly puts
 // the tape in a mode that folds each run into those two scalars and
 // retains nothing: staging then takes O(1) memory however much the
-// kernels emit.
+// kernels emit. Every push carries its run's payload sum, which the
+// emitter computes once per key group or tile, so the fold costs O(1) per
+// run, not one add per result: a launch nobody consumes costs host time
+// in its input and its runs, not in its output.
 type Tape struct {
 	ops      []tapeOp
 	next     int // replay cursor into ops
@@ -57,18 +63,17 @@ func (t *Tape) SummaryOnly() { t.sumOnly = true }
 func (t *Tape) Tag(tag int) { t.tag = int32(tag) }
 
 // PushRun records a run of results matching one S tuple (see
-// Buffer.PushRun). rps is retained, not copied.
-func (t *Tape) PushRun(k relation.Key, rps []relation.Payload, ps relation.Payload) {
+// Buffer.PushRun). prSum is PayloadSum(rps). rps is retained, not copied.
+func (t *Tape) PushRun(k relation.Key, rps []relation.Payload, ps relation.Payload, prSum uint64) {
 	if len(rps) == 0 {
 		return
 	}
-	t.count += uint64(len(rps))
+	if sanitize.Enabled {
+		checkRunSum(rps, prSum)
+	}
+	n := uint64(len(rps))
+	t.count += n
 	if t.sumOnly {
-		var prSum uint64
-		for _, pr := range rps {
-			prSum += uint64(pr)
-		}
-		n := uint64(len(rps))
 		t.checksum += coefPayloadR*prSum + n*(coefKey*uint64(k)+coefPayloadS*uint64(ps))
 		return
 	}
@@ -76,22 +81,40 @@ func (t *Tape) PushRun(k relation.Key, rps []relation.Payload, ps relation.Paylo
 }
 
 // PushRunS records a run of results matching one R tuple (see
-// Buffer.PushRunS). sps is retained, not copied.
-func (t *Tape) PushRunS(k relation.Key, pr relation.Payload, sps []relation.Payload) {
+// Buffer.PushRunS). psSum is PayloadSum(sps). sps is retained, not copied.
+func (t *Tape) PushRunS(k relation.Key, pr relation.Payload, sps []relation.Payload, psSum uint64) {
 	if len(sps) == 0 {
 		return
 	}
-	t.count += uint64(len(sps))
+	if sanitize.Enabled {
+		checkRunSum(sps, psSum)
+	}
+	n := uint64(len(sps))
+	t.count += n
 	if t.sumOnly {
-		var psSum uint64
-		for _, ps := range sps {
-			psSum += uint64(ps)
-		}
-		n := uint64(len(sps))
 		t.checksum += coefPayloadS*psSum + n*(coefKey*uint64(k)+coefPayloadR*uint64(pr))
 		return
 	}
 	t.ops = append(t.ops, tapeOp{runS: true, key: k, p: pr, tag: t.tag, run: sps})
+}
+
+// PayloadSum returns the sum of ps mod 2^64: the run sum a Tape push
+// takes, and the only part of a run a summary-only tape needs besides its
+// length.
+func PayloadSum(ps []relation.Payload) uint64 {
+	var sum uint64
+	for _, p := range ps {
+		sum += uint64(p)
+	}
+	return sum
+}
+
+// checkRunSum re-adds a pushed run under the sanitize tag: a wrong sum
+// would corrupt the checksum of every summary-only launch silently.
+func checkRunSum(run []relation.Payload, sum uint64) {
+	if got := PayloadSum(run); got != sum {
+		sanitize.Failf("outbuf: run of %d payloads pushed with sum %d, its payloads sum to %d", len(run), sum, got)
+	}
 }
 
 // Next returns the tag of the first run not yet replayed; ok is false

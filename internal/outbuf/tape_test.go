@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"skewjoin/internal/relation"
+	"skewjoin/internal/zipf"
 )
 
 // applyOps drives the same random operation sequence into a Buffer or a
@@ -52,7 +53,7 @@ func TestTapeReplayMatchesDirect(t *testing.T) {
 		direct.Flush()
 
 		var tape Tape
-		applyOps(&tape, rand.New(rand.NewSource(seed)), 200)
+		applyOps(summed{&tape}, rand.New(rand.NewSource(seed)), 200)
 		replayed := New(64)
 		replayed.SetFlush(record(&replayBatches))
 		tape.Replay(replayed)
@@ -89,13 +90,13 @@ func TestTapeReplayMatchesDirect(t *testing.T) {
 // only the second recording.
 func TestTapeReset(t *testing.T) {
 	var tape Tape
-	tape.PushRunS(1, 2, []relation.Payload{3})
-	tape.PushRun(4, []relation.Payload{5, 6}, 7)
+	tape.PushRunS(1, 2, []relation.Payload{3}, 3)
+	tape.PushRun(4, []relation.Payload{5, 6}, 7, 11)
 	tape.Reset()
 	if tape.count != 0 || len(tape.ops) != 0 {
 		t.Fatalf("after Reset: count %d, %d ops", tape.count, len(tape.ops))
 	}
-	tape.PushRun(8, []relation.Payload{9}, 10)
+	tape.PushRun(8, []relation.Payload{9}, 10, 9)
 
 	want := New(16)
 	want.PushRun(8, []relation.Payload{9}, 10)
@@ -110,9 +111,9 @@ func TestTapeReset(t *testing.T) {
 // no-ops and must not leave journal entries behind.
 func TestTapeEmptyRunsSkipped(t *testing.T) {
 	var tape Tape
-	tape.PushRun(1, nil, 2)
-	tape.PushRunS(3, 4, nil)
-	tape.PushRun(5, []relation.Payload{}, 6)
+	tape.PushRun(1, nil, 2, 0)
+	tape.PushRunS(3, 4, nil, 0)
+	tape.PushRun(5, []relation.Payload{}, 6, 0)
 	if tape.count != 0 || len(tape.ops) != 0 {
 		t.Fatalf("empty ops recorded: count %d, %d ops", tape.count, len(tape.ops))
 	}
@@ -126,8 +127,8 @@ func TestTapeSummaryOnlyMatchesFull(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		var full, sum Tape
 		sum.SummaryOnly()
-		applyOps(&full, rand.New(rand.NewSource(seed)), 200)
-		applyOps(&sum, rand.New(rand.NewSource(seed)), 200)
+		applyOps(summed{&full}, rand.New(rand.NewSource(seed)), 200)
+		applyOps(summed{&sum}, rand.New(rand.NewSource(seed)), 200)
 		if full.count != sum.count {
 			t.Fatalf("seed %d: counts diverge: %d vs %d", seed, full.count, sum.count)
 		}
@@ -148,12 +149,12 @@ func TestTapeSummaryOnlyMatchesFull(t *testing.T) {
 func TestTapeSummaryOnlyReset(t *testing.T) {
 	var tape Tape
 	tape.SummaryOnly()
-	tape.PushRun(1, []relation.Payload{2}, 3)
+	tape.PushRun(1, []relation.Payload{2}, 3, 2)
 	tape.Reset()
 	if tape.count != 0 || tape.checksum != 0 {
 		t.Fatalf("reset left count %d checksum %d", tape.count, tape.checksum)
 	}
-	tape.PushRun(1, []relation.Payload{2}, 3)
+	tape.PushRun(1, []relation.Payload{2}, 3, 2)
 	if len(tape.ops) != 0 {
 		t.Fatal("summary-only mode lost across Reset")
 	}
@@ -187,7 +188,7 @@ func TestTapeTaggedReplayInterleaves(t *testing.T) {
 			applyOps(direct[tag%2], rng, n)
 			tape := &tapes[(tag/3)%2] // runs of three tags per tape
 			tape.Tag(tag)
-			applyOps(tape, replayRng, n)
+			applyOps(summed{tape}, replayRng, n)
 		}
 		for {
 			var next *Tape
@@ -222,7 +223,7 @@ func TestTapeTaggedReplayInterleaves(t *testing.T) {
 // runs it replayed alive, nor replay them again.
 func TestTapeResetDropsRuns(t *testing.T) {
 	var tape Tape
-	tape.PushRun(1, []relation.Payload{2, 3}, 4)
+	tape.PushRun(1, []relation.Payload{2, 3}, 4, 5)
 	tape.Replay(New(8))
 	if _, ok := tape.Next(); ok {
 		t.Fatal("replayed run still pending")
@@ -230,5 +231,70 @@ func TestTapeResetDropsRuns(t *testing.T) {
 	tape.Reset()
 	if tape.ops[:1][0].run != nil {
 		t.Fatal("Reset kept a replayed run's slice")
+	}
+}
+
+// zipfRuns returns the runs a probe would hand out on a zipf-theta
+// relation of n tuples: one run per distinct key holding that key's
+// payloads, in order of first appearance, plus an empty run and a
+// one-element run. At theta 1.2 one run takes most of the tuples.
+func zipfRuns(t *testing.T, n int, theta float64, seed int64) [][]relation.Payload {
+	t.Helper()
+	g, err := zipf.New(zipf.Config{Theta: theta, Universe: n, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := g.NewRelation(n, 1)
+	var order []relation.Key
+	byKey := map[relation.Key][]relation.Payload{}
+	for _, tp := range rel.Tuples {
+		if _, ok := byKey[tp.Key]; !ok {
+			order = append(order, tp.Key)
+		}
+		byKey[tp.Key] = append(byKey[tp.Key], tp.Payload)
+	}
+	runs := [][]relation.Payload{nil, {relation.Payload(seed)}}
+	for _, k := range order {
+		runs = append(runs, byKey[k])
+	}
+	return runs
+}
+
+// TestTapeSummaryOnlyMatchesRecordingOnZipfRuns pushes the runs of zipf
+// 0–1.2 relations, each through PushRun and through PushRunS, into a
+// recording tape and a summary-only tape, with the sum its emitter would
+// compute. Replayed into buffers, the summary-only tape's count and
+// checksum must equal the recording tape's and those of pushing the runs
+// into a buffer directly.
+func TestTapeSummaryOnlyMatchesRecordingOnZipfRuns(t *testing.T) {
+	for _, theta := range []float64{0, 0.5, 1.0, 1.2} {
+		for seed := int64(1); seed <= 3; seed++ {
+			runs := zipfRuns(t, 2000, theta, seed)
+			rng := rand.New(rand.NewSource(seed))
+			var rec, sum Tape
+			sum.SummaryOnly()
+			direct := New(64)
+			for _, run := range runs {
+				k, p := relation.Key(rng.Uint32()), relation.Payload(rng.Uint32())
+				s := PayloadSum(run)
+				rec.PushRun(k, run, p, s)
+				sum.PushRun(k, run, p, s)
+				direct.PushRun(k, run, p)
+				rec.PushRunS(k+1, p, run, s)
+				sum.PushRunS(k+1, p, run, s)
+				direct.PushRunS(k+1, p, run)
+			}
+			replayed, folded := New(64), New(64)
+			replayed.SetFlush(func([]Result) {})
+			rec.Replay(replayed)
+			sum.Replay(folded)
+			want := Summarize([]*Buffer{direct})
+			if got := Summarize([]*Buffer{replayed}); got != want {
+				t.Fatalf("theta %.1f seed %d: recording tape replays %+v, direct pushes %+v", theta, seed, got, want)
+			}
+			if got := Summarize([]*Buffer{folded}); got != want {
+				t.Fatalf("theta %.1f seed %d: summary-only tape folds %+v, direct pushes %+v", theta, seed, got, want)
+			}
+		}
 	}
 }
