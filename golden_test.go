@@ -151,6 +151,42 @@ func TestModelledPhasesGolden(t *testing.T) {
 	}
 }
 
+// TestCPUStreamGolden pins the exact stream a consumer receives from the
+// CPU join phase: Cbase, and CSH (whose skew path and NM-join both emit),
+// at one thread, where the task queue drains in order and so the stream
+// is deterministic. The digest folds every batch in flush order, so it
+// moves if a probe emits the same results in another order or splits
+// them into other batches. At zipf 0 CSH's stream equals Cbase's.
+func TestCPUStreamGolden(t *testing.T) {
+	golden := []struct {
+		theta  float64
+		alg    Algorithm
+		digest uint64
+	}{
+		{0.0, Cbase, 0x288eda2ef950c721},
+		{0.0, CSH, 0x288eda2ef950c721},
+		{1.0, Cbase, 0x19c4b70f7a4fdba5},
+		{1.0, CSH, 0x2a2a4b68269df9e7},
+	}
+	for _, g := range golden {
+		r, s, err := GenerateZipfPair(4096, g.theta, 21)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sd := newStreamDigest(0)
+		res, err := Join(g.alg, r, s, &Options{Threads: 1, Consumer: sd.consumer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := Expected(r, s); res.Summary() != want {
+			t.Errorf("%s zipf %.1f: output %+v, oracle %+v", g.alg, g.theta, res.Summary(), want)
+		}
+		if d := sd.sum(); d != g.digest {
+			t.Errorf("%s zipf %.1f: stream digest %#x, want %#x", g.alg, g.theta, d, g.digest)
+		}
+	}
+}
+
 // streamDigest folds every batch handed to the consumers of workers
 // from..N-1 into one order-sensitive hash per worker: FNV-1a over the
 // batch length and each result's key and payloads, in flush order.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"skewjoin/internal/outbuf"
 	"skewjoin/internal/relation"
 )
 
@@ -89,11 +90,13 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkProbe guards the probe loop itself against regressions: a
-// mixed-key workload (every tuple distinct key, ~1 entry per visit) and a
-// fully skewed one (every probe scans the whole bucket). Cbase and CSH
-// spend most of their join phase inside CompactTable.Matches, so any extra
-// work per bucket entry shows up here immediately.
+// BenchmarkProbe guards the join phase's probe loop against regressions:
+// each probing tuple's bucket emitted through PushMatches into an output
+// ring, as joinphase does, on a mixed-key workload (every tuple distinct
+// key, ~1 entry per visit) and a fully skewed one (every probe scans the
+// whole bucket and emits all of it). Cbase and CSH spend most of their
+// join phase in this loop, so any extra work per bucket entry or per
+// result shows up here immediately.
 func BenchmarkProbe(b *testing.B) {
 	const size = 1 << 14
 	for _, skewed := range []bool{false, true} {
@@ -115,18 +118,18 @@ func BenchmarkProbe(b *testing.B) {
 				probes = tuples[:1]
 			}
 			table := BuildCompact(tuples)
-			scratch := make([]relation.Payload, table.MaxChain())
+			buf := outbuf.New(0)
 			b.SetBytes(int64(size) * relation.TupleSize)
 			b.ReportAllocs()
 			b.ResetTimer()
-			sink := 0
 			for i := 0; i < b.N; i++ {
 				for _, tp := range probes {
-					m, _ := table.Matches(tp.Key, scratch)
-					sink += len(m)
+					buf.PushMatches(tp.Key, table.Bucket(tp.Key), tp.Payload)
 				}
 			}
-			_ = sink
+			if buf.Count() != uint64(b.N)*size {
+				b.Fatalf("emitted %d results, want %d", buf.Count(), uint64(b.N)*size)
+			}
 		})
 	}
 }

@@ -5,17 +5,21 @@
 // probing it costs one key comparison per entry. That behaviour — the
 // paper's central criticism of the baselines under skew — is what every
 // table here reproduces: a probe's visit count is the length of its key's
-// bucket, and the caller emits one probing tuple's matches as a single
-// output run. Three tables find the matches the way Cbase does, with
-// Matches: it compares every entry of the key's bucket and collects the
-// matching payloads into the caller's scratch.
+// bucket, and the caller emits one probing tuple's matches with one output
+// call. The CPU join phase probes a CompactTable through Bucket, which
+// hands out the key's bucket as a slice; the output buffer compares every
+// entry and writes each match into its ring as it finds it
+// (outbuf.Buffer.PushMatches), in one pass, as the paper's Cbase does. The
+// two chained tables find the matches with Matches instead: a chain is not
+// a slice, so Matches walks it, compares every entry and collects the
+// matching payloads into the caller's scratch, which the caller then emits
+// as one run.
 //
 // Matches treats its dst argument as scratch: it overwrites dst from index
 // 0 up to its capacity and returns the filled prefix. A scratch too short
 // for one key's matches is replaced by a longer one (returned in its
-// place), so callers size their scratch outside the probe loop — to the
-// table's largest bucket, or to the build side's length — and the probe
-// itself allocates nothing.
+// place), so a caller that keeps the returned scratch across probes
+// allocates only while its hottest key so far outgrows it.
 //
 // Four tables share one bucketing (the high bits of the mixed key):
 //

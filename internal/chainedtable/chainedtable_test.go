@@ -22,7 +22,9 @@ func randomTuples(n, keyRange int, seed int64) []relation.Tuple {
 	return ts
 }
 
-// matcher is the probe primitive all three tables implement.
+// matcher is the collect-the-matches probe the equivalence tests sweep:
+// the chained tables implement it, and compactMatcher and runMatcher adapt
+// the one-shot layouts to it.
 type matcher interface {
 	Matches(k relation.Key, dst []relation.Payload) ([]relation.Payload, int)
 }
@@ -50,7 +52,7 @@ type layout struct {
 func layouts(tuples []relation.Tuple) []layout {
 	return []layout{
 		{"chained", chained(tuples)},
-		{"compact", BuildCompact(tuples)},
+		{"compact", compactMatcher{BuildCompact(tuples)}},
 		{"runs", runMatcher{BuildRuns(tuples)}},
 	}
 }
@@ -124,7 +126,7 @@ func TestSkewProducesLongChain(t *testing.T) {
 	if mc := table.MaxChain(); mc != 1000 {
 		t.Errorf("MaxChain = %d, want 1000", mc)
 	}
-	if got := probeAll(table, 77); len(got) != 1000 {
+	if got := probeAll(compactMatcher{table}, 77); len(got) != 1000 {
 		t.Errorf("probe found %d of 1000", len(got))
 	}
 }
@@ -172,7 +174,7 @@ func TestSingleBucketTableProbes(t *testing.T) {
 	if len(chain.heads) != 1 || compact.Buckets() != 1 {
 		t.Fatalf("buckets = %d chained, %d compact, want 1", len(chain.heads), compact.Buckets())
 	}
-	for _, probe := range []matcher{chain, compact} {
+	for _, probe := range []matcher{chain, compactMatcher{compact}} {
 		if got := probeAll(probe, 42); len(got) != 1 || got[0] != 7 {
 			t.Errorf("probe(42) = %v", got)
 		}
@@ -348,6 +350,24 @@ func interleaved(keys []relation.Key, copies int) []relation.Tuple {
 	return ts
 }
 
+// compactMatcher adapts a CompactTable to the matcher the equivalence
+// tests sweep: it collects the payloads of the bucket's entries whose key
+// is k, in bucket order — the results the join phase's
+// outbuf.Buffer.PushMatches writes — and counts the whole bucket as
+// visited.
+type compactMatcher struct{ *CompactTable }
+
+func (m compactMatcher) Matches(k relation.Key, dst []relation.Payload) ([]relation.Payload, int) {
+	bucket := m.Bucket(k)
+	dst = dst[:0]
+	for _, e := range bucket {
+		if e.Key == k {
+			dst = append(dst, e.Payload)
+		}
+	}
+	return dst, len(bucket)
+}
+
 // runMatcher adapts a RunTable to the matcher the equivalence tests
 // sweep; a run needs no scratch.
 type runMatcher struct{ *RunTable }
@@ -401,7 +421,7 @@ func TestMatchesAgreeWithScan(t *testing.T) {
 				m     matcher
 				shift uint32
 			}{
-				{"compact", compact, compact.shift},
+				{"compact", compactMatcher{compact}, compact.shift},
 				{"runs", runMatcher{runs}, runs.shift},
 				{"concurrent", con, con.shift},
 				{"incremental", inc, inc.shift},
@@ -414,7 +434,7 @@ func TestMatchesAgreeWithScan(t *testing.T) {
 						t.Fatalf("%s key %d: %d visits, bucket holds %d", tb.name, k, visits, wantVisits)
 					}
 					if tb.name == "runs" {
-						if cm, _ := compact.Matches(k, nil); !slices.Equal(got, cm) {
+						if cm, _ := (compactMatcher{compact}).Matches(k, nil); !slices.Equal(got, cm) {
 							t.Fatalf("runs key %d: run %v, compact matches %v", k, got, cm)
 						}
 					}

@@ -105,29 +105,16 @@ func bucketize(tuples []relation.Tuple, starts []int32, entries []relation.Tuple
 	return shift, starts, entries, maxChain
 }
 
-// Matches scans k's bucket sequentially, collecting the payload of every
-// entry whose key equals k into dst (see the package doc), and returns
-// them with the number of entries inspected. It inspects the whole bucket
-// — exactly the entries a chained walk of the same bucket would visit —
-// so visit counts equal a Concurrent's over the same tuples. A dst of
-// MaxChain entries holds any key's matches.
+// Bucket returns the entries a probe of k inspects: every tuple that
+// hashes into k's bucket, in input order — exactly the entries a chained
+// walk of the same bucket would visit, so its length is the probe's visit
+// count. The caller compares the keys (outbuf.Buffer.PushMatches emits
+// the matches as it does). The slice must not be modified.
 //
 //skewlint:hotpath
-func (t *CompactTable) Matches(k relation.Key, dst []relation.Payload) ([]relation.Payload, int) {
+func (t *CompactTable) Bucket(k relation.Key) []relation.Tuple {
 	b := hashfn.Mix32(uint32(k)) >> t.shift
-	bucket := t.entries[t.starts[b]:t.starts[b+1]]
-	dst = dst[:cap(dst)]
-	n := 0
-	for _, e := range bucket {
-		if e.Key == k {
-			if n == len(dst) {
-				dst = grow(dst)
-			}
-			dst[n] = e.Payload
-			n++
-		}
-	}
-	return dst[:n], len(bucket)
+	return t.entries[t.starts[b]:t.starts[b+1]]
 }
 
 // MaxChain returns the largest bucket's entry count: the length of the

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"skewjoin/internal/outbuf"
 	"skewjoin/internal/relation"
 )
 
@@ -25,7 +26,7 @@ func sortMatches(ms []match) {
 }
 
 // probeMatches probes every tuple of ts through table, reusing one
-// scratch as the join phase does, and returns the sorted (S index, R
+// scratch across probes, and returns the sorted (S index, R
 // payload) matches plus the total entries visited.
 func probeMatches(table matcher, ts []relation.Tuple) ([]match, int) {
 	var ms []match
@@ -96,7 +97,7 @@ func TestProbeVariantsEquivalent(t *testing.T) {
 			chain := chained(w.r)
 			compact := BuildCompact(w.r)
 			want, wantVisits := probeMatches(chain, w.s)
-			got, visits := probeMatches(compact, w.s)
+			got, visits := probeMatches(compactMatcher{compact}, w.s)
 			if visits != wantVisits {
 				t.Errorf("compact visited %d, chained %d", visits, wantVisits)
 			}
@@ -138,7 +139,7 @@ func TestArenaReuse(t *testing.T) {
 			}
 			total := 0
 			for k := relation.Key(0); k < 64; k++ {
-				m, _ := table.Matches(k, nil)
+				m, _ := (compactMatcher{table}).Matches(k, nil)
 				got := len(m)
 				if got != want[k] {
 					t.Fatalf("round %d key %d: %d matches, want %d", round, k, got, want[k])
@@ -170,7 +171,7 @@ func TestArenaDetach(t *testing.T) {
 			want[tp.Key]++
 		}
 		for k := relation.Key(0); k < 50; k++ {
-			if m, _ := keptTable.Matches(k, nil); len(m) != want[k] {
+			if m, _ := (compactMatcher{keptTable}).Matches(k, nil); len(m) != want[k] {
 				t.Fatalf("key %d after detach: %d matches, want %d", k, len(m), want[k])
 			}
 		}
@@ -179,8 +180,8 @@ func TestArenaDetach(t *testing.T) {
 
 // TestArenaSteadyStateAllocFree is the arena's reason to exist: after the
 // first build grows the scratch, same-size rebuilds must allocate nothing.
-// Probing a hot bucket with a scratch of MaxChain entries, sized once
-// outside the probe loop as the join phase does, allocates nothing either.
+// Probing a hot bucket as the join phase does, each tuple's bucket emitted
+// through PushMatches into an output ring, allocates nothing either.
 func TestArenaSteadyStateAllocFree(t *testing.T) {
 	t.Run("compact", func(t *testing.T) {
 		arena := &Arena{}
@@ -196,14 +197,14 @@ func TestArenaSteadyStateAllocFree(t *testing.T) {
 			t.Errorf("steady-state arena build allocates %.1f per call, want 0", allocs)
 		}
 		table := arena.Build(tuples)
-		scratch := make([]relation.Payload, table.MaxChain())
+		buf := outbuf.New(0)
 		allocs = testing.AllocsPerRun(20, func() {
 			for _, tp := range tuples {
-				table.Matches(tp.Key, scratch)
+				buf.PushMatches(tp.Key, table.Bucket(tp.Key), tp.Payload)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("probing with a MaxChain scratch allocates %.1f per pass, want 0", allocs)
+			t.Errorf("probing through Bucket and PushMatches allocates %.1f per pass, want 0", allocs)
 		}
 	})
 }

@@ -13,8 +13,9 @@ import (
 // out its key's matches as a slice of one shared payload array instead of
 // comparing every entry and copying the matches. Within a group the tuples
 // keep their input order, so a run is element for element what
-// CompactTable.Matches returns, and a bucket's length — the visit count
-// the kernels charge — is the CompactTable's. Each group also carries its
+// outbuf.Buffer.PushMatches writes from the CompactTable's bucket, and a
+// bucket's length — the visit count the kernels charge — is the
+// CompactTable's. Each group also carries its
 // payloads' sum, so a summary-only output tape folds a run without reading
 // it. The table is read-only once built, so its runs stay valid for as
 // long as anyone holds them.
@@ -132,7 +133,7 @@ func (t *RunTable) checkGroups() {
 // Run returns k's matches — the payloads of every tuple with key k, in
 // input order — as a slice of the table's payload array, their sum mod
 // 2^64, and the number of tuples in k's bucket: the entries a
-// CompactTable's Matches would compare. The slice must not be modified.
+// CompactTable's Bucket hands a probe. The slice must not be modified.
 //
 //skewlint:hotpath
 func (t *RunTable) Run(k relation.Key) ([]relation.Payload, uint64, int) {

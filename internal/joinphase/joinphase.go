@@ -15,14 +15,15 @@
 // buckets are exactly the paper's chains (same hash, same members), so
 // visit counts and the longest bucket — Stats.ProbeVisits and MaxChain,
 // the §III symptoms — are the ones a chained table would report. A probe
-// still compares every entry of its bucket, collects the matches into
-// the worker's scratch and emits them as one output run, so every result
-// is written into the ring with no per-result call.
+// takes its key's bucket (CompactTable.Bucket) and hands it to the
+// worker's output buffer (outbuf.Buffer.PushMatches), which compares every
+// entry and writes each match straight into the ring: one pass over the
+// bucket, as the paper's Cbase writes each result as its chain walk finds
+// it.
 //
-// Build scratch is recycled through a per-worker chainedtable.Arena, and
-// the match scratch is sized to each table's largest bucket, so after the
-// first few tasks grow each worker's buffers the steady-state join phase
-// allocates nothing per task. Tables handed to probe sub-tasks
+// Build scratch is recycled through a per-worker chainedtable.Arena, so
+// after the first few tasks grow each worker's arena the steady-state join
+// phase allocates nothing per task. Tables handed to probe sub-tasks
 // escape their worker and are detached from the arena first.
 package joinphase
 
@@ -87,14 +88,11 @@ type task struct {
 	sPart  []relation.Tuple           // S tuples to probe for probe sub-tasks
 }
 
-// worker holds one thread's output buffer, build arena, match scratch
-// and stat counters.
+// worker holds one thread's output buffer, build arena and stat
+// counters.
 type worker struct {
 	buf   *outbuf.Buffer
 	arena *chainedtable.Arena
-	// matches is the probe's match scratch, as long as the largest bucket
-	// of any table this worker has probed, so one tuple's matches fit.
-	matches []relation.Payload
 
 	maxChain      int
 	probeVisits   uint64
@@ -104,23 +102,18 @@ type worker struct {
 	probeNs       int64
 }
 
-// probe probes sSide one tuple at a time, emitting each tuple's matches
-// as one run. The match scratch is sized outside the loop, to the table's
-// largest bucket, so no probe grows it.
+// probe probes sSide one tuple at a time: each tuple's bucket counts
+// whole towards the visits, and PushMatches compares its keys and writes
+// the matches straight into the ring, in one pass.
 //
 //skewlint:hotpath
 func (w *worker) probe(table *chainedtable.CompactTable, sSide []relation.Tuple) {
-	if mc := table.MaxChain(); mc > len(w.matches) {
-		w.matches = make([]relation.Payload, max(mc, 2*len(w.matches)))
-	}
-	scratch, buf := w.matches, w.buf
+	buf := w.buf
 	visits := uint64(0)
 	for _, ts := range sSide {
-		m, v := table.Matches(ts.Key, scratch)
-		visits += uint64(v)
-		if len(m) > 0 {
-			buf.PushRun(ts.Key, m, ts.Payload)
-		}
+		bucket := table.Bucket(ts.Key)
+		visits += uint64(len(bucket))
+		buf.PushMatches(ts.Key, bucket, ts.Payload)
 	}
 	w.probeVisits += visits
 }

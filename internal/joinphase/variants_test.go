@@ -158,9 +158,9 @@ func TestSplitTablesSurviveArenaReuse(t *testing.T) {
 // phase: a fresh build allocates ≥3 objects per task (table struct +
 // starts + entries); with per-worker arenas, amortised allocations per
 // task must drop below one (setup + high-water growth only). The
-// hot-bucket case pins the match scratch: it is sized from each table's
-// MaxChain outside the probe loop, so neither a hot bucket's long runs
-// nor the probe sub-tasks of a split table allocate per task or probe.
+// hot-bucket case pins the probe: it writes each bucket's matches straight
+// into the worker's ring, so neither a hot bucket's long runs nor the
+// probe sub-tasks of a split table allocate per task or probe.
 func TestSteadyStateAllocsPerTask(t *testing.T) {
 	for _, tc := range []struct {
 		name       string

@@ -98,10 +98,11 @@ func (b *Buffer) Flush() {
 }
 
 // PushRun emits one result per R payload in rps, all matching the same
-// S tuple (k, ps). Every hash probe emits one probing tuple's matches
-// with it, and it is the skew fast path of CSH and GSH: a skewed S tuple
-// joined against the whole skewed R array with sequential reads and no
-// per-result key comparison.
+// S tuple (k, ps). It is the skew fast path of CSH and GSH — a skewed S
+// tuple joined against the whole skewed R array with sequential reads and
+// no per-result key comparison — and the emit of every probe that
+// collects its matches first: the chained tables' walks (cbase-npj, SSJ),
+// the simulated kernels' key-grouped runs and the sort-merge joins.
 //
 //skewlint:hotpath
 func (b *Buffer) PushRun(k relation.Key, rps []relation.Payload, ps relation.Payload) {
@@ -136,6 +137,49 @@ func (b *Buffer) PushRun(k relation.Key, rps []relation.Payload, ps relation.Pay
 	}
 	b.pos = pos
 	n := uint64(len(rps))
+	b.count += n
+	b.checksum += coefPayloadR*prSum + n*(coefKey*uint64(k)+coefPayloadS*uint64(ps))
+}
+
+// PushMatches emits one result per entry of bucket whose key is k, in
+// bucket order, all matching the same S tuple (k, ps). It compares each
+// entry's key and writes the match straight into the ring, in one pass,
+// as the paper's Cbase writes each result as its chain walk finds it
+// (§III); the CPU join phase probes a compact table's bucket with it. It
+// leaves the buffer exactly as PushRun over the bucket's k-payloads
+// would, and like PushRun folds the checksum once per call.
+//
+//skewlint:hotpath
+func (b *Buffer) PushMatches(k relation.Key, bucket []relation.Tuple, ps relation.Payload) {
+	if sanitize.Enabled {
+		b.checkRing()
+	}
+	ring := b.ring
+	mask := b.mask
+	pos := b.pos
+	var prSum uint64
+	if b.onFlush == nil {
+		for _, e := range bucket {
+			if e.Key == k {
+				ring[pos&mask] = Result{Key: k, PayloadR: e.Payload, PayloadS: ps}
+				pos++
+				prSum += uint64(e.Payload)
+			}
+		}
+	} else {
+		for _, e := range bucket {
+			if e.Key == k {
+				ring[pos&mask] = Result{Key: k, PayloadR: e.Payload, PayloadS: ps}
+				pos++
+				prSum += uint64(e.Payload)
+				if pos&mask == 0 {
+					b.onFlush(ring)
+				}
+			}
+		}
+	}
+	n := uint64(pos - b.pos)
+	b.pos = pos
 	b.count += n
 	b.checksum += coefPayloadR*prSum + n*(coefKey*uint64(k)+coefPayloadS*uint64(ps))
 }

@@ -40,3 +40,25 @@ func TestSanitizeTapeRejectsWrongSum(t *testing.T) {
 		}
 	}
 }
+
+// TestSanitizePushMatchesChecksRing hands PushMatches a hand-built ring
+// of 6 slots (not a power of two) and a ring with a negative cursor: the
+// masked emit loop would skip or misplace slots, so the sanitizer must
+// abort before it writes.
+func TestSanitizePushMatchesChecksRing(t *testing.T) {
+	bucket := []relation.Tuple{{Key: 1, Payload: 3}, {Key: 2, Payload: 4}, {Key: 1, Payload: 5}}
+	for name, b := range map[string]*Buffer{
+		"six-slots":       {ring: make([]Result, 6), mask: 5},
+		"negative-cursor": {ring: make([]Result, 8), mask: 7, pos: -1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "sanitize:") || !strings.Contains(msg, "ring") {
+					t.Fatalf("bad ring not caught: recovered %q", msg)
+				}
+			}()
+			b.PushMatches(1, bucket, 2)
+		})
+	}
+}
