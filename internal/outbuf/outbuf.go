@@ -17,6 +17,14 @@
 //
 // The linear form makes the expected checksum computable in O(N) by the
 // oracle package even when the output itself has billions of tuples.
+//
+// Under skew most of the output leaves in long runs: one probing tuple
+// meeting a hot key's many matches. PushRun and PushRunS write a run of
+// at least segmentMin results as wrap-free segments — the ring from the
+// cursor to its end, filled four results per step with no index mask —
+// and shorter runs one masked write at a time. Both paths write every
+// result, in the same slot and with the same flush batches, so the write
+// work stays proportional to the output, as in the paper's model.
 package outbuf
 
 import (
@@ -97,12 +105,24 @@ func (b *Buffer) Flush() {
 	}
 }
 
+// segmentMin is the shortest run PushRun and PushRunS write as wrap-free
+// segments; shorter runs keep the masked one-result loops, which cost
+// less than a segment's set-up. BenchmarkEmit sets it: it is the shortest
+// length from which no longer run is slower on the segment path
+// (EXPERIMENTS.md, "Wrap-free emit of long runs").
+const segmentMin = 24
+
 // PushRun emits one result per R payload in rps, all matching the same
 // S tuple (k, ps). It is the skew fast path of CSH and GSH — a skewed S
 // tuple joined against the whole skewed R array with sequential reads and
 // no per-result key comparison — and the emit of every probe that
 // collects its matches first: the chained tables' walks (cbase-npj, SSJ),
 // the simulated kernels' key-grouped runs and the sort-merge joins.
+//
+// A run of at least segmentMin results goes into the ring as wrap-free
+// segments (see segments); a shorter one, one masked write at a time.
+// Both write every result into the slot the other would, so the ring,
+// Last and the flushed batches do not depend on the path.
 //
 //skewlint:hotpath
 func (b *Buffer) PushRun(k relation.Key, rps []relation.Payload, ps relation.Payload) {
@@ -114,6 +134,10 @@ func (b *Buffer) PushRun(k relation.Key, rps []relation.Payload, ps relation.Pay
 	// and S keys match before generating every join result tuple").
 	if sanitize.Enabled {
 		b.checkRing()
+	}
+	if len(rps) >= segmentMin {
+		b.segments(k, ps, rps, false)
+		return
 	}
 	ring := b.ring
 	mask := b.mask
@@ -139,6 +163,94 @@ func (b *Buffer) PushRun(k relation.Key, rps []relation.Payload, ps relation.Pay
 	n := uint64(len(rps))
 	b.count += n
 	b.checksum += coefPayloadR*prSum + n*(coefKey*uint64(k)+coefPayloadS*uint64(ps))
+}
+
+// segments emits a run as PushRun does (PushRunS when runS is set): one
+// result per payload of run, all sharing key k and the payload p. Each
+// segment is the ring from the cursor to its end, trimmed to what is
+// left of the run, so its fill loop needs no mask and no wrap test; a
+// segment that ends at the wrap hands the full ring to the consumer, as
+// the masked loops do when the cursor reaches a multiple of the
+// capacity. Every result is still written: the emit work stays
+// proportional to the output. The caller returns right after the call,
+// so its short path saves no registers for it.
+//
+//skewlint:hotpath
+func (b *Buffer) segments(k relation.Key, p relation.Payload, run []relation.Payload, runS bool) {
+	total := uint64(len(run))
+	var sum uint64
+	for len(run) > 0 {
+		seg := b.ring[b.pos&b.mask:]
+		n := min(len(seg), len(run))
+		if runS {
+			sum += fillS(seg[:n], k, p, run[:n])
+		} else {
+			sum += fillR(seg[:n], k, run[:n], p)
+		}
+		run = run[n:]
+		b.pos += n
+		if b.pos&b.mask == 0 && b.onFlush != nil {
+			b.onFlush(b.ring)
+		}
+	}
+	cRun, cP := uint64(coefPayloadR), uint64(coefPayloadS)
+	if runS {
+		cRun, cP = coefPayloadS, coefPayloadR
+	}
+	b.count += total
+	b.checksum += cRun*sum + total*(coefKey*uint64(k)+cP*uint64(p))
+}
+
+// fillR writes (k, rps[i], ps) into seg[i] for every i < len(rps), four
+// results per step, and returns Σrps, kept as two partial sums so that
+// consecutive adds do not wait on each other. seg is at least as long as
+// rps. The loop indexes both slices rather than re-slicing them: each
+// re-slice masks its pointer update, and that form measured slower than
+// the masked one-result loop (EXPERIMENTS.md, "Wrap-free emit of long
+// runs").
+//
+//skewlint:hotpath
+func fillR(seg []Result, k relation.Key, rps []relation.Payload, ps relation.Payload) uint64 {
+	var s0, s1 uint64
+	seg = seg[:len(rps)]
+	i := 0
+	for ; i+3 < len(rps); i += 4 {
+		p0, p1, p2, p3 := rps[i], rps[i+1], rps[i+2], rps[i+3]
+		seg[i] = Result{Key: k, PayloadR: p0, PayloadS: ps}
+		seg[i+1] = Result{Key: k, PayloadR: p1, PayloadS: ps}
+		seg[i+2] = Result{Key: k, PayloadR: p2, PayloadS: ps}
+		seg[i+3] = Result{Key: k, PayloadR: p3, PayloadS: ps}
+		s0 += uint64(p0) + uint64(p2)
+		s1 += uint64(p1) + uint64(p3)
+	}
+	for ; i < len(rps); i++ {
+		seg[i] = Result{Key: k, PayloadR: rps[i], PayloadS: ps}
+		s0 += uint64(rps[i])
+	}
+	return s0 + s1
+}
+
+// fillS is fillR for PushRunS's results (k, pr, sps[i]).
+//
+//skewlint:hotpath
+func fillS(seg []Result, k relation.Key, pr relation.Payload, sps []relation.Payload) uint64 {
+	var s0, s1 uint64
+	seg = seg[:len(sps)]
+	i := 0
+	for ; i+3 < len(sps); i += 4 {
+		p0, p1, p2, p3 := sps[i], sps[i+1], sps[i+2], sps[i+3]
+		seg[i] = Result{Key: k, PayloadR: pr, PayloadS: p0}
+		seg[i+1] = Result{Key: k, PayloadR: pr, PayloadS: p1}
+		seg[i+2] = Result{Key: k, PayloadR: pr, PayloadS: p2}
+		seg[i+3] = Result{Key: k, PayloadR: pr, PayloadS: p3}
+		s0 += uint64(p0) + uint64(p2)
+		s1 += uint64(p1) + uint64(p3)
+	}
+	for ; i < len(sps); i++ {
+		seg[i] = Result{Key: k, PayloadR: pr, PayloadS: sps[i]}
+		s0 += uint64(sps[i])
+	}
+	return s0 + s1
 }
 
 // PushMatches emits one result per entry of bucket whose key is k, in
@@ -187,11 +299,17 @@ func (b *Buffer) PushMatches(k relation.Key, bucket []relation.Tuple, ps relatio
 // PushRunS emits one result per S payload in sps, all matching the same
 // R tuple (k, pr). This is GSH's skew-join fast path: one thread block per
 // skewed R tuple streaming the skewed S array with coalesced accesses.
+// Like PushRun, it writes a run of at least segmentMin results as
+// wrap-free segments.
 //
 //skewlint:hotpath
 func (b *Buffer) PushRunS(k relation.Key, pr relation.Payload, sps []relation.Payload) {
 	if sanitize.Enabled {
 		b.checkRing()
+	}
+	if len(sps) >= segmentMin {
+		b.segments(k, pr, sps, true)
+		return
 	}
 	ring := b.ring
 	mask := b.mask

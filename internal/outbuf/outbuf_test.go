@@ -31,6 +31,12 @@ func push1(w runWriter, k relation.Key, pr, ps relation.Payload) {
 	w.PushRun(k, []relation.Payload{pr}, ps)
 }
 
+// ref1 emits one result through the reference model, the comparison side
+// of the tests that check a run against one-result runs.
+func ref1(b *Buffer, k relation.Key, pr, ps relation.Payload) {
+	refPushRun(b, k, []relation.Payload{pr}, ps)
+}
+
 func TestPushCountsAndChecksum(t *testing.T) {
 	b := New(8)
 	var want uint64
@@ -99,7 +105,7 @@ func TestPushRunEquivalentToPushes(t *testing.T) {
 	rps := []relation.Payload{10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120, 130, 140, 150, 160, 170, 180, 190}
 	a := New(16)
 	for _, pr := range rps {
-		push1(a, 99, pr, 7)
+		ref1(a, 99, pr, 7)
 	}
 	b := New(16)
 	b.PushRun(99, rps, 7)
@@ -116,7 +122,7 @@ func TestPushRunSEquivalentToPushes(t *testing.T) {
 	sps := []relation.Payload{1, 2, 3, 4}
 	a := New(16)
 	for _, ps := range sps {
-		push1(a, 5, 77, ps)
+		ref1(a, 5, 77, ps)
 	}
 	b := New(16)
 	b.PushRunS(5, 77, sps)
@@ -264,25 +270,27 @@ func TestPushRunFlushDeliversEveryResult(t *testing.T) {
 }
 
 func TestQuickRunEquivalence(t *testing.T) {
-	// Property: a run is indistinguishable from one-result runs for any
-	// key/payload values.
+	// Property: a run is indistinguishable from one-result runs through
+	// the reference model for any key/payload values, in its count and
+	// checksum and in every ring slot. The generated runs hold up to 49
+	// payloads, so they reach both emit paths of an 8-slot ring.
 	f := func(k uint32, common uint32, payloads []uint32) bool {
 		a, b, c := New(8), New(8), New(8)
 		ps := make([]relation.Payload, len(payloads))
 		for i, p := range payloads {
 			ps[i] = relation.Payload(p)
-			push1(a, relation.Key(k), relation.Payload(p), relation.Payload(common))
+			ref1(a, relation.Key(k), relation.Payload(p), relation.Payload(common))
 		}
 		b.PushRun(relation.Key(k), ps, relation.Payload(common))
-		if a.Count() != b.Count() || a.Checksum() != b.Checksum() {
+		if a.Count() != b.Count() || a.Checksum() != b.Checksum() || !sameRing(a, b) {
 			return false
 		}
 		a2 := New(8)
 		for _, p := range ps {
-			push1(a2, relation.Key(k), relation.Payload(common), p)
+			refPushRunS(a2, relation.Key(k), relation.Payload(common), []relation.Payload{p})
 		}
 		c.PushRunS(relation.Key(k), relation.Payload(common), ps)
-		return a2.Count() == c.Count() && a2.Checksum() == c.Checksum()
+		return a2.Count() == c.Count() && a2.Checksum() == c.Checksum() && sameRing(a2, c)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -47,7 +47,7 @@ func TestPushBatchEquivalentToPushes(t *testing.T) {
 	rs := batchOf(37)
 	a := New(16)
 	for _, r := range rs {
-		push1(a, r.Key, r.PayloadR, r.PayloadS)
+		ref1(a, r.Key, r.PayloadR, r.PayloadS)
 	}
 	direct := New(16)
 	pushBatch(direct, rs)
@@ -101,7 +101,7 @@ func TestPushBatchInterleavesWithPush(t *testing.T) {
 	rs := batchOf(12)
 	a, b := New(8), New(8)
 	for _, r := range rs {
-		push1(a, r.Key, r.PayloadR, r.PayloadS)
+		ref1(a, r.Key, r.PayloadR, r.PayloadS)
 	}
 	// The batches start and end inside runs of batchOf, so each splits a run.
 	push1(b, rs[0].Key, rs[0].PayloadR, rs[0].PayloadS)

@@ -34,15 +34,15 @@ func (p bucketProbe) kPayloads() []relation.Payload {
 	return run
 }
 
-// randomProbes returns n probes whose buckets hold 0–24 entries, each
+// randomProbes returns n probes whose buckets hold lo–hi entries, each
 // matching the probed key with probability match (0 gives only no-match
 // buckets); a non-matching entry carries a key next to k, as a
 // bucket-mate would.
-func randomProbes(rng *rand.Rand, n int, match float64) []bucketProbe {
+func randomProbes(rng *rand.Rand, n, lo, hi int, match float64) []bucketProbe {
 	probes := make([]bucketProbe, n)
 	for i := range probes {
 		k := relation.Key(rng.Uint32())
-		bucket := make([]relation.Tuple, rng.Intn(25))
+		bucket := make([]relation.Tuple, lo+rng.Intn(hi-lo+1))
 		for j := range bucket {
 			key := k + relation.Key(1+rng.Intn(4))
 			if rng.Float64() < match {
@@ -96,10 +96,10 @@ func TestPushMatchesEquivalentToPushRun(t *testing.T) {
 	}
 	workloads := []workload{
 		{"mid-bucket-wrap", midBucketWrap()},
-		{"no-match", randomProbes(rand.New(rand.NewSource(1)), 50, 0)},
+		{"no-match", randomProbes(rand.New(rand.NewSource(1)), 50, 0, 24, 0)},
 	}
 	for seed := int64(2); seed < 8; seed++ {
-		workloads = append(workloads, workload{fmt.Sprintf("random-seed%d", seed), randomProbes(rand.New(rand.NewSource(seed)), 200, 0.6)})
+		workloads = append(workloads, workload{fmt.Sprintf("random-seed%d", seed), randomProbes(rand.New(rand.NewSource(seed)), 200, 0, 24, 0.6)})
 	}
 	for _, w := range workloads {
 		for _, consume := range []bool{false, true} {
@@ -168,7 +168,7 @@ func TestPushMatchesWrapsInMidBucket(t *testing.T) {
 // TestPushMatchesAllocFree: the one-pass emit allocates nothing, on a
 // plain ring and with a consumer, over buckets that wrap the ring.
 func TestPushMatchesAllocFree(t *testing.T) {
-	probes := randomProbes(rand.New(rand.NewSource(9)), 100, 0.6)
+	probes := randomProbes(rand.New(rand.NewSource(9)), 100, 0, 24, 0.6)
 	for _, consume := range []bool{false, true} {
 		b := New(16)
 		if consume {
