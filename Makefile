@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint lint-fixtures test-sanitize check fuzz bench bench-smoke bench-gpu bench-coproc bench-coproc-smoke bench-shard bench-shard-smoke bench-stream bench-stream-smoke experiments examples serve-smoke cluster-smoke clean
+.PHONY: all build vet test race lint lint-fixtures test-sanitize check fuzz bench bench-smoke bench-coproc bench-coproc-smoke bench-shard bench-shard-smoke bench-stream bench-stream-smoke experiments examples serve-smoke cluster-smoke clean
 
 all: build vet test
 
@@ -51,12 +51,7 @@ bench:
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x ./...
 
-# GPU-simulation A/B sweep (algorithm x skew x HostParallelism); writes
-# the machine-readable perf baseline committed as BENCH_gpu.json.
-bench-gpu:
-	$(GO) run -buildvcs=true ./cmd/skewbench -exp gpu -repeats 5 -out BENCH_gpu.json
-
-# Co-processing sweep (zipf x placement policy x HostParallelism) of the
+# Co-processing sweep (zipf x placement policy) of the
 # cost-model split executor against its pinned single-backend controls;
 # writes the machine-readable baseline committed as BENCH_coproc.json.
 # The harness exits non-zero if the model policy measurably loses to the
@@ -71,7 +66,7 @@ bench-coproc:
 	$(GO) run -buildvcs=true ./cmd/skewbench -exp coproc -n 131072 -threads 4 -repeats 3 -shm 8 -out BENCH_coproc.json
 
 # Tiny oracle-verified coproc run for CI: exercises a degenerate cell and
-# a must-fragment deep-skew cell once each under every (policy, hostpar),
+# a must-fragment deep-skew cell once each under every policy,
 # checks the regression and fragment gates, and asserts the JSON artifact
 # carries the measured makespans, the fragment markers, the host (env) and
 # the A/A spread. -minwin 1

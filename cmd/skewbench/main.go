@@ -4,12 +4,8 @@
 // analysis, one-sided S skew (sskew), sort-vs-hash (sortvshash) and
 // per-join memory footprints (memory).
 //
-// The gpu experiment measures the host worker pool that executes the
-// simulated GPU's thread blocks against one worker (plus an A/A
-// control), writing BENCH_gpu.json via make bench-gpu. It and the sweeps
-// below are excluded from "all"; run them explicitly.
-//
-// The coproc experiment benchmarks the cost-model-driven CPU/GPU split
+// The coproc, shard and stream sweeps are excluded from "all"; run them
+// explicitly. The coproc experiment benchmarks the cost-model-driven CPU/GPU split
 // executor against its pinned single-backend controls on the coupled
 // device profile, writing BENCH_coproc.json via make bench-coproc. The
 // shard experiment benchmarks the cluster router's fragment-and-replicate
@@ -22,7 +18,7 @@
 // Usage:
 //
 //	skewbench [-exp fig1|fig4a|fig4b|table1|speedup|large|
-//	                analysis|sskew|sortvshash|memory|gpu|coproc|shard|stream|all]
+//	                analysis|sskew|sortvshash|memory|coproc|shard|stream|all]
 //	          [-n tuples] [-threads k] [-seed s] [-zipf list] [-shm KiB]
 //	          [-json] [-plot] [-out file.json]
 //
@@ -64,7 +60,6 @@ var experiments = []struct {
 	{"sskew", bench.SSkew, true},
 	{"sortvshash", bench.SortVsHash, true},
 	{"memory", bench.Memory, true},
-	{"gpu", bench.GPUBench, false},
 	{"coproc", bench.CoprocBench, false},
 	{"shard", bench.ShardBench, false},
 	{"stream", bench.StreamBench, false},
@@ -72,7 +67,7 @@ var experiments = []struct {
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: fig1, fig4a, fig4b, table1, speedup, large, analysis, sskew, sortvshash, memory, gpu, coproc, shard, stream, or all")
+		exp     = flag.String("exp", "all", "experiment: fig1, fig4a, fig4b, table1, speedup, large, analysis, sskew, sortvshash, memory, coproc, shard, stream, or all")
 		tuples  = flag.Int("n", 0, "tuples per input table (default $SKEWJOIN_TUPLES or 262144)")
 		threads = flag.Int("threads", 0, "CPU worker threads (default all cores)")
 		seed    = flag.Int64("seed", 42, "workload seed")
@@ -82,7 +77,7 @@ func main() {
 		minWin  = flag.Int64("minwin", 0, "split planner absolute win floor in ms for -exp coproc (default 0 = engine default 25ms); smoke runs at tiny -n lower it to ~1ms")
 		asJSON  = flag.Bool("json", false, "emit reports as JSON instead of text tables")
 		plot    = flag.Bool("plot", false, "also render figure reports as log-scale ASCII charts")
-		outFile = flag.String("out", "", "also write the report as JSON to this file (e.g. BENCH_gpu.json; single -exp runs only)")
+		outFile = flag.String("out", "", "also write the report as JSON to this file (e.g. BENCH_coproc.json; single -exp runs only)")
 	)
 	flag.Parse()
 

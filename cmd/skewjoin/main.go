@@ -50,7 +50,6 @@ func main() {
 		device  = flag.String("device", "a100", "simulated GPU profile: a100 (discrete flagship) or coupled (integrated GPU a small multiple faster than the host)")
 		policy  = flag.String("policy", "", "split placement policy: model (default), static, cpu, or gpu (with -backend split)")
 		frags   = flag.Int("fragments", 0, "max pieces to cut a dominating hot partition into across both backends (with -backend split; 0 = default 8, negative disables fragmentation)")
-		hostpar = flag.Int("hostpar", 0, "host workers simulating GPU thread blocks (0 or 1 = one; output is identical)")
 		verify  = flag.Bool("verify", true, "check the output against the oracle")
 		trace   = flag.Bool("gputrace", false, "print the simulator's per-kernel launch records (GPU algorithms)")
 	)
@@ -85,12 +84,11 @@ func main() {
 	}
 
 	if *alg == "all" && *backend == "" {
-		compareAll(r, s, *threads, *hostpar, *verify)
+		compareAll(r, s, *threads, *verify)
 		return
 	}
 
 	algorithm := skewjoin.Algorithm(*alg)
-	dev.HostParallelism = *hostpar
 	opts := &skewjoin.Options{Threads: *threads, Device: dev}
 	switch *backend {
 	case "":
@@ -111,7 +109,7 @@ func main() {
 	var res skewjoin.Result
 	if *trace && algorithm.IsGPU() {
 		// Run through the internal packages to reach the launch records.
-		trc, tres := runWithTrace(algorithm, r, s, *hostpar)
+		trc, tres := runWithTrace(algorithm, r, s)
 		res = tres
 		defer printTrace(trc)
 	} else {
@@ -173,15 +171,13 @@ func fatal(err error) {
 
 // compareAll runs every implementation (including extensions) on the same
 // workload and prints a comparison table.
-func compareAll(r, s skewjoin.Relation, threads, hostpar int, verify bool) {
+func compareAll(r, s skewjoin.Relation, threads int, verify bool) {
 	want := skewjoin.Expected(r, s)
 	fmt.Printf("%d x %d tuples, %d expected results\n\n", r.Len(), s.Len(), want.Matches)
 	fmt.Printf("%-11s %12s %8s %s\n", "algorithm", "total", "kind", "phases")
 	failed := false
 	for _, alg := range skewjoin.ExtendedAlgorithms() {
-		res, err := skewjoin.Join(alg, r, s, &skewjoin.Options{
-			Threads: threads, Device: skewjoin.DeviceConfig{HostParallelism: hostpar},
-		})
+		res, err := skewjoin.Join(alg, r, s, &skewjoin.Options{Threads: threads})
 		if err != nil {
 			fatal(err)
 		}
@@ -209,8 +205,8 @@ func compareAll(r, s skewjoin.Relation, threads, hostpar int, verify bool) {
 // runWithTrace executes a GPU algorithm via its internal package so the
 // simulator's launch records are available, and adapts the outcome to the
 // public Result shape.
-func runWithTrace(alg skewjoin.Algorithm, r, s skewjoin.Relation, hostpar int) ([]gpusim.LaunchRecord, skewjoin.Result) {
-	dev := gpusim.Config{HostParallelism: hostpar}
+func runWithTrace(alg skewjoin.Algorithm, r, s skewjoin.Relation) ([]gpusim.LaunchRecord, skewjoin.Result) {
+	var dev gpusim.Config
 	adapt := func(sumCount, sumChecksum uint64, phases []exec.Phase) skewjoin.Result {
 		res := skewjoin.Result{
 			Algorithm: alg,

@@ -9,12 +9,10 @@ import (
 // test-sized inputs: a fixed calibration (no micro-run noise), the
 // coupled device, and the win floor lowered to a hair above zero so the
 // 25ms default doesn't mask the decision at a few thousand tuples.
-func fragmentOptions(fragments, hostpar int) Options {
+func fragmentOptions(fragments int) Options {
 	cal := Calibration{BuildNsPerTuple: 10, ProbeNsPerUnit: 2.5}
-	dev := CoupledDevice()
-	dev.HostParallelism = hostpar
 	return Options{
-		Threads: 1, Device: dev,
+		Threads: 1, Device: CoupledDevice(),
 		Calibration: &cal, Fragments: fragments,
 		SplitMinWinNs: 1, SplitWinFraction: 0.01,
 	}
@@ -61,17 +59,14 @@ func TestFragmentDifferential(t *testing.T) {
 		theta     float64
 		n         int
 		fragments int
-		hostpar   int
 	}{
-		{1.0, 4096, 8, 0},
-		{1.2, 4096, 2, 0},
-		{1.2, 4096, 4, 0},
-		{1.2, 4096, 8, 0},
-		{1.2, 4096, 8, 4},
-		{1.4, 2048, 2, 0},
-		{1.4, 2048, 4, 0},
-		{1.4, 2048, 8, 0},
-		{1.4, 2048, 8, 4},
+		{1.0, 4096, 8},
+		{1.2, 4096, 2},
+		{1.2, 4096, 4},
+		{1.2, 4096, 8},
+		{1.4, 2048, 2},
+		{1.4, 2048, 4},
+		{1.4, 2048, 8},
 	}
 	for _, c := range cells {
 		if testing.Short() && c.theta == 1.0 {
@@ -84,11 +79,11 @@ func TestFragmentDifferential(t *testing.T) {
 		want := Expected(r, s)
 		oracle := joinRecords(t, Cbase, r, s, want, Options{Threads: 3})
 
-		opts := fragmentOptions(c.fragments, c.hostpar)
+		opts := fragmentOptions(c.fragments)
 		recs := joinRecords(t, Split, r, s, want, opts)
 		if !sameRecords(recs, oracle) {
-			t.Errorf("theta=%g frags=%d hostpar=%d: fragmented split records != cpu oracle",
-				c.theta, c.fragments, c.hostpar)
+			t.Errorf("theta=%g frags=%d: fragmented split records != cpu oracle",
+				c.theta, c.fragments)
 		}
 		wantTop := topKeyCounts(oracle, 5)
 		gotTop := topKeyCounts(recs, 5)

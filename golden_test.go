@@ -54,8 +54,8 @@ func TestGoldenWorkloads(t *testing.T) {
 // how the host stores a table, so any drift here is a change to the
 // simulated algorithms. The digest folds every batch each simulated SM's
 // consumer receives, in flush order, so it moves if a kernel emits the
-// same results in another order or splits them into other batches; one
-// host worker and four must both produce it. At zipf 1.0 the 1 KiB
+// same results in another order or splits them into other batches. At
+// zipf 1.0 the 1 KiB
 // shared-memory device makes Gbase split its hot bucket list into
 // sub-lists and GSH detect, divide and join its skewed keys; the default
 // A100 profile takes neither path at this size.
@@ -92,27 +92,23 @@ func TestModelledPhasesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := Expected(r, s)
-		for _, hostpar := range []int{0, 4} {
-			dev := g.dev
-			dev.HostParallelism = hostpar
-			sd := newStreamDigest(0)
-			res, err := Join(g.alg, r, s, &Options{Device: dev, Consumer: sd.consumer})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Summary() != want {
-				t.Errorf("%s zipf %.1f %s hostpar %d: output %+v, oracle %+v", g.alg, g.theta, g.device, hostpar, res.Summary(), want)
-			}
-			var got []phase
-			for _, p := range res.Phases {
-				got = append(got, phase{p.Name, p.Duration.Nanoseconds()})
-			}
-			if fmt.Sprint(got) != fmt.Sprint(g.phases) {
-				t.Errorf("%s zipf %.1f %s hostpar %d: modelled phases %v, want %v", g.alg, g.theta, g.device, hostpar, got, g.phases)
-			}
-			if d := sd.sum(); d != g.digest {
-				t.Errorf("%s zipf %.1f %s hostpar %d: stream digest %#x, want %#x", g.alg, g.theta, g.device, hostpar, d, g.digest)
-			}
+		sd := newStreamDigest(0)
+		res, err := Join(g.alg, r, s, &Options{Device: g.dev, Consumer: sd.consumer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Summary() != want {
+			t.Errorf("%s zipf %.1f %s: output %+v, oracle %+v", g.alg, g.theta, g.device, res.Summary(), want)
+		}
+		var got []phase
+		for _, p := range res.Phases {
+			got = append(got, phase{p.Name, p.Duration.Nanoseconds()})
+		}
+		if fmt.Sprint(got) != fmt.Sprint(g.phases) {
+			t.Errorf("%s zipf %.1f %s: modelled phases %v, want %v", g.alg, g.theta, g.device, got, g.phases)
+		}
+		if d := sd.sum(); d != g.digest {
+			t.Errorf("%s zipf %.1f %s: stream digest %#x, want %#x", g.alg, g.theta, g.device, d, g.digest)
 		}
 	}
 
@@ -128,26 +124,24 @@ func TestModelledPhasesGolden(t *testing.T) {
 	}
 	want := Expected(r, s)
 	const splitDigest, splitGPUJoinNs = 0x7906fbcb97fe5fc3, 1213444
-	for _, hostpar := range []int{0, 4} {
-		opts := fragmentOptions(8, hostpar)
-		sd := newStreamDigest(opts.Threads)
-		opts.Consumer = sd.consumer
-		res, err := Join(Split, r, s, &opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Summary() != want {
-			t.Errorf("split hostpar %d: output %+v, oracle %+v", hostpar, res.Summary(), want)
-		}
-		if res.Split.GPUFragments == 0 {
-			t.Fatalf("split hostpar %d: no fragment of the hot partition ran on the simulated GPU: %+v", hostpar, res.Split.Plan)
-		}
-		if res.Split.GPUJoinNs != splitGPUJoinNs {
-			t.Errorf("split hostpar %d: modelled GPU join %d ns, want %d", hostpar, res.Split.GPUJoinNs, splitGPUJoinNs)
-		}
-		if d := sd.sum(); d != splitDigest {
-			t.Errorf("split hostpar %d: SM stream digest %#x, want %#x", hostpar, d, splitDigest)
-		}
+	opts := fragmentOptions(8)
+	sd := newStreamDigest(opts.Threads)
+	opts.Consumer = sd.consumer
+	res, err := Join(Split, r, s, &opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Summary() != want {
+		t.Errorf("split: output %+v, oracle %+v", res.Summary(), want)
+	}
+	if res.Split.GPUFragments == 0 {
+		t.Fatalf("split: no fragment of the hot partition ran on the simulated GPU: %+v", res.Split.Plan)
+	}
+	if res.Split.GPUJoinNs != splitGPUJoinNs {
+		t.Errorf("split: modelled GPU join %d ns, want %d", res.Split.GPUJoinNs, splitGPUJoinNs)
+	}
+	if d := sd.sum(); d != splitDigest {
+		t.Errorf("split: SM stream digest %#x, want %#x", d, splitDigest)
 	}
 }
 

@@ -3,11 +3,11 @@
 // runs it and can write the result as BENCH_coproc.json.
 //
 // Each cell runs backend=split on one zipf workload under one placement
-// policy and one HostParallelism setting, against the coupled device
-// profile (the regime where co-processing can win; on the discrete A100
-// profile the planner correctly degenerates). The pinned "cpu" and "gpu"
-// policies are the single-backend control rows — they run through the
-// same split executor, so the partition/plan prefix cancels out of every
+// policy, against the coupled device profile (the regime where
+// co-processing can win; on the discrete A100 profile the planner
+// correctly degenerates). The pinned "cpu" and "gpu" policies are the
+// single-backend control rows — they run through the same split
+// executor, so the partition/plan prefix cancels out of every
 // comparison — "static" is the naive round-robin placement the cost
 // model has to beat, and "cpu-aa" re-runs the all-CPU control as the A/A
 // control. The twin is the CPU control because its clock, CPU busy time,
@@ -17,9 +17,9 @@
 // one; the residual is the model's honesty metric, reported rather than
 // hidden.
 //
-// The harness asserts, per (zipf, hostpar) group, that the model policy's
-// join-side makespan is at most maxRegression times the better control
-// plus a small epsilon — i.e. the planner never loses to the backends it
+// The harness asserts, per zipf, that the model policy's join-side
+// makespan is at most maxRegression times the better control plus a
+// small epsilon — i.e. the planner never loses to the backends it
 // chooses between. Violations land in Errors and fail the run.
 package bench
 
@@ -50,9 +50,6 @@ var coprocZipfs = []float64{0.0, 1.0, 1.1, 1.2, 1.4}
 // applies to the model policy's cells.
 const fragmentGateZipf = 1.2
 
-// coprocHostpars: serial simulation and a small host pool.
-var coprocHostpars = []int{0, 4}
-
 // maxRegression and regressionEpsilonNs bound how much worse than the
 // better single-backend control the model policy may measure before the
 // run fails: 5% relative plus 5ms absolute (sub-millisecond joins are all
@@ -64,13 +61,9 @@ const (
 
 // coprocSweep measures the split executor under the model under test, the
 // naive placement, the two pinned single-backend controls and the CPU
-// control's A/A twin (the arms), at each host parallelism (the groups).
-// One calibration serves every cell, so every plan is comparable.
+// control's A/A twin (the arms). One calibration serves every cell, so
+// every plan is comparable.
 func coprocSweep(cfg Config, cal skewjoin.Calibration, device skewjoin.DeviceConfig, threads int) *Sweep {
-	var groups []Group
-	for _, hp := range coprocHostpars {
-		groups = append(groups, Group{Label: fmt.Sprintf("hostpar=%d", hp), Par: hp})
-	}
 	return &Sweep{
 		Name: "coproc", Zipfs: cfg.zipfs(coprocZipfs),
 		Arms: []Arm{
@@ -78,13 +71,10 @@ func coprocSweep(cfg Config, cal skewjoin.Calibration, device skewjoin.DeviceCon
 			{"cpu", skewjoin.SplitPolicyCPU}, {"gpu", skewjoin.SplitPolicyGPU},
 			{"cpu-aa", skewjoin.SplitPolicyCPU},
 		},
-		Twin:   [2]string{"cpu", "cpu-aa"},
-		Groups: func(*Workload) ([]Group, error) { return groups, nil },
-		Measure: func(w *Workload, g Group, a Arm) (Sample, error) {
-			dev := device
-			dev.HostParallelism = g.Par.(int)
+		Twin: [2]string{"cpu", "cpu-aa"},
+		Measure: func(w *Workload, _ Group, a Arm) (Sample, error) {
 			res, err := skewjoin.Join(skewjoin.Split, w.R, w.S, &skewjoin.Options{
-				Threads: threads, Device: dev,
+				Threads: threads, Device: device,
 				SplitPolicy: a.Par.(skewjoin.SplitPolicy), Calibration: &cal,
 				SplitMinWinNs: cfg.SplitMinWinNs,
 			})
@@ -136,8 +126,8 @@ func coprocSweep(cfg Config, cal skewjoin.Calibration, device skewjoin.DeviceCon
 	}
 }
 
-// CoprocBench measures the split executor across zipf, placement policy
-// and host parallelism on the coupled device profile.
+// CoprocBench measures the split executor across zipf and placement
+// policy on the coupled device profile.
 func CoprocBench(cfg Config) (*Artifact, error) {
 	cfg = cfg.Defaults()
 	threads := cfg.Threads
@@ -163,11 +153,11 @@ func CoprocBench(cfg Config) (*Artifact, error) {
 }
 
 // coprocGate asserts the model policy never measurably loses to the
-// better pinned single-backend control of its (zipf, hostpar) group, and
-// — strictly, at deep skew — that the model fragments the hot partition
-// and measurably beats that control: at zipf >= fragmentGateZipf an
-// atomic (whole-partition) placement cannot win, so a model cell that
-// didn't fragment or didn't come out ahead is a regression, not noise.
+// better pinned single-backend control at its zipf, and — strictly, at
+// deep skew — that the model fragments the hot partition and measurably
+// beats that control: at zipf >= fragmentGateZipf an atomic
+// (whole-partition) placement cannot win, so a model cell that didn't
+// fragment or didn't come out ahead is a regression, not noise.
 func coprocGate(group []Cell) []string {
 	var model *Cell
 	better := int64(math.MaxInt64)
@@ -189,29 +179,29 @@ func coprocGate(group []Cell) []string {
 	limit := int64(maxRegression*float64(better)) + regressionEpsilonNs
 	if model.BestNS > limit {
 		errs = append(errs, fmt.Sprintf(
-			"model policy %s @ zipf %.2f: makespan %s exceeds %.0f%%+eps of better control %s",
-			model.Group, model.Zipf, FormatDuration(time.Duration(model.BestNS)),
+			"model policy @ zipf %.2f: makespan %s exceeds %.0f%%+eps of better control %s",
+			model.Zipf, FormatDuration(time.Duration(model.BestNS)),
 			(maxRegression-1)*100, FormatDuration(time.Duration(better))))
 	}
 	if model.Zipf >= fragmentGateZipf {
 		if model.Metrics["fragmented"] != true {
 			errs = append(errs, fmt.Sprintf(
-				"model policy %s @ zipf %.2f: deep-skew cell did not fragment the hot partition",
-				model.Group, model.Zipf))
+				"model policy @ zipf %.2f: deep-skew cell did not fragment the hot partition",
+				model.Zipf))
 		}
 		if model.BestNS >= better {
 			errs = append(errs, fmt.Sprintf(
-				"model policy %s @ zipf %.2f: fragmented makespan %s does not beat better control %s",
-				model.Group, model.Zipf, FormatDuration(time.Duration(model.BestNS)),
+				"model policy @ zipf %.2f: fragmented makespan %s does not beat better control %s",
+				model.Zipf, FormatDuration(time.Duration(model.BestNS)),
 				FormatDuration(time.Duration(better))))
 		}
 	}
 	return errs
 }
 
-// printCoproc renders one block per (zipf, hostpar) group, one line per
-// policy with the join-side makespan, the model's prediction error, and
-// the placement shape.
+// printCoproc renders one block per zipf, one line per policy with the
+// join-side makespan, the model's prediction error, and the placement
+// shape.
 func printCoproc(w io.Writer, a *Artifact) {
 	cal := a.Config["calibration"].(skewjoin.Calibration)
 	fmt.Fprintf(w, "== co-processing benchmark (n=%v, threads=%v, device=%v, best of %v) ==\n",
@@ -219,8 +209,8 @@ func printCoproc(w io.Writer, a *Artifact) {
 	fmt.Fprintf(w, "calibration: build %.2f ns/tuple, probe %.2f ns/unit\n", cal.BuildNsPerTuple, cal.ProbeNsPerUnit)
 	fmt.Fprintf(w, "makespan = max(CPU busy time, modelled GPU time) of the join phase\n")
 	for i, c := range a.Cells {
-		if i == 0 || c.Zipf != a.Cells[i-1].Zipf || c.Group != a.Cells[i-1].Group {
-			fmt.Fprintf(w, "-- zipf %.2f, %s --\n", c.Zipf, c.Group)
+		if i == 0 || c.Zipf != a.Cells[i-1].Zipf {
+			fmt.Fprintf(w, "-- zipf %.2f --\n", c.Zipf)
 		}
 		shape := fmt.Sprintf("split %.0f/%.0f", c.num("cpu_parts"), c.num("gpu_parts"))
 		if c.Metrics["fragmented"] == true {

@@ -102,18 +102,3 @@ func TestShardGate(t *testing.T) {
 		{"hot keys below the knee", group(0.75, 100*ms, 90*ms, 100*ms, 2), []string{"2 hot keys below the skew knee"}},
 	})
 }
-
-func TestGPUGate(t *testing.T) {
-	group := func(modelled ...int64) []Cell {
-		var g []Cell
-		for i, m := range modelled {
-			g = append(g, cell(1, []string{"one-worker", "one-worker-aa", "par1", "par2"}[i], time.Second,
-				map[string]any{"modelled_ns": m}))
-		}
-		return g
-	}
-	checkGate(t, gpuGate, []gateCase{
-		{"identical", group(7, 7, 7, 7), nil},
-		{"one variant drifts", group(7, 7, 8, 7), []string{"par1 @ zipf 1.0: modelled time 8 ns differs from one-worker's 7 ns"}},
-	})
-}

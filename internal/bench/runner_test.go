@@ -148,10 +148,10 @@ func TestAASpread(t *testing.T) {
 func TestExplicitZipfListReachesSweeps(t *testing.T) {
 	eleven := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
 	sweeps := func(cfg Config) []*Sweep {
-		return []*Sweep{gpuSweep(cfg), coprocSweep(cfg, skewjoin.Calibration{}, skewjoin.CoupledDevice(), 1),
+		return []*Sweep{coprocSweep(cfg, skewjoin.Calibration{}, skewjoin.CoupledDevice(), 1),
 			shardSweep(cfg, ""), streamSweep(cfg, 1)}
 	}
-	defaults := [][]float64{gpuZipfs, coprocZipfs, shardZipfs, streamZipfs}
+	defaults := [][]float64{coprocZipfs, shardZipfs, streamZipfs}
 	for i, s := range sweeps(Config{Zipfs: eleven}) {
 		if !reflect.DeepEqual(s.Zipfs, eleven) {
 			t.Errorf("%s sweeps %v, want the explicit 11-point list", s.Name, s.Zipfs)
@@ -160,11 +160,11 @@ func TestExplicitZipfListReachesSweeps(t *testing.T) {
 			t.Errorf("%s without -zipf sweeps %v, want its default %v", d.Name, d.Zipfs, defaults[i])
 		}
 	}
-	a, err := GPUBench(Config{Tuples: 256, Repeats: 1, Zipfs: eleven})
+	a, err := CoprocBench(Config{Tuples: 256, Threads: 1, Repeats: 1, Zipfs: eleven})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Cells) != 11*3*len(a.sweep.Arms) || len(a.AA) != 11*3 {
-		t.Errorf("gpu over 11 zipfs: %d cells, %d A/A groups", len(a.Cells), len(a.AA))
+	if len(a.Cells) != 11*len(a.sweep.Arms) || len(a.AA) != 11 {
+		t.Errorf("coproc over 11 zipfs: %d cells, %d A/A groups", len(a.Cells), len(a.AA))
 	}
 }

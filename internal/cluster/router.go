@@ -717,13 +717,12 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 // why these candidates contain the global top-k.
 func (rt *Router) callsFor(sh *shard, req service.JoinRequest, hot hotSet, fs *fragSet) []service.JoinRequest {
 	base := service.JoinRequest{
-		Algorithm:       req.Algorithm,
-		Backend:         req.Backend,
-		Device:          req.Device,
-		Threads:         req.Threads,
-		HostParallelism: req.HostParallelism,
-		Consumer:        req.Consumer,
-		K:               req.K,
+		Algorithm: req.Algorithm,
+		Backend:   req.Backend,
+		Device:    req.Device,
+		Threads:   req.Threads,
+		Consumer:  req.Consumer,
+		K:         req.K,
 	}
 	cold := base
 	cold.R, cold.S = req.R, req.S

@@ -22,8 +22,8 @@ const clockThreadCPUTimeID = 3
 // nanoseconds. Deltas of this clock measure work the thread itself did,
 // excluding time slices stolen by other goroutines' threads — which is
 // what the co-processing cost model needs on an oversubscribed host,
-// where CPU join workers and the simulated GPU's host workers time-share
-// cores. Callers taking deltas must hold the goroutine on one thread
+// where CPU join workers and the simulated GPU's host goroutine
+// time-share cores. Callers taking deltas must hold the goroutine on one thread
 // (runtime.LockOSThread); the exec worker pools do.
 func ThreadCPUNs() int64 {
 	var ts syscall.Timespec

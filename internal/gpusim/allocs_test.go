@@ -5,12 +5,11 @@ package gpusim
 import "testing"
 
 // TestLaunchAllocsPinned pins the steady-state allocation count of a
-// one-worker launch. The slice min-heap behind schedule() must not
-// allocate (the old container/heap boxed every float into an
-// interface{}), the worker's reused Block handle and tapes must not be
-// re-allocated per launch, and cost charging must be allocation-free — so
-// a whole launch is down to the per-launch cycles slice plus the
-// amortised records append.
+// launch. The slice min-heap behind schedule() must not allocate (the old
+// container/heap boxed every float into an interface{}), the device's
+// reused Block handle and tapes must not be re-allocated per launch, and
+// cost charging must be allocation-free — so a whole launch is down to
+// the per-launch cycles slice plus the amortised records append.
 //
 // Excluded from race-instrumented runs: the race runtime adds its own
 // allocations and would turn the pin into noise.

@@ -63,18 +63,6 @@ type Config struct {
 	// §II-B, precisely because this link is so much slower than the
 	// 1555 GB/s global memory).
 	PCIeBandwidth float64
-
-	// HostParallelism is the number of host workers that execute a
-	// launch's thread blocks (functional execution plus cost accounting).
-	// 0, negative or 1 — the default is 0 — runs every block on the
-	// calling goroutine. N > 1 runs them on min(N, blocks) goroutines
-	// claiming block chunks from a lock-free fetch-add queue
-	// (internal/exec). Either way each worker stages its blocks' stats and
-	// output, and the launch merges them with the output in block-index
-	// order (see hostparallel.go), so modelled cycles, Stats and output do
-	// not depend on the setting. It changes only host wall-clock time,
-	// never modelled time.
-	HostParallelism int
 }
 
 // A100 returns the configuration modelling the paper's GPU.
@@ -203,21 +191,6 @@ type Stats struct {
 	DivergenceWasted uint64 // lane-slots lost to divergence
 }
 
-// add folds another accumulator into s. Every field is an integer sum, so
-// folding per-worker deltas in any order gives identical totals.
-func (s *Stats) add(o Stats) {
-	s.Launches += o.Launches
-	s.Blocks += o.Blocks
-	s.GlobalBytes += o.GlobalBytes
-	s.RandomAccesses += o.RandomAccesses
-	s.DependentSteps += o.DependentSteps
-	s.Atomics += o.Atomics
-	s.Barriers += o.Barriers
-	s.WarpIterations += o.WarpIterations
-	s.LaneIterations += o.LaneIterations
-	s.DivergenceWasted += o.DivergenceWasted
-}
-
 // LaunchRecord describes one kernel launch for breakdowns and tests.
 type LaunchRecord struct {
 	Name       string
@@ -234,18 +207,17 @@ type LaunchRecord struct {
 // summaries and stats across kernel launches; use one Device per join run.
 // Not safe for concurrent launches: overlapping Launch, Serialize or
 // Transfer calls corrupt the accumulated state, and under the `sanitize`
-// build tag they are detected and abort with a diagnostic panic. (With
-// Config.HostParallelism > 1 a single Launch fans its blocks out over
-// host workers internally; that is the supported way to parallelise.)
+// build tag they are detected and abort with a diagnostic panic.
 type Device struct {
 	cfg     Config
 	records []LaunchRecord
 	stats   Stats
-	bufs    []*outbuf.Buffer // one per SM, shared by blocks scheduled there
+	bufs    []*outbuf.Buffer // one per SM; block i emits to bufs[i%NumSMs]
+	tapes   []*outbuf.Tape   // tapes[sm] writes to bufs[sm]: the Block.Out of its blocks
 	cycles  float64
 
 	smScratch []float64    // schedule()'s per-SM min-heap, reused across launches
-	stages    []stage      // the host workers' staging areas, reused across launches
+	block     Block        // the kernels' handle, reused across blocks and launches
 	busy      atomic.Int32 // sanitize-only overlapping-call detector
 }
 
@@ -256,7 +228,7 @@ type Device struct {
 func (d *Device) enter(api string) {
 	if sanitize.Enabled {
 		if !d.busy.CompareAndSwap(0, 1) {
-			sanitize.Failf("gpusim: concurrent %s on one Device (a Device is single-owner; use Config.HostParallelism to parallelise a launch)", api)
+			sanitize.Failf("gpusim: concurrent %s on one Device (a Device is single-owner; give each goroutine its own Device)", api)
 		}
 	}
 }
@@ -274,8 +246,10 @@ func NewDevice(cfg Config) *Device {
 	cfg = cfg.Defaults()
 	d := &Device{cfg: cfg}
 	d.bufs = make([]*outbuf.Buffer, cfg.NumSMs)
+	d.tapes = make([]*outbuf.Tape, cfg.NumSMs)
 	for i := range d.bufs {
 		d.bufs[i] = outbuf.New(0)
+		d.tapes[i] = outbuf.NewTape(d.bufs[i])
 	}
 	d.smScratch = make([]float64, cfg.NumSMs)
 	return d
@@ -292,8 +266,8 @@ func (d *Device) PartitionCapacityTuples() int {
 }
 
 // Block is the kernel-side handle: identity plus cost accounting plus the
-// output destination, a tape of the host worker running the block, which
-// the launch replays into the block's SM ring in block order. A Block is
+// output destination, the tape of the block's SM (Idx % NumSMs), which
+// writes each run to that SM's buffer as the kernel pushes it. A Block is
 // only valid for the duration of the kernel call; kernels must not retain
 // it.
 type Block struct {
@@ -301,28 +275,34 @@ type Block struct {
 	Out    *outbuf.Tape
 	dev    *Device
 	cycles float64
-	stats  Stats
 }
 
 // Launch runs kernel once per block, schedules the blocks greedily over
 // the SM array, accounts the launch under phase, and returns the modelled
 // launch duration. Modelled cycles are whatever the blocks charged.
 //
-// Blocks run on Config.HostParallelism host workers (one when it is 1 or
-// less); each worker stages its blocks' cost, stats and output, and the
-// launch merges them with the output in block-index order (see
-// hostparallel.go), so the launch's records, stats and output do not
-// depend on the worker count. Kernels must confine functional side
-// effects to the Block (cost methods, Out) and per-block state — e.g.
-// write to slot Idx of a results slice — never to memory shared across
-// blocks, and must leave the run slices they push intact until the
-// launch returns.
+// The blocks run one after another on the calling goroutine, in index
+// order, each charging the device's Stats and emitting to its SM's
+// output as it runs, so a consumer sees the runs in block order. The
+// modelled makespan does not depend on that order: it is a function of
+// the per-block cycles alone (see scheduleInto). As on a GPU, blocks must
+// not depend on one another: kernels confine functional side effects to
+// the Block (cost methods, Out) and per-block state — e.g. write to slot
+// Idx of a results slice.
 func (d *Device) Launch(phase, name string, blocks int, kernel func(b *Block)) time.Duration {
 	d.enter("Launch")
 	defer d.leave()
 	cfg := d.cfg
 	cycles := make([]float64, blocks)
-	d.runBlocks(blocks, kernel, cycles)
+	b := &d.block
+	*b = Block{dev: d}
+	for i := range cycles {
+		b.Idx = i
+		b.Out = d.tapes[i%len(d.tapes)]
+		b.cycles = 0
+		kernel(b)
+		cycles[i] = b.cycles
+	}
 	var sum, maxb float64
 	for _, c := range cycles {
 		sum += c
@@ -485,18 +465,6 @@ func (d *Device) Stats() Stats { return d.stats }
 // OutputSummary merges the per-SM output buffers into one run summary.
 func (d *Device) OutputSummary() outbuf.Summary { return outbuf.Summarize(d.bufs) }
 
-// hasFlush reports whether any SM output buffer has a flush consumer
-// installed — the condition under which a launch's staging must retain
-// its runs rather than summary-only scalars.
-func (d *Device) hasFlush() bool {
-	for i := range d.bufs {
-		if d.bufs[i].HasFlush() {
-			return true
-		}
-	}
-	return false
-}
-
 // SetFlush installs a per-SM batch consumer on every output buffer (the
 // volcano-style upper operator). Call before any kernel launch.
 func (d *Device) SetFlush(fn func(sm int) outbuf.FlushFunc) {
@@ -522,7 +490,7 @@ func (b *Block) GlobalCoalesced(bytes int) {
 		return
 	}
 	b.cycles += float64(bytes) / b.dev.cfg.bytesPerCyclePerSM()
-	b.stats.GlobalBytes += uint64(bytes)
+	b.dev.stats.GlobalBytes += uint64(bytes)
 }
 
 // GlobalRandom charges n independent scattered global accesses (latency
@@ -532,7 +500,7 @@ func (b *Block) GlobalRandom(n int) {
 		return
 	}
 	b.cycles += float64(n) * b.dev.cfg.RandomAccessCost / b.dev.cfg.concurrentWarps()
-	b.stats.RandomAccesses += uint64(n)
+	b.dev.stats.RandomAccesses += uint64(n)
 }
 
 // GlobalDependent charges n pointer-chasing global accesses where each
@@ -543,7 +511,7 @@ func (b *Block) GlobalDependent(n int) {
 		return
 	}
 	b.cycles += float64(n) * b.dev.cfg.DependentAccessCost
-	b.stats.DependentSteps += uint64(n)
+	b.dev.stats.DependentSteps += uint64(n)
 }
 
 // Shared charges n shared-memory warp operations.
@@ -568,7 +536,7 @@ func (b *Block) Atomic(n int) {
 		return
 	}
 	b.cycles += float64(n) * b.dev.cfg.AtomicCost
-	b.stats.Atomics += uint64(n)
+	b.dev.stats.Atomics += uint64(n)
 }
 
 // Barrier charges n block-wide __syncthreads barriers.
@@ -577,7 +545,7 @@ func (b *Block) Barrier(n int) {
 		return
 	}
 	b.cycles += float64(n) * b.dev.cfg.BarrierCost
-	b.stats.Barriers += uint64(n)
+	b.dev.stats.Barriers += uint64(n)
 }
 
 // UniformWork charges processing of n items where every item costs perItem
@@ -589,8 +557,8 @@ func (b *Block) UniformWork(n int, perItem float64) {
 	}
 	warps := (n + b.dev.cfg.WarpSize - 1) / b.dev.cfg.WarpSize
 	b.cycles += float64(warps) * perItem / b.dev.cfg.concurrentWarps()
-	b.stats.WarpIterations += uint64(warps)
-	b.stats.LaneIterations += uint64(n)
+	b.dev.stats.WarpIterations += uint64(warps)
+	b.dev.stats.LaneIterations += uint64(n)
 }
 
 // WarpLoop charges a SIMT loop with per-lane trip counts: lane i of the
@@ -617,8 +585,8 @@ func (b *Block) WarpLoop(trips []int, perIter float64) int {
 		warpIters += max
 	}
 	b.cycles += float64(warpIters) * perIter / cfg.concurrentWarps()
-	b.stats.WarpIterations += uint64(warpIters)
-	b.stats.LaneIterations += uint64(laneIters)
+	b.dev.stats.WarpIterations += uint64(warpIters)
+	b.dev.stats.LaneIterations += uint64(laneIters)
 	// Wasted lane-slots: full-warp groups only (a ragged tail is occupancy,
 	// not divergence).
 	for lo := 0; lo+ws <= len(trips); lo += ws {
@@ -630,7 +598,7 @@ func (b *Block) WarpLoop(trips []int, perIter float64) int {
 				max = t
 			}
 		}
-		b.stats.DivergenceWasted += uint64(max*ws - sum)
+		b.dev.stats.DivergenceWasted += uint64(max*ws - sum)
 	}
 	return warpIters
 }

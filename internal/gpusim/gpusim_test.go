@@ -56,6 +56,12 @@ func TestScheduleEmpty(t *testing.T) {
 	if got := schedule(nil, 8); got != 0 {
 		t.Errorf("empty launch makespan = %g", got)
 	}
+	// A zero-block launch runs no kernel and still pays the launch
+	// overhead.
+	dev := NewDevice(Config{NumSMs: 4})
+	if dur := dev.Launch("p", "empty", 0, func(*Block) { t.Error("kernel ran for 0 blocks") }); dur <= 0 {
+		t.Errorf("empty launch duration %v, want the launch overhead", dur)
+	}
 }
 
 func TestQuickScheduleBounds(t *testing.T) {

@@ -103,9 +103,9 @@ func TestSanitizeDetectsConcurrentGoroutines(t *testing.T) {
 }
 
 // TestSanitizeAllowsSequentialCalls: the guard must not fire on the
-// supported pattern — sequential launches, including host-parallel ones.
+// supported pattern — sequential launches.
 func TestSanitizeAllowsSequentialCalls(t *testing.T) {
-	dev := NewDevice(Config{NumSMs: 2, SharedMemBytes: 1 << 10, HostParallelism: 4})
+	dev := NewDevice(Config{NumSMs: 2, SharedMemBytes: 1 << 10})
 	for i := 0; i < 3; i++ {
 		dev.Launch("p", "seq", 8, func(b *Block) { b.Compute(1) })
 		dev.Serialize("p", "seq-ser", 10)

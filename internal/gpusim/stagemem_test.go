@@ -9,12 +9,12 @@ import (
 	"skewjoin/internal/relation"
 )
 
-// TestLaunchStagingMemoryPinned pins what a launch stages when no
-// consumer watches its output: the workers fold stats, counts and
-// checksums as the blocks run, so the launch allocates its per-block
-// cycles slice (8 bytes a block) and a fixed amount besides, however many
-// blocks emit. The runs share one read-only payload slice, so every byte
-// the launch allocates is staging.
+// TestLaunchStagingMemoryPinned pins what a launch allocates when no
+// consumer watches its output: the blocks charge the device's stats and
+// fold their runs into their SMs' counts and checksums as they run, so
+// the launch allocates its per-block cycles slice (8 bytes a block) and a
+// fixed amount besides, however many blocks emit. The runs share one
+// read-only payload slice, so every byte the launch allocates is its own.
 //
 // Excluded from race-instrumented runs: the race runtime adds its own
 // allocations.
@@ -25,19 +25,17 @@ func TestLaunchStagingMemoryPinned(t *testing.T) {
 		b.Compute(4)
 		b.Out.PushRun(relation.Key(b.Idx), payloads, relation.Payload(b.Idx), 10)
 	}
-	for _, par := range []int{0, 2} {
-		dev := NewDevice(Config{NumSMs: 8, HostParallelism: par})
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		dev.Launch("p", "stage-mem", blocks, kernel)
-		runtime.ReadMemStats(&after)
-		if got := dev.OutputSummary().Count; got != blocks*uint64(len(payloads)) {
-			t.Fatalf("par=%d: %d results, want %d", par, got, blocks*len(payloads))
-		}
-		perBlock := float64(after.TotalAlloc-before.TotalAlloc) / blocks
-		t.Logf("par=%d: %.2f bytes per block", par, perBlock)
-		if perBlock > 16 {
-			t.Errorf("par=%d: launch allocated %.2f bytes per block, want <= 16 (the cycles slice plus slack)", par, perBlock)
-		}
+	dev := NewDevice(Config{NumSMs: 8})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	dev.Launch("p", "stage-mem", blocks, kernel)
+	runtime.ReadMemStats(&after)
+	if got := dev.OutputSummary().Count; got != blocks*uint64(len(payloads)) {
+		t.Fatalf("%d results, want %d", got, blocks*len(payloads))
+	}
+	perBlock := float64(after.TotalAlloc-before.TotalAlloc) / blocks
+	t.Logf("%.2f bytes per block", perBlock)
+	if perBlock > 16 {
+		t.Errorf("launch allocated %.2f bytes per block, want <= 16 (the cycles slice plus slack)", perBlock)
 	}
 }

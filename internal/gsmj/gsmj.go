@@ -270,10 +270,9 @@ func collectTasks(sr, ss []relation.Tuple, loKey, hiKey uint64, rc *runCollector
 // tasks — they cannot appear here because tiling removed them from the
 // range task's bounds). Returns the number of results emitted.
 //
-// Run payloads are staged in an append-only arena rather than a reused
-// scratch slice: the tape retains each run slice until the launch
-// replays it, so earlier runs must never be overwritten. A key's R
-// payloads are summed as they are staged, once for all its S tuples.
+// A key's R payloads are staged in the block's arena and summed as they
+// are staged, once for all its S tuples. The tape writes each run before
+// the push returns and retains none.
 func emitRuns(rRange, sRange []relation.Tuple, out *outbuf.Tape) uint64 {
 	var matches uint64
 	ri, si := 0, 0

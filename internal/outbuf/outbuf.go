@@ -89,11 +89,6 @@ func New(capacity int) *Buffer {
 // overwrite-when-full behaviour.
 func (b *Buffer) SetFlush(fn FlushFunc) { b.onFlush = fn }
 
-// HasFlush reports whether a consumer is installed. Without one the
-// record stream is unobservable (the ring overwrites and Flush is a
-// no-op), which is what licenses Tape.SummaryOnly staging.
-func (b *Buffer) HasFlush() bool { return b.onFlush != nil }
-
 // Flush hands the not-yet-consumed tail of the ring to the consumer, if
 // one is installed. Call it once after the producing phase finishes.
 func (b *Buffer) Flush() {

@@ -10,20 +10,22 @@ import (
 	"skewjoin/internal/relation"
 )
 
-// TestSanitizeTapeRejectsWrongSum hands a recording and a summary-only
-// tape a run whose sum is off by one, through PushRun and PushRunS: the
-// sanitizer must re-add the run and abort, since a summary-only tape
-// would otherwise fold the wrong checksum without a trace.
+// TestSanitizeTapeRejectsWrongSum hands a tape a run whose sum is off by
+// one, through PushRun and PushRunS, with a consumer on its buffer and in
+// summary-only mode, without one: the sanitizer must re-add the run and
+// abort, since a summary-only tape would otherwise fold the wrong
+// checksum without a trace.
 func TestSanitizeTapeRejectsWrongSum(t *testing.T) {
 	run := []relation.Payload{3, 5, 7}
 	for _, sumOnly := range []bool{false, true} {
 		for _, s := range []bool{false, true} {
 			name := fmt.Sprintf("summary-only=%v/runS=%v", sumOnly, s)
 			t.Run(name, func(t *testing.T) {
-				var tape Tape
-				if sumOnly {
-					tape.SummaryOnly()
+				b := New(8)
+				if !sumOnly {
+					b.SetFlush(func([]Result) {})
 				}
+				tape := NewTape(b)
 				tape.PushRun(1, run, 2, 15) // the right sum passes
 				defer func() {
 					msg := fmt.Sprint(recover())

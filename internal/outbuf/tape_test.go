@@ -10,10 +10,8 @@ import (
 )
 
 // applyOps drives the same random operation sequence into a Buffer or a
-// Tape.
-// The runs are consecutive slices of one append-only payload array, as a
-// probe hands out slices of its build table, so they stay intact until
-// Replay; some are empty.
+// Tape. The runs are consecutive slices of one append-only payload array,
+// as a probe hands out slices of its build table; some are empty.
 func applyOps(w runWriter, rng *rand.Rand, nOps int) {
 	payloads := make([]relation.Payload, 0, 8*nOps)
 	for i := 0; i < nOps; i++ {
@@ -30,207 +28,62 @@ func applyOps(w runWriter, rng *rand.Rand, nOps int) {
 	}
 }
 
-// TestTapeReplayMatchesDirect drives an identical random operation stream
-// into a Buffer directly and into a Tape replayed into a second Buffer:
-// ring slots and cursor, count, checksum and the flush batch sequence must
-// all be bit-identical; the runs wrap the 64-slot ring many times. This is the invariant that makes host-parallel GPU
-// simulation reproducible: a block's tape replay is indistinguishable
-// from the block having written to the shared buffer itself.
-func TestTapeReplayMatchesDirect(t *testing.T) {
+// TestTapeSummaryOnlyMatchesFull drives an identical random operation
+// stream, whose runs wrap the 64-slot ring many times, into a Buffer
+// directly and through a tape into two more: one with a consumer, one
+// without. The watched buffer must match the direct one in ring slots,
+// count, checksum and flush batches, since the tape pushes each run to it
+// as is. The unwatched one gets only the fold: the same count and
+// checksum, and not one ring write.
+func TestTapeSummaryOnlyMatchesFull(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		var directBatches, replayBatches [][]Result
-		record := func(dst *[][]Result) FlushFunc {
-			return func(batch []Result) {
-				cp := make([]Result, len(batch))
-				copy(cp, batch)
-				*dst = append(*dst, cp)
-			}
-		}
-
+		var directBatches, tapeBatches [][]Result
 		direct := New(64)
-		direct.SetFlush(record(&directBatches))
+		direct.SetFlush(recordBatches(&directBatches))
 		applyOps(direct, rand.New(rand.NewSource(seed)), 200)
 		direct.Flush()
 
-		var tape Tape
-		applyOps(summed{&tape}, rand.New(rand.NewSource(seed)), 200)
-		replayed := New(64)
-		replayed.SetFlush(record(&replayBatches))
-		tape.Replay(replayed)
-		replayed.Flush()
+		watched, folded := New(64), New(64)
+		watched.SetFlush(recordBatches(&tapeBatches))
+		applyOps(summed{NewTape(watched)}, rand.New(rand.NewSource(seed)), 200)
+		applyOps(summed{NewTape(folded)}, rand.New(rand.NewSource(seed)), 200)
+		watched.Flush()
 
-		if tape.count != direct.Count() {
-			t.Fatalf("seed %d: tape count %d, direct count %d", seed, tape.count, direct.Count())
+		want := Summarize([]*Buffer{direct})
+		if got := Summarize([]*Buffer{watched}); got != want {
+			t.Fatalf("seed %d: watched tape summary %+v, direct %+v", seed, got, want)
 		}
-		if !sameRing(direct, replayed) {
-			t.Fatalf("seed %d: replayed ring slots differ from direct", seed)
+		if !sameRing(direct, watched) {
+			t.Fatalf("seed %d: watched tape's ring slots differ from direct", seed)
 		}
-		ds, rs := Summarize([]*Buffer{direct}), Summarize([]*Buffer{replayed})
-		if ds != rs {
-			t.Fatalf("seed %d: direct summary %+v, replay summary %+v", seed, ds, rs)
+		if !reflect.DeepEqual(tapeBatches, directBatches) {
+			t.Fatalf("seed %d: watched tape's flush batches differ from direct", seed)
 		}
-		if len(directBatches) != len(replayBatches) {
-			t.Fatalf("seed %d: %d direct flush batches, %d replayed", seed, len(directBatches), len(replayBatches))
+		if got := Summarize([]*Buffer{folded}); got != want {
+			t.Fatalf("seed %d: summary-only tape folds %+v, direct %+v", seed, got, want)
 		}
-		for i := range directBatches {
-			if len(directBatches[i]) != len(replayBatches[i]) {
-				t.Fatalf("seed %d: batch %d length %d vs %d", seed, i, len(directBatches[i]), len(replayBatches[i]))
-			}
-			for j := range directBatches[i] {
-				if directBatches[i][j] != replayBatches[i][j] {
-					t.Fatalf("seed %d: batch %d result %d: %+v vs %+v",
-						seed, i, j, directBatches[i][j], replayBatches[i][j])
-				}
-			}
+		if folded.pos != 0 {
+			t.Fatalf("seed %d: summary-only tape moved the ring cursor to %d", seed, folded.pos)
 		}
-	}
-}
-
-// TestTapeReset reuses a tape after Reset and checks the replay reflects
-// only the second recording.
-func TestTapeReset(t *testing.T) {
-	var tape Tape
-	tape.PushRunS(1, 2, []relation.Payload{3}, 3)
-	tape.PushRun(4, []relation.Payload{5, 6}, 7, 11)
-	tape.Reset()
-	if tape.count != 0 || len(tape.ops) != 0 {
-		t.Fatalf("after Reset: count %d, %d ops", tape.count, len(tape.ops))
-	}
-	tape.PushRun(8, []relation.Payload{9}, 10, 9)
-
-	want := New(16)
-	want.PushRun(8, []relation.Payload{9}, 10)
-	got := New(16)
-	tape.Replay(got)
-	if gs, ws := Summarize([]*Buffer{got}), Summarize([]*Buffer{want}); gs != ws {
-		t.Fatalf("replay after reset: %+v, want %+v", gs, ws)
 	}
 }
 
 // TestTapeEmptyRunsSkipped mirrors Buffer behaviour: zero-length runs are
-// no-ops and must not leave journal entries behind.
+// no-ops, with a consumer and without.
 func TestTapeEmptyRunsSkipped(t *testing.T) {
-	var tape Tape
-	tape.PushRun(1, nil, 2, 0)
-	tape.PushRunS(3, 4, nil, 0)
-	tape.PushRun(5, []relation.Payload{}, 6, 0)
-	if tape.count != 0 || len(tape.ops) != 0 {
-		t.Fatalf("empty ops recorded: count %d, %d ops", tape.count, len(tape.ops))
-	}
-}
-
-// TestTapeSummaryOnlyMatchesFull drives an identical random operation
-// stream into a full tape and a summary-only tape: after replaying both
-// into fresh consumer-less buffers, count and checksum must agree — and
-// the summary-only tape must have retained no records.
-func TestTapeSummaryOnlyMatchesFull(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		var full, sum Tape
-		sum.SummaryOnly()
-		applyOps(summed{&full}, rand.New(rand.NewSource(seed)), 200)
-		applyOps(summed{&sum}, rand.New(rand.NewSource(seed)), 200)
-		if full.count != sum.count {
-			t.Fatalf("seed %d: counts diverge: %d vs %d", seed, full.count, sum.count)
+	for _, consumer := range []bool{false, true} {
+		b := New(8)
+		if consumer {
+			b.SetFlush(func([]Result) { t.Error("an empty run reached the consumer") })
 		}
-		a, b := New(8), New(8)
-		full.Replay(a)
-		sum.Replay(b)
-		if a.Count() != b.Count() || a.Checksum() != b.Checksum() {
-			t.Fatalf("seed %d: summary-only replay (%d, %d) != full replay (%d, %d)",
-				seed, b.Count(), b.Checksum(), a.Count(), a.Checksum())
+		tape := NewTape(b)
+		tape.PushRun(1, nil, 2, 0)
+		tape.PushRunS(3, 4, nil, 0)
+		tape.PushRun(5, []relation.Payload{}, 6, 0)
+		b.Flush()
+		if b.Count() != 0 || b.Checksum() != 0 || b.pos != 0 {
+			t.Fatalf("consumer=%v: empty runs left count %d, checksum %d, cursor %d", consumer, b.Count(), b.Checksum(), b.pos)
 		}
-		if len(sum.ops) != 0 {
-			t.Fatalf("seed %d: summary-only tape retained %d ops", seed, len(sum.ops))
-		}
-	}
-}
-
-// TestTapeSummaryOnlyReset: Reset keeps the mode and clears the scalars.
-func TestTapeSummaryOnlyReset(t *testing.T) {
-	var tape Tape
-	tape.SummaryOnly()
-	tape.PushRun(1, []relation.Payload{2}, 3, 2)
-	tape.Reset()
-	if tape.count != 0 || tape.checksum != 0 {
-		t.Fatalf("reset left count %d checksum %d", tape.count, tape.checksum)
-	}
-	tape.PushRun(1, []relation.Payload{2}, 3, 2)
-	if len(tape.ops) != 0 {
-		t.Fatal("summary-only mode lost across Reset")
-	}
-}
-
-// TestTapeTaggedReplayInterleaves records one random operation stream,
-// in groups of consecutive tags, on two tapes that take turns: replaying,
-// again and again, the tape whose next tag is lowest — the simulator's
-// block-order merge — must reproduce the direct pushes' ring, summary and
-// flush batches, with each tag's runs going to the buffer it picks.
-func TestTapeTaggedReplayInterleaves(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		record := func(dst *[][]Result) FlushFunc {
-			return func(batch []Result) {
-				*dst = append(*dst, append([]Result(nil), batch...))
-			}
-		}
-		var directBatches, replayBatches [2][][]Result
-		var direct, replayed [2]*Buffer
-		for i := range direct {
-			direct[i], replayed[i] = New(32), New(32)
-			direct[i].SetFlush(record(&directBatches[i]))
-			replayed[i].SetFlush(record(&replayBatches[i]))
-		}
-
-		rng, replayRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-		var tapes [2]Tape
-		for tag := 0; tag < 40; tag++ {
-			n := rng.Intn(4)
-			replayRng.Intn(4)
-			applyOps(direct[tag%2], rng, n)
-			tape := &tapes[(tag/3)%2] // runs of three tags per tape
-			tape.Tag(tag)
-			applyOps(summed{tape}, replayRng, n)
-		}
-		for {
-			var next *Tape
-			lowest := 0
-			for i := range tapes {
-				if tag, ok := tapes[i].Next(); ok && (next == nil || tag < lowest) {
-					next, lowest = &tapes[i], tag
-				}
-			}
-			if next == nil {
-				break
-			}
-			next.ReplayNext(replayed[lowest%2])
-		}
-		for i := range direct {
-			direct[i].Flush()
-			replayed[i].Flush()
-			if !sameRing(direct[i], replayed[i]) {
-				t.Fatalf("seed %d: buffer %d ring differs after the tagged replay", seed, i)
-			}
-			if ds, rs := Summarize([]*Buffer{direct[i]}), Summarize([]*Buffer{replayed[i]}); ds != rs {
-				t.Fatalf("seed %d: buffer %d summary %+v, want %+v", seed, i, rs, ds)
-			}
-			if !reflect.DeepEqual(directBatches[i], replayBatches[i]) {
-				t.Fatalf("seed %d: buffer %d flush batches differ", seed, i)
-			}
-		}
-	}
-}
-
-// TestTapeResetDropsRuns: a reused tape must not keep the arrays of the
-// runs it replayed alive, nor replay them again.
-func TestTapeResetDropsRuns(t *testing.T) {
-	var tape Tape
-	tape.PushRun(1, []relation.Payload{2, 3}, 4, 5)
-	tape.Replay(New(8))
-	if _, ok := tape.Next(); ok {
-		t.Fatal("replayed run still pending")
-	}
-	tape.Reset()
-	if tape.ops[:1][0].run != nil {
-		t.Fatal("Reset kept a replayed run's slice")
 	}
 }
 
@@ -262,36 +115,26 @@ func zipfRuns(t *testing.T, n int, theta float64, seed int64) [][]relation.Paylo
 
 // TestTapeSummaryOnlyMatchesRecordingOnZipfRuns pushes the runs of zipf
 // 0–1.2 relations, each through PushRun and through PushRunS, into a
-// recording tape and a summary-only tape, with the sum its emitter would
-// compute. Replayed into buffers, the summary-only tape's count and
-// checksum must equal the recording tape's and those of pushing the runs
-// into a buffer directly.
+// buffer directly and through a tape into a buffer without a consumer,
+// with the sum its emitter would compute. The tape's fold must leave the
+// count and checksum the direct pushes do, from the one-element run up to
+// a hot key's run that holds most of the tuples.
 func TestTapeSummaryOnlyMatchesRecordingOnZipfRuns(t *testing.T) {
 	for _, theta := range []float64{0, 0.5, 1.0, 1.2} {
 		for seed := int64(1); seed <= 3; seed++ {
 			runs := zipfRuns(t, 2000, theta, seed)
 			rng := rand.New(rand.NewSource(seed))
-			var rec, sum Tape
-			sum.SummaryOnly()
-			direct := New(64)
+			direct, folded := New(64), New(64)
+			tape := NewTape(folded)
 			for _, run := range runs {
 				k, p := relation.Key(rng.Uint32()), relation.Payload(rng.Uint32())
 				s := PayloadSum(run)
-				rec.PushRun(k, run, p, s)
-				sum.PushRun(k, run, p, s)
+				tape.PushRun(k, run, p, s)
 				direct.PushRun(k, run, p)
-				rec.PushRunS(k+1, p, run, s)
-				sum.PushRunS(k+1, p, run, s)
+				tape.PushRunS(k+1, p, run, s)
 				direct.PushRunS(k+1, p, run)
 			}
-			replayed, folded := New(64), New(64)
-			replayed.SetFlush(func([]Result) {})
-			rec.Replay(replayed)
-			sum.Replay(folded)
 			want := Summarize([]*Buffer{direct})
-			if got := Summarize([]*Buffer{replayed}); got != want {
-				t.Fatalf("theta %.1f seed %d: recording tape replays %+v, direct pushes %+v", theta, seed, got, want)
-			}
 			if got := Summarize([]*Buffer{folded}); got != want {
 				t.Fatalf("theta %.1f seed %d: summary-only tape folds %+v, direct pushes %+v", theta, seed, got, want)
 			}

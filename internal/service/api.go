@@ -97,13 +97,6 @@ type JoinRequest struct {
 	// Threads is this request's worker-thread weight against the server's
 	// admission budget (default: the whole budget; clamped to it).
 	Threads int `json:"threads,omitempty"`
-	// HostParallelism sets the host worker-pool size for simulated-GPU
-	// block execution (gbase/gsh/gsmj and split's GPU leg): N>1 runs
-	// kernel launches on N host workers (clamped to the request's admitted
-	// thread weight); 0, 1 or negative runs them on one, as neither device
-	// profile sets a pool. Output and modelled times are bit-identical
-	// either way.
-	HostParallelism int `json:"host_parallelism,omitempty"`
 	// TimeoutMS bounds queue wait plus execution (default: the server's
 	// configured timeout). Expiry cancels the join and frees its workers.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`

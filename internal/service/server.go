@@ -556,14 +556,6 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	wait := time.Since(queuedAt)
 
 	opts := &skewjoin.Options{Threads: weight, Context: ctx, Device: device, Limit: req.Limit}
-	// GPU simulation parallelism spends host workers too, so clamp it to
-	// the weight this request was admitted with.
-	if hp := req.HostParallelism; hp > 0 {
-		if hp > weight {
-			hp = weight
-		}
-		opts.Device.HostParallelism = hp
-	}
 	if alg == skewjoin.Split {
 		opts.Calibration = s.calibration(rRel, sRel, weight)
 		opts.Fragments = req.Fragments

@@ -118,11 +118,7 @@ type Options struct {
 	SkewThreshold uint32
 	// TopK is GSH's per-large-partition skewed key count (default 3).
 	TopK int
-	// Device configures the simulated GPU (zero fields = A100). Its
-	// HostParallelism field sets the host worker pool that executes the
-	// simulated thread blocks (Gbase, GSH, GSMJ and Split's GPU leg; 0 or
-	// 1 = one worker); any setting is bit-identical to one worker and
-	// changes only the wall-clock cost of simulation.
+	// Device configures the simulated GPU (zero fields = A100).
 	Device DeviceConfig
 	// OutBufCap overrides the per-worker output ring capacity.
 	OutBufCap int

@@ -312,9 +312,7 @@ type splitGPUTask struct {
 // an R partition larger than shared memory decomposed into sub-lists
 // (each re-probing its full S share, Gbase's skew behaviour the cost
 // model mirrors), and the D2H staging of the results. A fragment's
-// blocks replicate the full R side but probe only S[sLo:sHi). With
-// Options.Device.HostParallelism > 1 the launch's blocks execute on a host
-// worker pool, bit-identically to one worker.
+// blocks replicate the full R side but probe only S[sLo:sHi).
 //
 //skewlint:hotpath
 func runSplitGPU(opts *Options, dev *gpusim.Device, pr, ps *radix.Partitioned, parts []int, frags []joinphase.ProbeRange) error {

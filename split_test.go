@@ -59,45 +59,38 @@ func joinRecords(t *testing.T, alg Algorithm, r, s Relation, want Summary, opts 
 }
 
 // TestSplitDifferential is the co-processing correctness oracle: for every
-// skew level and host-parallelism setting, backend=split must emit the
-// exact same record multiset as the CPU-only and GPU-only algorithms —
-// not just a matching checksum. SplitPolicyStatic forces a genuine
-// two-backend split even at test-sized inputs (the model policy's 25ms
-// win floor makes it rightly degenerate there); the model policy is run
-// too, covering the degenerate paths.
+// skew level, backend=split must emit the exact same record multiset as
+// the CPU-only and GPU-only algorithms — not just a matching checksum.
+// SplitPolicyStatic forces a genuine two-backend split even at test-sized
+// inputs (the model policy's 25ms win floor makes it rightly degenerate
+// there); the model policy is run too, covering the degenerate paths.
 func TestSplitDifferential(t *testing.T) {
 	for _, theta := range []float64{0, 0.75, 1.25} {
 		if testing.Short() && theta == 0.75 {
 			continue // -short keeps the uniform and heavy-skew extremes
 		}
-		for _, hostpar := range []int{0, 4} {
-			// 4096 tuples keeps the theta-1.25 output (the top key's cross
-			// product) small enough to canonically sort six times per cell.
-			r, s, err := GenerateZipfPair(4096, theta, 42)
-			if err != nil {
-				t.Fatal(err)
+		// 4096 tuples keeps the theta-1.25 output (the top key's cross
+		// product) small enough to canonically sort six times per cell.
+		r, s, err := GenerateZipfPair(4096, theta, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Expected(r, s)
+		cal := Calibration{BuildNsPerTuple: 10, ProbeNsPerUnit: 2.5}
+		base := Options{Threads: 3, Device: CoupledDevice(), Calibration: &cal}
+
+		cpuRecs := joinRecords(t, Cbase, r, s, want, Options{Threads: 3})
+		gpuRecs := joinRecords(t, Gbase, r, s, want, Options{})
+
+		for _, policy := range []SplitPolicy{SplitPolicyStatic, SplitPolicyModel, SplitPolicyCPU, SplitPolicyGPU} {
+			opts := base
+			opts.SplitPolicy = policy
+			splitRecs := joinRecords(t, Split, r, s, want, opts)
+			if !sameRecords(splitRecs, cpuRecs) {
+				t.Errorf("theta=%g policy=%s: split records != cpu records", theta, policy)
 			}
-			want := Expected(r, s)
-			cal := Calibration{BuildNsPerTuple: 10, ProbeNsPerUnit: 2.5}
-			dev := CoupledDevice()
-			dev.HostParallelism = hostpar
-			base := Options{Threads: 3, Device: dev, Calibration: &cal}
-
-			cpuRecs := joinRecords(t, Cbase, r, s, want, Options{Threads: 3})
-			gpuRecs := joinRecords(t, Gbase, r, s, want, Options{Device: DeviceConfig{HostParallelism: hostpar}})
-
-			for _, policy := range []SplitPolicy{SplitPolicyStatic, SplitPolicyModel, SplitPolicyCPU, SplitPolicyGPU} {
-				opts := base
-				opts.SplitPolicy = policy
-				splitRecs := joinRecords(t, Split, r, s, want, opts)
-				if !sameRecords(splitRecs, cpuRecs) {
-					t.Errorf("theta=%g hostpar=%d policy=%s: split records != cpu records",
-						theta, hostpar, policy)
-				}
-				if !sameRecords(splitRecs, gpuRecs) {
-					t.Errorf("theta=%g hostpar=%d policy=%s: split records != gpu records",
-						theta, hostpar, policy)
-				}
+			if !sameRecords(splitRecs, gpuRecs) {
+				t.Errorf("theta=%g policy=%s: split records != gpu records", theta, policy)
 			}
 		}
 	}
