@@ -84,7 +84,7 @@ func main() {
 	}
 
 	if *alg == "all" && *backend == "" {
-		compareAll(r, s, *threads, *verify)
+		compareAll(r, s, *threads, dev, *verify)
 		return
 	}
 
@@ -109,7 +109,7 @@ func main() {
 	var res skewjoin.Result
 	if *trace && algorithm.IsGPU() {
 		// Run through the internal packages to reach the launch records.
-		trc, tres := runWithTrace(algorithm, r, s)
+		trc, tres := runWithTrace(algorithm, r, s, dev)
 		res = tres
 		defer printTrace(trc)
 	} else {
@@ -170,14 +170,14 @@ func fatal(err error) {
 }
 
 // compareAll runs every implementation (including extensions) on the same
-// workload and prints a comparison table.
-func compareAll(r, s skewjoin.Relation, threads int, verify bool) {
+// workload, the GPU ones on device dev, and prints a comparison table.
+func compareAll(r, s skewjoin.Relation, threads int, dev skewjoin.DeviceConfig, verify bool) {
 	want := skewjoin.Expected(r, s)
 	fmt.Printf("%d x %d tuples, %d expected results\n\n", r.Len(), s.Len(), want.Matches)
 	fmt.Printf("%-11s %12s %8s %s\n", "algorithm", "total", "kind", "phases")
 	failed := false
 	for _, alg := range skewjoin.ExtendedAlgorithms() {
-		res, err := skewjoin.Join(alg, r, s, &skewjoin.Options{Threads: threads})
+		res, err := skewjoin.Join(alg, r, s, &skewjoin.Options{Threads: threads, Device: dev})
 		if err != nil {
 			fatal(err)
 		}
@@ -202,11 +202,10 @@ func compareAll(r, s skewjoin.Relation, threads int, verify bool) {
 	}
 }
 
-// runWithTrace executes a GPU algorithm via its internal package so the
-// simulator's launch records are available, and adapts the outcome to the
-// public Result shape.
-func runWithTrace(alg skewjoin.Algorithm, r, s skewjoin.Relation) ([]gpusim.LaunchRecord, skewjoin.Result) {
-	var dev gpusim.Config
+// runWithTrace executes a GPU algorithm on device dev via its internal
+// package so the simulator's launch records are available, and adapts the
+// outcome to the public Result shape.
+func runWithTrace(alg skewjoin.Algorithm, r, s skewjoin.Relation, dev skewjoin.DeviceConfig) ([]gpusim.LaunchRecord, skewjoin.Result) {
 	adapt := func(sumCount, sumChecksum uint64, phases []exec.Phase) skewjoin.Result {
 		res := skewjoin.Result{
 			Algorithm: alg,

@@ -45,9 +45,6 @@ func (cfg Config) join(w *Workload, _ Group, a Arm) (Sample, error) {
 	case "gsh":
 		res := gsh.Join(w.R, w.S, gsh.Config{Device: cfg.Device})
 		phases, out = res.Phases, res.Summary
-	case "gsh-paper": // the paper's skew-join scheme, without S tiling
-		res := gsh.Join(w.R, w.S, gsh.Config{Device: cfg.Device, STileTuples: -1})
-		phases, out = res.Phases, res.Summary
 	case "gsmj":
 		res := gsmj.Join(w.R, w.S, gsmj.Config{Device: cfg.Device})
 		phases, out = res.Phases, res.Summary

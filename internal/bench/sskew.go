@@ -18,18 +18,16 @@ import (
 // skew detection cannot pay for itself (CSH samples R, finds nothing, and
 // rightly degenerates to Cbase). S-side skew only hurts *through* R-side
 // multiplicity; the paper's dual-skew workload is the genuinely hard case.
-// The experiment also exercises the degenerate corner of the paper's
-// skew-join scheme (one block per skewed R tuple — a single block when a
-// skewed key has one R tuple) and the S-tiling extension that fixes it.
+// The experiment also exercises the corner where the paper's skew-join
+// scheme, one block per skewed R tuple, degenerates: a skewed key with
+// one R tuple gets a single block, so GSH's skew join cuts its S side
+// into tiles until the SMs have enough work.
 func SSkew(cfg Config) (*Artifact, error) {
 	return Run(cfg, &Sweep{
 		Name: "sskew", Title: "S-side-only skew: foreign-key workload (extension experiment)",
 		Zipfs: cfg.zipfs(figureZipfs), Repeats: 1, Workload: fkWorkload, Measure: cfg.join,
-		Arms: arms("cbase", "csh", "gbase", "gsh-paper", "gsh"),
-		Rows: []Row{
-			{"Cbase", "cbase", nil}, {"CSH", "csh", nil}, {"Gbase", "gbase", nil},
-			{"GSH (paper skew-join)", "gsh-paper", nil}, {"GSH (S-tiled)", "gsh", nil},
-		},
+		Arms: arms("cbase", "csh", "gbase", "gsh"),
+		Rows: []Row{{"Cbase", "cbase", nil}, {"CSH", "csh", nil}, {"Gbase", "gbase", nil}, {"GSH", "gsh", nil}},
 	})
 }
 

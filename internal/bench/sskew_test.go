@@ -9,15 +9,15 @@ func TestSSkewRunsAndVerifies(t *testing.T) {
 	cfg := tiny()
 	cfg.Tuples = 3000
 	a := verified(t, SSkew, cfg)
-	if len(a.sweep.Rows) != 5 {
+	if len(a.sweep.Rows) != 4 {
 		t.Fatalf("series = %d", len(a.sweep.Rows))
 	}
-	if len(a.Cells) != 5*len(cfg.Zipfs) {
-		t.Errorf("%d cells, want %d", len(a.Cells), 5*len(cfg.Zipfs))
+	if len(a.Cells) != 4*len(cfg.Zipfs) {
+		t.Errorf("%d cells, want %d", len(a.Cells), 4*len(cfg.Zipfs))
 	}
 	var sb strings.Builder
 	a.Fprint(&sb)
-	for _, want := range []string{"S-side", "GSH (paper skew-join)", "GSH (S-tiled)"} {
+	for _, want := range []string{"S-side", "GSH"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("output missing %q", want)
 		}

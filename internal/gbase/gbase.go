@@ -42,16 +42,19 @@ import (
 	"skewjoin/internal/relation"
 )
 
+const (
+	// bucketTuples is the linked-bucket granularity of the partition
+	// phase: one bucket-allocation atomic per bucketTuples tuples.
+	bucketTuples = 512
+	// batchTuples is the register-batch size for the shared-memory
+	// reorder (paper example: 4).
+	batchTuples = 4
+)
+
 // Config tunes Gbase.
 type Config struct {
 	// Device configures the simulated GPU (zero fields = A100).
 	Device gpusim.Config
-	// BucketTuples is the linked-bucket granularity of the partition phase
-	// (default 512): one bucket-allocation atomic per BucketTuples tuples.
-	BucketTuples int
-	// BatchTuples is the register-batch size for the shared-memory reorder
-	// (paper example: 4).
-	BatchTuples int
 	// SubListTuples is the sub-list granularity used to decompose a
 	// skewed R partition (Gbase's native skew knob). 0 means the
 	// shared-memory capacity; values above it are clamped, since a
@@ -70,12 +73,6 @@ type Config struct {
 // Defaults fills zero fields.
 func (c Config) Defaults() Config {
 	c.Device = c.Device.Defaults()
-	if c.BucketTuples <= 0 {
-		c.BucketTuples = 512
-	}
-	if c.BatchTuples <= 0 {
-		c.BatchTuples = 4
-	}
 	return c
 }
 
@@ -126,9 +123,9 @@ func Join(r, s relation.Relation, cfg Config) Result {
 	}
 
 	// Partition phase (modelled cost + the partitioned tables).
-	dur := partitionTable(dev, cfg, r.Tuples, 1<<bits1)
+	dur := partitionTable(dev, r.Tuples, 1<<bits1)
 	pr := gpupart.Functional(r.Tuples, bits1, bits2)
-	durS := partitionTable(dev, cfg, s.Tuples, 1<<bits1)
+	durS := partitionTable(dev, s.Tuples, 1<<bits1)
 	ps := gpupart.Functional(s.Tuples, bits1, bits2)
 	_, res.Stats.MaxPartitionR = pr.MaxPartition()
 	_, res.Stats.MaxPartitionS = ps.MaxPartition()
@@ -154,16 +151,16 @@ func Join(r, s relation.Relation, cfg Config) Result {
 // over one table. Pass 1 and pass 2 are both chunk-parallel: the paper's
 // Gbase lets all threads scan and copy to linked bucket lists, so the work
 // per block depends only on the chunk size, never on skew.
-func partitionTable(dev *gpusim.Device, cfg Config, tuples []relation.Tuple, fanout1 int) time.Duration {
+func partitionTable(dev *gpusim.Device, tuples []relation.Tuple, fanout1 int) time.Duration {
 	var total time.Duration
 	for pass := 0; pass < 2; pass++ {
-		total += partitionPass(dev, cfg, len(tuples), fanout1)
+		total += partitionPass(dev, len(tuples), fanout1)
 	}
 	return total
 }
 
 // partitionPass models one scan-and-scatter pass over n tuples.
-func partitionPass(dev *gpusim.Device, cfg Config, n, fanout int) time.Duration {
+func partitionPass(dev *gpusim.Device, n, fanout int) time.Duration {
 	dcfg := dev.Config()
 	blocks := 4 * dcfg.NumSMs
 	chunk := (n + blocks - 1) / blocks
@@ -184,16 +181,16 @@ func partitionPass(dev *gpusim.Device, cfg Config, n, fanout int) time.Duration 
 			hi = n
 		}
 		c := hi - lo
-		// Read the chunk coalesced (in register batches of BatchTuples).
+		// Read the chunk coalesced (in register batches of batchTuples).
 		b.GlobalCoalesced(c * relation.TupleSize)
 		// Every tuple is staged through shared memory for the reorder: one
 		// write and one read, plus the batch bookkeeping.
-		b.Shared(2*c + c/cfg.BatchTuples)
+		b.Shared(2*c + c/batchTuples)
 		// Hash + target computation.
 		b.UniformWork(c, 2)
 		// Bucket allocations: one atomic per filled bucket per partition
 		// touched, plus the per-tuple position atomics within buckets.
-		b.Atomic(c/cfg.BucketTuples + fanout)
+		b.Atomic(c/bucketTuples + fanout)
 		// Write the reordered tuples coalesced.
 		b.GlobalCoalesced(c * relation.TupleSize)
 	})
@@ -207,14 +204,14 @@ type joinTask struct {
 // partition holding more tuples than fit in shared memory is decomposed
 // into disjoint runs of consecutive buckets — the paper's sub-list
 // technique — each joined against the full S partition. A sub-list is
-// max(1, subSize/BucketTuples) whole buckets of consecutive tuples (the
+// max(1, subSize/bucketTuples) whole buckets of consecutive tuples (the
 // last may be shorter).
 func joinPhase(dev *gpusim.Device, cfg Config, pr, ps *radix.Partitioned, capacity int, st *Stats) time.Duration {
 	subSize := cfg.SubListTuples
 	if subSize <= 0 || subSize > capacity {
 		subSize = capacity
 	}
-	subTuples := max(1, subSize/cfg.BucketTuples) * cfg.BucketTuples
+	subTuples := max(1, subSize/bucketTuples) * bucketTuples
 	var tasks []joinTask
 	for p := 0; p < pr.Fanout(); p++ {
 		rPart, sPart := pr.Part(p), ps.Part(p)

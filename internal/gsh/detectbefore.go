@@ -74,7 +74,7 @@ func joinDetectBefore(dev *gpusim.Device, r, s relation.Relation, cfg Config, bi
 		pairs = append(pairs, pair{r: pr.Part(p), s: ps.Part(p)})
 	}
 	nmDur := nmJoin(dev, pairs, capacity, &res.Stats)
-	skewDur := skewJoin(dev, skewed, sTile(cfg, capacity), &res.Stats)
+	skewDur := skewJoin(dev, skewed, &res.Stats)
 
 	dev.FlushOutputs()
 	res.Summary = dev.OutputSummary()

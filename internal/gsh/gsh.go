@@ -22,7 +22,10 @@
 //  5. Skew-join: join results for a skewed key are produced by many thread
 //     blocks — each block takes one R tuple from the skewed R array and
 //     streams the skewed S array with coalesced reads and coalesced result
-//     writes, fully exploiting the GPU's parallelism.
+//     writes, fully exploiting the GPU's parallelism. Where a key has too
+//     few R tuples to fill the device, its S array is cut into tiles so
+//     that each SM gets about an even share of the skew join's output
+//     (see skewJoin); the launch's block count follows the input.
 package gsh
 
 import (
@@ -48,16 +51,6 @@ type Config struct {
 	// TopK is the number of most-frequent sampled keys per large partition
 	// marked as skewed (paper: k=3 was sufficient).
 	TopK int
-	// STileTuples tiles the skewed S array in the skew-join phase: a block
-	// handles one R tuple and one S tile instead of the whole S array.
-	// The paper's scheme is one block per skewed *R tuple* (§IV-B step 5),
-	// which parallelises perfectly when both sides of a skewed key are
-	// large — but degenerates to a single block when a skewed key has few
-	// R tuples (e.g. a foreign-key join whose skew is all on the S side).
-	// Tiling is this repository's extension that fixes the degenerate
-	// case; set it negative to disable and get the paper-literal scheme.
-	// 0 means the default tile (the shared-memory partition capacity).
-	STileTuples int
 	// IncludeTransfer adds a "transfer" phase modelling the PCIe copy of
 	// both input tables to the device, quantifying the GPU-resident-data
 	// argument of §II-B.
@@ -196,7 +189,7 @@ func Join(r, s relation.Relation, cfg Config) Result {
 	nmDur := nmJoin(dev, pairs, capacity, &res.Stats)
 
 	// Phase 5: skew-join with multiple blocks per skewed key.
-	skewDur := skewJoin(dev, skewed, sTile(cfg, capacity), &res.Stats)
+	skewDur := skewJoin(dev, skewed, &res.Stats)
 
 	dev.FlushOutputs()
 	res.Summary = dev.OutputSummary()
@@ -516,41 +509,50 @@ func nmJoin(dev *gpusim.Device, pairs []pair, capacity int, st *Stats) time.Dura
 	})
 }
 
-// sTile resolves the skew-join S-tile size from the configuration.
-func sTile(cfg Config, capacity int) int {
-	switch {
-	case cfg.STileTuples < 0:
-		return 0 // disabled: paper-literal one block per R tuple
-	case cfg.STileTuples == 0:
-		return capacity
-	default:
-		return cfg.STileTuples
+// skewJoin produces the join results for the skewed keys (§IV-B step 5):
+// one thread block per skewed R tuple streams its key's skewed S array
+// with coalesced reads and writes. A key's S side is cut further only as
+// far as the SMs need: with L the skew join's output divided over the
+// SMs, key k's S array is cut into ⌈|S_k|/L⌉ near-equal tiles, one block
+// per (R tuple, tile). A key whose S side fits in L, as every key of the
+// paper's dual-skew workload does, keeps the paper's one block per R
+// tuple; a key with few R tuples, as in a foreign-key join, still spreads
+// over the device. Key k gets at most |R_k|·|S_k|/L + |R_k| blocks, so
+// the launch has at most Σ|R_k| + NumSMs: it follows the input, not the
+// output. Blocks run in key order, then R tuple, then tile. A task is an
+// R payload and the index of its tile, whose payload sum is taken once
+// for all the R tuples of its key.
+func skewJoin(dev *gpusim.Device, skewed []*skewedKey, st *Stats) time.Duration {
+	var out int64
+	for _, sk := range skewed {
+		out += int64(len(sk.rps)) * int64(len(sk.sps))
 	}
-}
-
-// skewJoin produces the join results for the skewed keys: for every skewed
-// key, one thread block per (R tuple, S tile) streams its slice of the
-// skewed S array with coalesced reads and writes (§IV-B step 5, plus the
-// S-tiling extension; tile <= 0 disables tiling). A task is an R payload
-// and the index of its tile, whose payload sum is taken once for all the
-// R tuples of its key.
-func skewJoin(dev *gpusim.Device, skewed []*skewedKey, tile int, st *Stats) time.Duration {
+	if out == 0 {
+		return 0
+	}
+	sms := int64(dev.Config().NumSMs)
+	tileLen := (out + sms - 1) / sms // L
+	cuts := func(sk *skewedKey) int64 { return (int64(len(sk.sps)) + tileLen - 1) / tileLen }
+	blocks := 0
+	for _, sk := range skewed {
+		blocks += len(sk.rps) * int(cuts(sk))
+	}
 	type task struct {
 		tile int32
 		rp   relation.Payload
 	}
 	var tiles []gpupart.Tile
-	var tasks []task
+	tasks := make([]task, 0, blocks)
 	for _, sk := range skewed {
-		if len(sk.rps) == 0 || len(sk.sps) == 0 {
+		n := int64(len(sk.sps))
+		if len(sk.rps) == 0 || n == 0 {
 			continue
 		}
-		step := len(sk.sps)
-		if tile > 0 && tile < step {
-			step = tile
+		first, nt := len(tiles), cuts(sk)
+		for j := range nt {
+			run := sk.sps[j*n/nt : (j+1)*n/nt]
+			tiles = append(tiles, gpupart.Tile{Key: sk.key, SPs: run, Sum: outbuf.PayloadSum(run)})
 		}
-		first := len(tiles)
-		tiles = gpupart.AppendTiles(tiles, sk.key, sk.sps, step)
 		for _, rp := range sk.rps {
 			for i := first; i < len(tiles); i++ {
 				tasks = append(tasks, task{tile: int32(i), rp: rp})
@@ -558,9 +560,6 @@ func skewJoin(dev *gpusim.Device, skewed []*skewedKey, tile int, st *Stats) time
 		}
 	}
 	st.SkewBlocks = len(tasks)
-	if len(tasks) == 0 {
-		return 0
-	}
 	return dev.Launch("skewjoin", "gsh-skewjoin", len(tasks), func(b *gpusim.Block) {
 		t := tasks[b.Idx]
 		gpupart.TileJoinBlock(b, &tiles[t.tile], t.rp)

@@ -133,6 +133,12 @@ func TestPhasesCoverTotal(t *testing.T) {
 	}
 }
 
+// paperSkewJoinFKNs is the modelled skew join of the paper's scheme, one
+// block per skewed R tuple and no S tiles, on the foreign-key workload of
+// TestFKWorkloadCorrectAndTilingHelps: GSH's retired STileTuples: -1 mode
+// read it at b3d659b, where its 51 skewed R tuples made 51 blocks.
+const paperSkewJoinFKNs = 14311
+
 func TestFKWorkloadCorrectAndTilingHelps(t *testing.T) {
 	g, err := zipf.New(zipf.Config{Theta: 1.0, Universe: 20000, Seed: 17})
 	if err != nil {
@@ -143,20 +149,53 @@ func TestFKWorkloadCorrectAndTilingHelps(t *testing.T) {
 	if want.Count != uint64(s.Len()) {
 		t.Fatalf("FK join output %d != |S| %d", want.Count, s.Len())
 	}
-	small := gpusim.Config{SharedMemBytes: 8 << 10}
-	literal := Join(r, s, Config{Device: small, STileTuples: -1})
-	tiled := Join(r, s, Config{Device: small})
-	if literal.Summary != want || tiled.Summary != want {
-		t.Fatalf("FK join wrong: literal %+v, tiled %+v, want %+v",
-			literal.Summary, tiled.Summary, want)
+	res := Join(r, s, Config{Device: gpusim.Config{SharedMemBytes: 8 << 10}})
+	if res.Summary != want {
+		t.Fatalf("FK join wrong: got %+v, want %+v", res.Summary, want)
 	}
-	if literal.Stats.SkewedKeys > 0 && tiled.Stats.SkewBlocks <= literal.Stats.SkewBlocks {
-		t.Errorf("tiling should add skew-join blocks: %d vs %d",
-			tiled.Stats.SkewBlocks, literal.Stats.SkewBlocks)
+	if res.Stats.SkewedKeys == 0 {
+		t.Fatal("no skewed keys detected on the FK workload")
 	}
-	if literal.Stats.SkewedKeys > 0 && tiled.Phase("skewjoin") > literal.Phase("skewjoin") {
-		t.Errorf("tiled skew-join (%v) should not exceed paper-literal (%v)",
-			tiled.Phase("skewjoin"), literal.Phase("skewjoin"))
+	if d := res.Phase("skewjoin").Nanoseconds(); d >= paperSkewJoinFKNs {
+		t.Errorf("tiled skew join %d ns should beat the paper scheme's %d ns", d, paperSkewJoinFKNs)
+	}
+}
+
+// TestSkewJoinBlocksFollowInput checks the skew join's tiling rule: a
+// key's S side is cut only where its R tuples leave the SMs short of
+// work. On dual-skew input every key has enough R tuples, so no key is
+// tiled and the launch has at most one block per skewed R tuple; on the
+// foreign-key workload each skewed key has one R tuple, so keys are
+// tiled, but the launch stays within Σ|R_k| + NumSMs blocks.
+func TestSkewJoinBlocksFollowInput(t *testing.T) {
+	devices := []gpusim.Config{{}, {SharedMemBytes: 8 << 10}, {SharedMemBytes: 1 << 10}}
+	for _, theta := range []float64{0.9, 1.0} {
+		r, s := workload(t, 1<<16, theta, 31)
+		want := oracle.Expected(r, s)
+		for _, dev := range devices {
+			res := Join(r, s, Config{Device: dev})
+			if res.Summary != want {
+				t.Fatalf("zipf %.1f, shm %d: got %+v, want %+v", theta, dev.SharedMemBytes, res.Summary, want)
+			}
+			st := res.Stats
+			if st.SkewedTuplesR == 0 || st.SkewBlocks > st.SkewedTuplesR {
+				t.Errorf("zipf %.1f, shm %d: %d skew-join blocks for %d skewed R tuples",
+					theta, dev.SharedMemBytes, st.SkewBlocks, st.SkewedTuplesR)
+			}
+		}
+	}
+
+	g, err := zipf.New(zipf.Config{Theta: 1.0, Universe: 20000, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, s := g.FKPair(120000)
+	dev := gpusim.Config{SharedMemBytes: 8 << 10}
+	st := Join(r, s, Config{Device: dev}).Stats
+	sms := dev.Defaults().NumSMs
+	if st.SkewBlocks <= st.SkewedTuplesR || st.SkewBlocks > st.SkewedTuplesR+sms {
+		t.Errorf("FK: %d skew-join blocks, want more than %d skewed R tuples and at most %d",
+			st.SkewBlocks, st.SkewedTuplesR, st.SkewedTuplesR+sms)
 	}
 }
 
@@ -187,8 +226,6 @@ func TestConfigKnobs(t *testing.T) {
 		{SampleRate: 0.2},
 		{TopK: 1},
 		{TopK: 8},
-		{STileTuples: -1},
-		{STileTuples: 64},
 		{IncludeTransfer: true},
 	}
 	for i, cfg := range cases {

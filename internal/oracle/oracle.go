@@ -33,31 +33,7 @@ type keyAgg struct {
 // Expected returns the exact output count and checksum of the equi-join of
 // r and s under the outbuf checksum definition.
 func Expected(r, s relation.Relation) outbuf.Summary {
-	ra := aggregate(r)
-	sa := aggregate(s)
-	a, bcoef, c := outbuf.ChecksumCoefficients()
-	var sum outbuf.Summary
-	for k, rv := range ra {
-		sv, ok := sa[k]
-		if !ok {
-			continue
-		}
-		pairs := rv.cnt * sv.cnt
-		sum.Count += pairs
-		sum.Checksum += a*uint64(k)*pairs + bcoef*rv.psum*sv.cnt + c*sv.psum*rv.cnt
-	}
-	return sum
-}
-
-func aggregate(r relation.Relation) map[relation.Key]keyAgg {
-	m := make(map[relation.Key]keyAgg, r.Len())
-	for _, t := range r.Tuples {
-		agg := m[t.Key]
-		agg.cnt++
-		agg.psum += uint64(t.Payload)
-		m[t.Key] = agg
-	}
-	return m
+	return expected(r, s, func(relation.Key) bool { return true })
 }
 
 // ExpectedParallel is Expected with the per-key aggregation sharded over
@@ -71,43 +47,11 @@ func ExpectedParallel(r, s relation.Relation, threads int) outbuf.Summary {
 	if threads <= 1 {
 		return Expected(r, s)
 	}
-	a, bcoef, c := outbuf.ChecksumCoefficients()
 	partial := make([]outbuf.Summary, threads)
 	exec.Parallel(threads, func(w int) {
-		shard := func(k relation.Key) bool {
+		partial[w] = expected(r, s, func(k relation.Key) bool {
 			return int(hashfn.Mix32(uint32(k))>>16)%threads == w
-		}
-		ra := make(map[relation.Key]keyAgg, r.Len()/threads+1)
-		for _, t := range r.Tuples {
-			if !shard(t.Key) {
-				continue
-			}
-			agg := ra[t.Key]
-			agg.cnt++
-			agg.psum += uint64(t.Payload)
-			ra[t.Key] = agg
-		}
-		sa := make(map[relation.Key]keyAgg, s.Len()/threads+1)
-		for _, t := range s.Tuples {
-			if !shard(t.Key) {
-				continue
-			}
-			agg := sa[t.Key]
-			agg.cnt++
-			agg.psum += uint64(t.Payload)
-			sa[t.Key] = agg
-		}
-		var sum outbuf.Summary
-		for k, rv := range ra {
-			sv, ok := sa[k]
-			if !ok {
-				continue
-			}
-			pairs := rv.cnt * sv.cnt
-			sum.Count += pairs
-			sum.Checksum += a*uint64(k)*pairs + bcoef*rv.psum*sv.cnt + c*sv.psum*rv.cnt
-		}
-		partial[w] = sum
+		})
 	})
 	var total outbuf.Summary
 	for _, p := range partial {
@@ -115,6 +59,34 @@ func ExpectedParallel(r, s relation.Relation, threads int) outbuf.Summary {
 		total.Checksum += p.Checksum
 	}
 	return total
+}
+
+// expected joins the keys that keep accepts. It aggregates R per key in
+// one map, then streams S: an S tuple of key k adds cntR(k) results and
+// A·k·cntR(k) + B·ΣpR(k) + C·p·cntR(k) to the checksum, so summed over
+// k's S tuples it adds the package doc's per-key terms. The map grows to
+// R's distinct keys, so its size follows the keys, not the tuples.
+func expected(r, s relation.Relation, keep func(relation.Key) bool) outbuf.Summary {
+	ra := make(map[relation.Key]keyAgg)
+	for _, t := range r.Tuples {
+		if keep(t.Key) {
+			agg := ra[t.Key]
+			agg.cnt++
+			agg.psum += uint64(t.Payload)
+			ra[t.Key] = agg
+		}
+	}
+	a, bcoef, c := outbuf.ChecksumCoefficients()
+	var sum outbuf.Summary
+	for _, t := range s.Tuples {
+		rv, ok := ra[t.Key]
+		if !ok {
+			continue
+		}
+		sum.Count += rv.cnt
+		sum.Checksum += a*uint64(t.Key)*rv.cnt + bcoef*rv.psum + c*uint64(t.Payload)*rv.cnt
+	}
+	return sum
 }
 
 // ReferenceJoin materialises the full join output with a hash-partitioned
