@@ -161,7 +161,7 @@ func TestFragmentDisabledDegeneratesWithReason(t *testing.T) {
 }
 
 // TestRecommendSplitFragmentPlan covers the planner surface: a deep-skew
-// recommendation carries the fragment entries, and its degenerate cousin
+// plan carries the fragment entries, and its degenerate cousin
 // (fragments disabled) carries the explicit reason string instead of
 // degenerating silently.
 func TestRecommendSplitFragmentPlan(t *testing.T) {
@@ -170,12 +170,11 @@ func TestRecommendSplitFragmentPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	cal := Calibration{BuildNsPerTuple: 10, ProbeNsPerUnit: 2.5}
-	cfg := SplitConfig{
+	opts := &Options{
 		Threads: 1, Device: CoupledDevice(), Calibration: &cal,
-		MinWinNs: 1, WinFraction: 0.01,
+		SplitMinWinNs: 1, SplitWinFraction: 0.01,
 	}
-	rec := RecommendSplit(r, s, cfg)
-	plan := rec.Split
+	plan := testSplitPlan(t, r, s, opts)
 	if plan == nil || !plan.Split || !plan.Fragmented() {
 		t.Fatalf("deep skew should plan a fragmented split: %+v", plan)
 	}
@@ -197,15 +196,15 @@ func TestRecommendSplitFragmentPlan(t *testing.T) {
 		t.Error("fragments cover no probe tuples")
 	}
 
-	cfg.Fragments = -1
-	rec = RecommendSplit(r, s, cfg)
-	if rec.Split.Fragmented() {
-		t.Fatalf("Fragments=-1 still fragmented: %+v", rec.Split)
+	opts.Fragments = -1
+	plan = testSplitPlan(t, r, s, opts)
+	if plan.Fragmented() {
+		t.Fatalf("Fragments=-1 still fragmented: %+v", plan)
 	}
-	if rec.Split.Split {
+	if plan.Split {
 		return // whole-partition split still wins here; nothing to classify
 	}
-	if rec.Split.DegenerateReason == "" {
+	if plan.DegenerateReason == "" {
 		t.Error("degenerate recommendation must carry a reason")
 	}
 }

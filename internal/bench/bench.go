@@ -75,7 +75,8 @@ func phase(names ...string) func(c *Cell) time.Duration {
 	return func(c *Cell) time.Duration { return c.phases(names...) }
 }
 
-// figure runs a grid experiment: every arm once per zipf.
+// figure runs a grid experiment: every arm once per zipf, or
+// Config.Repeats times when the caller set it.
 func figure(cfg Config, name, title string, zipfs []float64, as []Arm, rows ...Row) (*Artifact, error) {
 	return Run(cfg, &Sweep{Name: name, Title: title, Zipfs: zipfs, Repeats: 1, Arms: as, Measure: cfg.join, Rows: rows})
 }

@@ -58,8 +58,9 @@ type Config struct {
 	// sizes (see EXPERIMENTS.md).
 	Device gpusim.Config
 	// Repeats is the number of timed rounds of every arm, keeping the
-	// fastest (default 3; the figure experiments run once). Wall-clock
-	// noise on shared hosts otherwise dominates the CPU ratios.
+	// fastest (default 3; the figure experiments run once unless it is
+	// set). Wall-clock noise on shared hosts otherwise dominates the CPU
+	// ratios.
 	Repeats int
 	// SplitMinWinNs lowers the split planner's absolute win floor for the
 	// co-processing benchmark (0 = the engine default, 25ms). Smoke runs
@@ -132,7 +133,8 @@ type Sweep struct {
 	Name, Title string
 	// Zipfs is the grid, one workload per point.
 	Zipfs []float64
-	// Repeats overrides Config.Repeats (the figures run each arm once).
+	// Repeats is the sweep's own round count, used when Config.Repeats is
+	// unset (the figures run each arm once by default).
 	Repeats int
 	// Workload generates one grid point's inputs (nil: MakeWorkload).
 	Workload func(n int, theta float64, seed int64) (Workload, error)
@@ -291,11 +293,13 @@ func hostEnv() Env {
 // dropped and recorded in the artifact's Errors, as is every gate
 // violation; only a workload or group that cannot be set up aborts.
 func Run(cfg Config, s *Sweep) (*Artifact, error) {
+	// An explicit Config.Repeats wins; a sweep's own count applies only
+	// when the caller set none.
+	if cfg.Repeats <= 0 {
+		cfg.Repeats = s.Repeats
+	}
 	cfg = cfg.Defaults()
 	repeats := cfg.Repeats
-	if s.Repeats > 0 {
-		repeats = s.Repeats
-	}
 	conf := map[string]any{"tuples": cfg.Tuples, "seed": cfg.Seed, "threads": cfg.Threads,
 		"repeats": repeats, "zipfs": s.Zipfs, "arms": s.Arms}
 	for k, v := range s.Config {

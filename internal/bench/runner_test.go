@@ -168,3 +168,26 @@ func TestExplicitZipfListReachesSweeps(t *testing.T) {
 		t.Errorf("coproc over 11 zipfs: %d cells, %d A/A groups", len(a.Cells), len(a.AA))
 	}
 }
+
+// An explicit Config.Repeats reaches the figure sweeps, whose own count
+// applies only when the caller set none.
+func TestExplicitRepeatsReachFigures(t *testing.T) {
+	for _, tc := range []struct{ repeats, want int }{{2, 2}, {0, 1}} {
+		a, err := Fig4a(Config{Tuples: 300, Threads: 1, Repeats: tc.repeats, Zipfs: []float64{0, 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a.Errors) > 0 {
+			t.Fatalf("repeats %d: errors %q", tc.repeats, a.Errors)
+		}
+		if got := a.Config["repeats"]; got != tc.want {
+			t.Errorf("repeats %d: config records %v, want %d", tc.repeats, got, tc.want)
+		}
+		for _, c := range a.Cells {
+			if len(c.RunsNS) != tc.want {
+				t.Errorf("repeats %d: %s at zipf %g ran %d times, want %d",
+					tc.repeats, c.Arm, c.Zipf, len(c.RunsNS), tc.want)
+			}
+		}
+	}
+}

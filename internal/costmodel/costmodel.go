@@ -901,7 +901,7 @@ func (b *cpuBin) timeWith(pc *PartCost) float64 { return (b.workNs + pc.CPUNs) /
 // plus the serial H2D/D2H transfers and one launch overhead.
 type gpuBin struct {
 	dev     gpusim.Config
-	sm      []float64 // min-heap on finish time, as gpusim.scheduleInto
+	sm      []float64 // min-heap on finish time, scheduled by gpusim.Schedule
 	scratch []float64 // sm's copy, for pricing a multi-block partition
 	// makespan is the latest finish time in sm. Block cycles are never
 	// negative, so an SM's finish time only grows and a running maximum
@@ -925,7 +925,7 @@ func (b *gpuBin) reset() {
 
 // add schedules the partition's blocks onto the bin's SM heap.
 func (b *gpuBin) add(pc *PartCost) {
-	b.makespan = schedule(b.sm, pc.GPUBlockCycles, b.makespan)
+	b.makespan = gpusim.Schedule(b.sm, pc.GPUBlockCycles, b.makespan)
 	b.bytes += float64(pc.Bytes)
 	b.outRows += pc.EstOut
 	b.blocks += len(pc.GPUBlockCycles)
@@ -948,7 +948,7 @@ func (b *gpuBin) timeWith(pc *PartCost) float64 {
 		}
 	} else {
 		copy(b.scratch, b.sm)
-		makespan = schedule(b.scratch, pc.GPUBlockCycles, makespan)
+		makespan = gpusim.Schedule(b.scratch, pc.GPUBlockCycles, makespan)
 	}
 	return b.timeOf(makespan, b.blocks+len(pc.GPUBlockCycles),
 		b.bytes+float64(pc.Bytes), b.outRows+pc.EstOut)
@@ -967,19 +967,6 @@ func (b *gpuBin) transferNs() float64 {
 	return transferNs(&b.dev, int(b.bytes), b.outRows)
 }
 
-// schedule adds each block to the earliest-free SM of the min-heap sm and
-// returns makespan raised to the latest finish time.
-func schedule(sm, blocks []float64, makespan float64) float64 {
-	for _, c := range blocks {
-		sm[0] += c
-		if sm[0] > makespan {
-			makespan = sm[0]
-		}
-		siftDown(sm)
-	}
-	return makespan
-}
-
 // transferNs is the modelled H2D+D2H staging time for the given input
 // bytes and estimated output rows (12 bytes per result row).
 func transferNs(dev *gpusim.Config, inBytes int, outRows float64) float64 {
@@ -988,25 +975,4 @@ func transferNs(dev *gpusim.Config, inBytes int, outRows float64) float64 {
 
 func cyclesToNs(dev *gpusim.Config, cycles float64) float64 {
 	return cycles / dev.ClockHz * 1e9
-}
-
-// siftDown restores the min-heap property after the root grew — the same
-// earliest-free-SM schedule gpusim uses.
-func siftDown(sm []float64) {
-	i := 0
-	for {
-		l := 2*i + 1
-		small := i
-		if l < len(sm) && sm[l] < sm[small] {
-			small = l
-		}
-		if r := l + 1; r < len(sm) && sm[r] < sm[small] {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		sm[i], sm[small] = sm[small], sm[i]
-		i = small
-	}
 }

@@ -7,20 +7,24 @@
 //     R's keys is counted in a hash table; keys whose sampled frequency
 //     reaches a threshold (default 2) are marked skewed and each gets a
 //     dedicated skewed partition.
-//  2. Partition R: each R tuple is checked in the skew checkup table;
-//     skewed tuples are appended to their key's skewed partition, normal
-//     tuples go through ordinary radix partitioning.
-//  3. Partition S: normal S tuples are radix-partitioned; a skewed S tuple
-//     is not copied at all — CSH immediately joins it against the skewed R
-//     partition of its key, emitting results with sequential reads and no
-//     per-result key comparison (the hybrid-hash-join idea).
+//  2. Partition R: each R tuple is checked in the skew checkup table
+//     (radix.CheckupTable, looked up once per tuple in the first pass's
+//     count scan); skewed tuples are appended to their key's skewed
+//     partition, normal tuples go through ordinary radix partitioning.
+//  3. Partition S, after R on the same workers: normal S tuples are
+//     radix-partitioned; a skewed S tuple is not copied at all — CSH
+//     immediately joins it against the skewed R partition of its key,
+//     emitting results with sequential reads and no per-result key
+//     comparison (the hybrid-hash-join idea).
 //  4. NM-join: the remaining normal partitions are joined exactly like
 //     Cbase's join phase.
+//
+// Both inputs take radix.Partition's one path; when detection finds no
+// key it runs without a diverter, as Cbase's partition pass does.
 package csh
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"skewjoin/internal/exec"
@@ -114,19 +118,6 @@ func (r Result) SamplePlusPartition() time.Duration {
 	return d
 }
 
-// markSkewed probes the checkup table for every tuple of rel, in parallel,
-// returning the per-tuple skewed-partition ids (-1 = normal).
-func markSkewed(rel relation.Relation, checkup *checkupTable, threads int) []int32 {
-	ids := make([]int32, rel.Len())
-	exec.Parallel(threads, func(w int) {
-		lo, hi := exec.Segment(rel.Len(), threads, w)
-		for i := lo; i < hi; i++ {
-			ids[i] = checkup.lookup(rel.Tuples[i].Key)
-		}
-	})
-	return ids
-}
-
 // Join runs CSH over r and s.
 func Join(r, s relation.Relation, cfg Config) Result {
 	cfg = cfg.Defaults()
@@ -138,7 +129,7 @@ func Join(r, s relation.Relation, cfg Config) Result {
 	res.Stats.Fanout = rcfg.Fanout()
 
 	// Phase 1: detect skewed keys through sampling (before partitioning).
-	var checkup *checkupTable
+	var checkup *radix.CheckupTable
 	var skewedKeys []relation.Key
 	timer.Time("sample", func() {
 		stride := int(1 / cfg.SampleRate)
@@ -155,7 +146,7 @@ func Join(r, s relation.Relation, cfg Config) Result {
 		for _, kc := range counter.AtLeast(cfg.SkewThreshold) {
 			skewedKeys = append(skewedKeys, kc.Key)
 		}
-		checkup = newCheckupTable(skewedKeys)
+		checkup = radix.NewCheckupTable(skewedKeys)
 	})
 	res.Stats.SkewedKeys = len(skewedKeys)
 	if cfg.Ctx != nil && cfg.Ctx.Err() != nil {
@@ -174,70 +165,47 @@ func Join(r, s relation.Relation, cfg Config) Result {
 
 	// Phase 2+3: hybrid partitioning. R's skewed tuples are collected into
 	// per-key skewed partitions; S's skewed tuples are joined on the fly.
+	// S's pass runs after R's, on every worker: its Handle reads R's
+	// merged skewed partitions, and the skew output it writes is most of
+	// the phase under heavy skew. With no skewed key both passes run
+	// without a diverter.
 	var pr, ps *radix.Partitioned
 	var skewedR [][]relation.Payload
 	var skewedS []uint64
 	timer.Time("partition", func() {
-		if len(skewedKeys) > 0 {
-			// Probe the skew checkup table once per tuple, in parallel, to
-			// mark diverted tuples; the partition scans then test one
-			// array slot per tuple. S's marking pass is independent of R's
-			// partitioning, so the two overlap with the worker pool split
-			// between them; S's partitioning itself must wait for the
-			// merged skewed R partitions its Handle reads.
-			rIDs := markSkewed(r, checkup, cfg.Threads)
-			var sIDs []int32
-			var wgS sync.WaitGroup
-			rc := rcfg
-			if cfg.Threads > 1 {
-				tR, tS := exec.SplitThreads(cfg.Threads, r.Len(), s.Len())
-				rc.Threads = tR
-				wgS.Add(1)
-				go func() {
-					defer wgS.Done()
-					sIDs = markSkewed(s, checkup, tS)
-				}()
-			} else {
-				sIDs = markSkewed(s, checkup, 1)
+		divert := func(h func(w int, t relation.Tuple, id int32)) *radix.Diverter {
+			if len(skewedKeys) == 0 {
+				return nil
 			}
-
-			// Per-worker local collection avoids contention on the skewed
-			// partitions; they are merged after the R pass.
-			local := make([][][]relation.Payload, cfg.Threads)
-			for w := range local {
-				local[w] = make([][]relation.Payload, len(skewedKeys))
-			}
-			pr = radix.Partition(r.Tuples, rc, &radix.Diverter{
-				IDs: rIDs,
-				Handle: func(w int, t relation.Tuple, id int32) {
-					local[w][id] = append(local[w][id], t.Payload)
-				},
-			})
-			skewedR = make([][]relation.Payload, len(skewedKeys))
-			for id := range skewedR {
-				for w := 0; w < cfg.Threads; w++ {
-					skewedR[id] = append(skewedR[id], local[w][id]...)
-				}
-				res.Stats.SkewedTuplesR += len(skewedR[id])
-			}
-			wgS.Wait()
-
-			skewedS = make([]uint64, cfg.Threads)
-			ps = radix.Partition(s.Tuples, rcfg, &radix.Diverter{
-				IDs: sIDs,
-				Handle: func(w int, t relation.Tuple, id int32) {
-					// Hybrid-hash-join step: produce the join results for a
-					// skewed S tuple immediately, scanning the associated
-					// skewed R partition sequentially.
-					bufs[w].PushRun(t.Key, skewedR[id], t.Payload)
-					skewedS[w]++
-				},
-			})
-		} else {
-			// No skewed keys detected: the R and S passes are fully
-			// independent, exactly as in Cbase.
-			pr, ps = radix.PartitionPair(r.Tuples, s.Tuples, rcfg)
+			return &radix.Diverter{Table: checkup, Handle: h}
 		}
+
+		// Per-worker local collection avoids contention on the skewed
+		// partitions; they are merged in worker order after the R pass, so
+		// each key's skewed run keeps input order.
+		local := make([][][]relation.Payload, cfg.Threads)
+		for w := range local {
+			local[w] = make([][]relation.Payload, len(skewedKeys))
+		}
+		pr = radix.Partition(r.Tuples, rcfg, divert(func(w int, t relation.Tuple, id int32) {
+			local[w][id] = append(local[w][id], t.Payload)
+		}))
+		skewedR = make([][]relation.Payload, len(skewedKeys))
+		for id := range skewedR {
+			for w := 0; w < cfg.Threads; w++ {
+				skewedR[id] = append(skewedR[id], local[w][id]...)
+			}
+			res.Stats.SkewedTuplesR += len(skewedR[id])
+		}
+
+		skewedS = make([]uint64, cfg.Threads)
+		ps = radix.Partition(s.Tuples, rcfg, divert(func(w int, t relation.Tuple, id int32) {
+			// Hybrid-hash-join step: produce the join results for a skewed
+			// S tuple immediately, scanning the associated skewed R
+			// partition sequentially.
+			bufs[w].PushRun(t.Key, skewedR[id], t.Payload)
+			skewedS[w]++
+		}))
 	})
 	for _, n := range skewedS {
 		res.Stats.SkewedTuplesS += int(n)

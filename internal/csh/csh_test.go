@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"skewjoin/internal/oracle"
+	"skewjoin/internal/radix"
 	"skewjoin/internal/relation"
 	"skewjoin/internal/zipf"
 )
@@ -92,10 +93,34 @@ func TestJoinIsPermutationInvariant(t *testing.T) {
 func TestThreadCountInvariance(t *testing.T) {
 	r, s := workload(t, 15000, 0.95, 9)
 	want := oracle.Expected(r, s)
-	for _, threads := range []int{1, 2, 5, 16} {
-		got := Join(r, s, Config{Threads: threads}).Summary
-		if got != want {
-			t.Errorf("threads=%d: got %+v, want %+v", threads, got, want)
+	// The skew bookkeeping does not depend on the thread count either:
+	// detection, diversion and the NM-join's task decomposition are
+	// functions of the inputs alone.
+	type counts struct {
+		keys, tuplesR, tuplesS int
+		skewOut                uint64
+		tasks                  int
+		visits                 uint64
+		maxChain               int
+	}
+	var first counts
+	for i, threads := range []int{1, 2, 5, 16} {
+		res := Join(r, s, Config{Threads: threads})
+		if res.Summary != want {
+			t.Errorf("threads=%d: got %+v, want %+v", threads, res.Summary, want)
+		}
+		st := res.Stats
+		c := counts{st.SkewedKeys, st.SkewedTuplesR, st.SkewedTuplesS, st.SkewOutput,
+			st.NM.Tasks, st.NM.ProbeVisits, st.NM.MaxChain}
+		if i == 0 {
+			first = c
+			if c.keys == 0 {
+				t.Fatal("zipf 0.95 detected no skewed key")
+			}
+			continue
+		}
+		if c != first {
+			t.Errorf("threads=%d: stats %+v, want %+v (1 thread)", threads, c, first)
 		}
 	}
 }
@@ -111,6 +136,7 @@ func TestConfigKnobs(t *testing.T) {
 		{Threads: 2, Bits1: 8, Bits2: 0},
 		{Threads: 2, SkewFactor: -1}, // disables NM-join task splitting
 		{Threads: 2, OutBufCap: 16},
+		{Threads: 2, SkewThreshold: 1 << 30}, // detects no key
 	}
 	for i, cfg := range cases {
 		if got := Join(r, s, cfg).Summary; got != want {
@@ -121,38 +147,34 @@ func TestConfigKnobs(t *testing.T) {
 
 func TestCheckupTable(t *testing.T) {
 	keys := []relation.Key{5, 99, 12345, 0, 7}
-	ct := newCheckupTable(keys)
-	if ct.size() != len(keys) {
-		t.Fatalf("size = %d, want %d", ct.size(), len(keys))
-	}
+	ct := radix.NewCheckupTable(keys)
 	for i, k := range keys {
-		if id := ct.lookup(k); id != int32(i) {
-			t.Errorf("lookup(%d) = %d, want %d", k, id, i)
+		if id := ct.Lookup(k); id != int32(i) {
+			t.Errorf("Lookup(%d) = %d, want %d", k, id, i)
 		}
 	}
 	for _, absent := range []relation.Key{1, 2, 100, 1 << 30} {
-		if ct.contains(absent) {
-			t.Errorf("contains(%d) = true for absent key", absent)
+		if id := ct.Lookup(absent); id >= 0 {
+			t.Errorf("Lookup(%d) = %d for absent key", absent, id)
 		}
 	}
 }
 
 func TestCheckupTableDuplicateKeysKeepFirstID(t *testing.T) {
-	ct := newCheckupTable([]relation.Key{8, 8, 9})
-	if id := ct.lookup(8); id != 0 {
-		t.Errorf("lookup(8) = %d, want 0", id)
+	ct := radix.NewCheckupTable([]relation.Key{8, 8, 9})
+	if id := ct.Lookup(8); id != 0 {
+		t.Errorf("Lookup(8) = %d, want 0", id)
 	}
-	if id := ct.lookup(9); id != 2 {
-		t.Errorf("lookup(9) = %d, want 2", id)
+	if id := ct.Lookup(9); id != 2 {
+		t.Errorf("Lookup(9) = %d, want 2", id)
 	}
 }
 
 func TestCheckupTableEmpty(t *testing.T) {
-	ct := newCheckupTable(nil)
-	if ct.contains(1) {
-		t.Error("empty table contains key")
-	}
-	if ct.size() != 0 {
-		t.Errorf("size = %d, want 0", ct.size())
+	ct := radix.NewCheckupTable(nil)
+	for _, k := range []relation.Key{0, 1, 8, 1 << 30} {
+		if id := ct.Lookup(k); id >= 0 {
+			t.Errorf("empty table: Lookup(%d) = %d", k, id)
+		}
 	}
 }

@@ -216,7 +216,7 @@ type Device struct {
 	tapes   []*outbuf.Tape   // tapes[sm] writes to bufs[sm]: the Block.Out of its blocks
 	cycles  float64
 
-	smScratch []float64    // schedule()'s per-SM min-heap, reused across launches
+	smScratch []float64    // Schedule's per-SM min-heap, reused across launches
 	block     Block        // the kernels' handle, reused across blocks and launches
 	busy      atomic.Int32 // sanitize-only overlapping-call detector
 }
@@ -285,7 +285,7 @@ type Block struct {
 // order, each charging the device's Stats and emitting to its SM's
 // output as it runs, so a consumer sees the runs in block order. The
 // modelled makespan does not depend on that order: it is a function of
-// the per-block cycles alone (see scheduleInto). As on a GPU, blocks must
+// the per-block cycles alone (see Schedule). As on a GPU, blocks must
 // not depend on one another: kernels confine functional side effects to
 // the Block (cost methods, Out) and per-block state — e.g. write to slot
 // Idx of a results slice.
@@ -311,7 +311,8 @@ func (d *Device) Launch(phase, name string, blocks int, kernel func(b *Block)) t
 		}
 	}
 
-	makespan := scheduleInto(d.smScratch, cycles) + cfg.KernelLaunchCycles
+	clear(d.smScratch)
+	makespan := Schedule(d.smScratch, cycles, 0) + cfg.KernelLaunchCycles
 	ideal := sum/float64(cfg.NumSMs) + cfg.KernelLaunchCycles
 	imb := 1.0
 	if ideal > 0 {
@@ -331,34 +332,28 @@ func (d *Device) Launch(phase, name string, blocks int, kernel func(b *Block)) t
 // schedule assigns block cycle costs to SMs in launch order, each to the
 // earliest-free SM, and returns the makespan.
 func schedule(cycles []float64, sms int) float64 {
-	return scheduleInto(make([]float64, sms), cycles)
+	return Schedule(make([]float64, sms), cycles, 0)
 }
 
-// scheduleInto is schedule with a caller-provided per-SM scratch heap
-// (one slot per SM, overwritten), so the per-launch hot path allocates
-// nothing. The scratch is kept as a binary min-heap on finish time: each
-// block lands on the root (the earliest-free SM) and one sift-down
-// restores the heap — no container/heap interface boxing, no Fix
-// indirection. Ties between equally loaded SMs may resolve differently
-// than another heap implementation would, but the resulting multiset of
-// SM finish times (and hence the makespan) is identical: adding a block
-// to either of two bitwise-equal loads produces the same multiset.
-func scheduleInto(sm []float64, cycles []float64) float64 {
-	if len(cycles) == 0 {
-		return 0
-	}
-	for i := range sm {
-		sm[i] = 0
-	}
-	for _, c := range cycles {
+// Schedule adds each block's cycles, in order, to the earliest-free SM of
+// sm and returns makespan raised to the latest finish time. sm holds one
+// finish time per SM as a binary min-heap: each block lands on the root
+// and one sift-down restores the heap — no container/heap interface
+// boxing, no Fix indirection, no allocation. Ties between equally loaded
+// SMs may resolve differently than another heap implementation would, but
+// the resulting multiset of SM finish times (and hence the makespan) is
+// identical: adding a block to either of two bitwise-equal loads produces
+// the same multiset. Block cycles are never negative, so an SM's finish
+// time only grows and the running maximum equals a scan of the heap.
+// Launch schedules each launch onto a zeroed heap; the cost model's GPU
+// bin schedules partition after partition onto one heap.
+func Schedule(sm, blocks []float64, makespan float64) float64 {
+	for _, c := range blocks {
 		sm[0] += c
-		siftDown(sm)
-	}
-	var makespan float64
-	for _, t := range sm {
-		if t > makespan {
-			makespan = t
+		if sm[0] > makespan {
+			makespan = sm[0]
 		}
+		siftDown(sm)
 	}
 	return makespan
 }

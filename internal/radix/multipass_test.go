@@ -6,37 +6,31 @@ import (
 	"skewjoin/internal/relation"
 )
 
-// countDiverted returns how many IDs mark their tuple as diverted.
-func countDiverted(ids []int32) int {
-	n := 0
-	for _, id := range ids {
-		if id >= 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// TestMultiPassWithDiverter drives MultiPass through a diverter: diverted
+// TestMultiPassWithDiverter drives Partition through a diverter: diverted
 // tuples must be handed to Handle exactly once and never partitioned, the
 // rest must satisfy VerifyPlacement, and nothing may be dropped.
 func TestMultiPassWithDiverter(t *testing.T) {
 	src := randomTuples(15000, 14)
 	for _, tc := range []struct {
 		name string
-		bits []uint32
+		cfg  Config
 	}{
-		{"single-pass", []uint32{6}},
-		{"two-pass", []uint32{4, 3}},
+		{"single-pass", Config{Threads: 1, Bits1: 6, Bits2: 0}},
+		{"two-pass", Config{Threads: 1, Bits1: 4, Bits2: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			handled := make(map[relation.Payload]int)
 			div := &Diverter{
-				IDs:    markWhere(src, func(tp relation.Tuple) bool { return tp.Key%7 == 0 }),
+				Table:  tableWhere(src, func(tp relation.Tuple) bool { return tp.Key%7 == 0 }),
 				Handle: func(w int, tp relation.Tuple, id int32) { handled[tp.Payload]++ },
 			}
-			diverted := countDiverted(div.IDs)
-			p := MultiPass(src, 1, tc.bits, div)
+			diverted := 0
+			for _, tp := range src {
+				if tp.Key%7 == 0 {
+					diverted++
+				}
+			}
+			p := Partition(src, tc.cfg, div)
 
 			if p.Total() != len(src)-diverted {
 				t.Fatalf("partitioned %d tuples, want %d", p.Total(), len(src)-diverted)
@@ -49,13 +43,7 @@ func TestMultiPassWithDiverter(t *testing.T) {
 					t.Fatalf("payload %d handled %d times", pay, n)
 				}
 			}
-			// Placement: MultiPass with bits [b] or [b1, b2] matches the
-			// two-pass Config partition index layout exactly.
-			cfg := Config{Bits1: tc.bits[0]}
-			if len(tc.bits) > 1 {
-				cfg.Bits2 = tc.bits[1]
-			}
-			if bad := VerifyPlacement(p, cfg); bad >= 0 {
+			if bad := VerifyPlacement(p, tc.cfg); bad >= 0 {
 				t.Fatalf("placement violation at %d", bad)
 			}
 			// Nothing dropped and nothing duplicated: partitioned tuples plus
@@ -89,22 +77,27 @@ func TestMultiPassWithDiverter(t *testing.T) {
 // tuple diverted leaves empty partitions but loses nothing.
 func TestMultiPassDiverterDivertsEverything(t *testing.T) {
 	src := randomTuples(3000, 15)
-	var handled int
-	div := &Diverter{
-		IDs:    markWhere(src, func(relation.Tuple) bool { return true }),
-		Handle: func(w int, tp relation.Tuple, id int32) { handled++ },
-	}
-	p := MultiPass(src, 1, []uint32{4, 3}, div)
-	if p.Total() != 0 {
-		t.Errorf("partitioned %d tuples, want 0", p.Total())
-	}
-	if handled != len(src) {
-		t.Errorf("handled %d tuples, want %d", handled, len(src))
-	}
-	if p.Fanout() != 1<<7 {
-		t.Errorf("fanout %d, want %d", p.Fanout(), 1<<7)
-	}
-	if bad := VerifyPlacement(p, Config{Bits1: 4, Bits2: 3}); bad >= 0 {
-		t.Errorf("placement violation at %d on empty partitions", bad)
+	for _, cfg := range []Config{
+		{Threads: 1, Bits1: 7, Bits2: 0},
+		{Threads: 1, Bits1: 4, Bits2: 3},
+	} {
+		var handled int
+		div := &Diverter{
+			Table:  tableWhere(src, func(relation.Tuple) bool { return true }),
+			Handle: func(w int, tp relation.Tuple, id int32) { handled++ },
+		}
+		p := Partition(src, cfg, div)
+		if p.Total() != 0 {
+			t.Errorf("%+v: partitioned %d tuples, want 0", cfg, p.Total())
+		}
+		if handled != len(src) {
+			t.Errorf("%+v: handled %d tuples, want %d", cfg, handled, len(src))
+		}
+		if p.Fanout() != 1<<7 {
+			t.Errorf("%+v: fanout %d, want %d", cfg, p.Fanout(), 1<<7)
+		}
+		if bad := VerifyPlacement(p, cfg); bad >= 0 {
+			t.Errorf("%+v: placement violation at %d on empty partitions", cfg, bad)
+		}
 	}
 }

@@ -13,10 +13,11 @@
 // queue drains. Two passes keep the per-pass fanout low, which is the radix
 // join's TLB-miss optimisation.
 //
-// CSH reuses this machinery with a Diverter: tuples whose key is in the
-// skew checkup table bypass radix partitioning entirely and are handed to a
-// callback instead (appended to a skewed partition for R; joined on the fly
-// for S).
+// CSH reuses this machinery with a Diverter, which holds the skew checkup
+// table: pass 1's count scan looks each key up once, and its copy scan
+// hands every tuple whose key is in the table to a callback instead of
+// partitioning it (appended to a skewed partition for R; joined on the fly
+// for S). Without a diverter, pass 1 runs the plain count and copy scans.
 package radix
 
 import (
@@ -62,16 +63,68 @@ func ClampBits(b1, b2 uint32) (uint32, uint32) {
 	return b1, b2
 }
 
-// Diverter pulls tuples out of the partitioning stream. IDs must have one
-// entry per source tuple: IDs[i] >= 0 marks tuple i as diverted (with that
-// id, e.g. a skewed-partition id) and the tuple is not partitioned; during
-// the copy scan Handle is invoked once for every diverted tuple. The caller
-// computes IDs with a single pass over the input (CSH probes its skew
-// checkup table once per tuple), keeping the partition scans branch-cheap.
+// Diverter pulls tuples out of the partitioning stream: a tuple whose key
+// is in Table is not partitioned, and during pass 1's copy scan Handle is
+// invoked once for it with its key's id. Pass 1's count scan looks each
+// key up once and keeps the ids for its copy scan, so a diverted pass
+// costs the plain pass plus one lookup and one 4-byte id per tuple.
 // Handle may be nil when diverted tuples need no action during this pass.
 type Diverter struct {
-	IDs    []int32
+	Table  *CheckupTable
 	Handle func(worker int, t relation.Tuple, id int32)
+}
+
+// CheckupTable is the paper's "skew checkup table" (§IV-A, Figure 2): an
+// open-addressing map from skewed key to the id of its skewed partition,
+// probed once per input tuple during the partition phase. Lookups on the
+// hot path are a hash, a masked index and (almost always) one comparison.
+type CheckupTable struct {
+	mask uint32
+	keys []relation.Key
+	ids  []int32 // -1 = empty slot
+}
+
+// NewCheckupTable builds the table from the detected skewed keys, in
+// order: the id of keys[i] is i. A repeated key keeps its first id.
+func NewCheckupTable(keys []relation.Key) *CheckupTable {
+	cap := hashfn.NextPow2(len(keys) * 2)
+	if cap < 8 {
+		cap = 8
+	}
+	t := &CheckupTable{
+		mask: uint32(cap - 1),
+		keys: make([]relation.Key, cap),
+		ids:  make([]int32, cap),
+	}
+	for i := range t.ids {
+		t.ids[i] = -1
+	}
+	for i, k := range keys {
+		j := hashfn.Mix32(uint32(k)) & t.mask
+		for t.ids[j] >= 0 {
+			if t.keys[j] == k {
+				break // duplicate key: keep the first id
+			}
+			j = (j + 1) & t.mask
+		}
+		if t.ids[j] < 0 {
+			t.keys[j] = k
+			t.ids[j] = int32(i)
+		}
+	}
+	return t
+}
+
+// Lookup returns the skewed-partition id of k, or -1 if k is not skewed.
+func (t *CheckupTable) Lookup(k relation.Key) int32 {
+	j := hashfn.Mix32(uint32(k)) & t.mask
+	for t.ids[j] >= 0 {
+		if t.keys[j] == k {
+			return t.ids[j]
+		}
+		j = (j + 1) & t.mask
+	}
+	return -1
 }
 
 // Partitioned is the result of partitioning one relation: tuples grouped by
@@ -195,16 +248,27 @@ func passOne(src []relation.Tuple, cfg Config, div *Diverter) *Partitioned {
 	fanout := 1 << cfg.Bits1
 	threads := cfg.Threads
 
-	// First scan: per-thread histograms, skipping diverted tuples.
+	// First scan: per-thread histograms. With a diverter, each key is
+	// looked up once here; diverted tuples are skipped, and the ids are
+	// kept for the copy scan.
+	var ids []int32
+	if div != nil {
+		ids = make([]int32, len(src))
+	}
 	hist := make([][]int, threads)
 	exec.Parallel(threads, func(w int) {
 		h := make([]int, fanout)
 		lo, hi := exec.Segment(len(src), threads, w)
 		for i := lo; i < hi; i++ {
-			if div != nil && div.IDs[i] >= 0 {
-				continue
+			k := src[i].Key
+			if div != nil {
+				id := div.Table.Lookup(k)
+				ids[i] = id
+				if id >= 0 {
+					continue
+				}
 			}
-			h[hashfn.Radix(src[i].Key, 0, cfg.Bits1)]++
+			h[hashfn.Radix(k, 0, cfg.Bits1)]++
 		}
 		hist[w] = h
 	})
@@ -218,7 +282,7 @@ func passOne(src []relation.Tuple, cfg Config, div *Diverter) *Partitioned {
 	out := make([]relation.Tuple, pos)
 	exec.Parallel(threads, func(w int) {
 		lo, hi := exec.Segment(len(src), threads, w)
-		scatter(out, src, lo, hi, cursor[w], 0, cfg.Bits1, div, w)
+		scatter(out, src, lo, hi, cursor[w], 0, cfg.Bits1, div, ids, w)
 	})
 	return &Partitioned{Data: out, Offsets: offsets, fanout: fanout}
 }
@@ -340,7 +404,7 @@ func passNext(p1 *Partitioned, ctx context.Context, shift, bits uint32, threads 
 		for s := range cur {
 			cur[s] = base + h[s]
 		}
-		scatter(out, part, 0, len(part), cur, shift, bits, nil, w)
+		scatter(out, part, 0, len(part), cur, shift, bits, nil, nil, w)
 		subOffsets[t.p] = offs
 	}
 	if ctx != nil {
@@ -367,15 +431,15 @@ func passNext(p1 *Partitioned, ctx context.Context, shift, bits uint32, threads 
 // the "two or more passes" generalisation of the radix join (Boncz et
 // al.). Final partition indexes order pass-0 bits most-significant, so two
 // relations partitioned with the same bits pair up by index. At least one
-// pass is required; a diverter, if given, applies during pass 0.
-func MultiPass(src []relation.Tuple, threads int, bits []uint32, div *Diverter) *Partitioned {
+// pass is required.
+func MultiPass(src []relation.Tuple, threads int, bits []uint32) *Partitioned {
 	if len(bits) == 0 {
 		panic("radix: MultiPass needs at least one pass")
 	}
 	if threads <= 0 {
 		threads = 1
 	}
-	p := passOne(src, Config{Threads: threads, Bits1: bits[0]}, div)
+	p := passOne(src, Config{Threads: threads, Bits1: bits[0]}, nil)
 	p.fanout = 1 << bits[0]
 	shift := bits[0]
 	for _, b := range bits[1:] {

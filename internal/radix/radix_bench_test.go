@@ -28,7 +28,7 @@ func BenchmarkPasses(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.SetBytes(int64(n * 8))
 			for i := 0; i < b.N; i++ {
-				MultiPass(src, 2, tc.bits, nil)
+				MultiPass(src, 2, tc.bits)
 			}
 		})
 	}

@@ -155,16 +155,18 @@ func TestSameKeySamePartition(t *testing.T) {
 	}
 }
 
-func markWhere(src []relation.Tuple, pred func(relation.Tuple) bool) []int32 {
-	ids := make([]int32, len(src))
-	for i, tp := range src {
-		if pred(tp) {
-			ids[i] = 7
-		} else {
-			ids[i] = -1
+// tableWhere returns a checkup table holding the distinct keys of src that
+// satisfy pred, in order of first appearance.
+func tableWhere(src []relation.Tuple, pred func(relation.Tuple) bool) *CheckupTable {
+	var keys []relation.Key
+	seen := make(map[relation.Key]bool)
+	for _, tp := range src {
+		if pred(tp) && !seen[tp.Key] {
+			seen[tp.Key] = true
+			keys = append(keys, tp.Key)
 		}
 	}
-	return ids
+	return NewCheckupTable(keys)
 }
 
 func TestDiverterExcludesAndHandles(t *testing.T) {
@@ -172,10 +174,10 @@ func TestDiverterExcludesAndHandles(t *testing.T) {
 	victim := src[1234].Key
 	var handled []relation.Tuple
 	div := &Diverter{
-		IDs: markWhere(src, func(t relation.Tuple) bool { return t.Key == victim }),
+		Table: NewCheckupTable([]relation.Key{victim}),
 		Handle: func(w int, tp relation.Tuple, id int32) {
-			if id != 7 {
-				t.Errorf("handle got id %d, want 7", id)
+			if id != 0 {
+				t.Errorf("handle got id %d, want 0", id)
 			}
 			handled = append(handled, tp)
 		},
@@ -207,13 +209,73 @@ func TestDiverterHandleSeesEachTupleOnce(t *testing.T) {
 	src := randomTuples(5000, 7)
 	count := make(map[relation.Payload]int)
 	div := &Diverter{
-		IDs:    markWhere(src, func(t relation.Tuple) bool { return t.Key%3 == 0 }),
+		Table:  tableWhere(src, func(t relation.Tuple) bool { return t.Key%3 == 0 }),
 		Handle: func(w int, tp relation.Tuple, id int32) { count[tp.Payload]++ },
 	}
 	Partition(src, Config{Threads: 1, Bits1: 3, Bits2: 3}, div)
 	for p, c := range count {
 		if c != 1 {
 			t.Fatalf("payload %d handled %d times", p, c)
+		}
+	}
+}
+
+// TestDiverterThreadCountInvariant: a diverted partition's contents and
+// the (id, tuple) pairs it hands over do not depend on the thread count,
+// and its partitions are those of the input with the table's keys
+// removed.
+func TestDiverterThreadCountInvariant(t *testing.T) {
+	g := zipf.MustNew(zipf.Config{Theta: 0.9, Universe: 4000, Seed: 8})
+	src := g.NewRelation(20000, 1).Tuples
+	table := tableWhere(src, func(tp relation.Tuple) bool { return tp.Key%5 == 0 })
+	var kept []relation.Tuple
+	for _, tp := range src {
+		if table.Lookup(tp.Key) < 0 {
+			kept = append(kept, tp)
+		}
+	}
+	if len(kept) == len(src) || len(kept) == 0 {
+		t.Fatalf("table diverts %d of %d tuples; want some but not all", len(src)-len(kept), len(src))
+	}
+	type pair struct {
+		id int32
+		tp relation.Tuple
+	}
+	for _, bits2 := range []uint32{0, 3} {
+		want := Partition(kept, Config{Threads: 1, Bits1: 5, Bits2: bits2}, nil)
+		var wantPairs []pair
+		for _, threads := range []int{1, 2, 3, 8} {
+			perWorker := make([][]pair, threads)
+			cfg := Config{Threads: threads, Bits1: 5, Bits2: bits2}
+			got := Partition(src, cfg, &Diverter{
+				Table: table,
+				Handle: func(w int, tp relation.Tuple, id int32) {
+					perWorker[w] = append(perWorker[w], pair{id, tp})
+				},
+			})
+			what := fmt.Sprintf("bits2=%d, %d threads", bits2, threads)
+			samePartitionContents(t, what, want, got)
+
+			var pairs []pair
+			for _, ps := range perWorker {
+				pairs = append(pairs, ps...)
+			}
+			sort.Slice(pairs, func(i, j int) bool { return pairs[i].tp.Payload < pairs[j].tp.Payload })
+			if wantPairs == nil {
+				wantPairs = pairs
+				if len(pairs) != len(src)-len(kept) {
+					t.Fatalf("%s: handed over %d tuples, want %d", what, len(pairs), len(src)-len(kept))
+				}
+				continue
+			}
+			if len(pairs) != len(wantPairs) {
+				t.Fatalf("%s: handed over %d tuples, want %d", what, len(pairs), len(wantPairs))
+			}
+			for i := range pairs {
+				if pairs[i] != wantPairs[i] {
+					t.Fatalf("%s: handed over %+v, want %+v", what, pairs[i], wantPairs[i])
+				}
+			}
 		}
 	}
 }
@@ -251,7 +313,7 @@ func TestMoreThreadsThanTuples(t *testing.T) {
 func TestMultiPassMatchesTwoPass(t *testing.T) {
 	src := randomTuples(12000, 21)
 	two := Partition(src, Config{Threads: 3, Bits1: 4, Bits2: 3}, nil)
-	multi := MultiPass(src, 3, []uint32{4, 3}, nil)
+	multi := MultiPass(src, 3, []uint32{4, 3})
 	if multi.Fanout() != two.Fanout() {
 		t.Fatalf("fanout %d vs %d", multi.Fanout(), two.Fanout())
 	}
@@ -271,7 +333,7 @@ func TestMultiPassMatchesTwoPass(t *testing.T) {
 
 func TestMultiPassThreePasses(t *testing.T) {
 	src := randomTuples(15000, 22)
-	p := MultiPass(src, 4, []uint32{3, 3, 2}, nil)
+	p := MultiPass(src, 4, []uint32{3, 3, 2})
 	if p.Fanout() != 1<<8 {
 		t.Fatalf("fanout = %d", p.Fanout())
 	}
@@ -299,7 +361,7 @@ func TestMultiPassThreePasses(t *testing.T) {
 
 func TestMultiPassSinglePass(t *testing.T) {
 	src := randomTuples(5000, 23)
-	one := MultiPass(src, 2, []uint32{5}, nil)
+	one := MultiPass(src, 2, []uint32{5})
 	ref := Partition(src, Config{Threads: 2, Bits1: 5, Bits2: 0}, nil)
 	if one.Fanout() != ref.Fanout() || one.Total() != ref.Total() {
 		t.Fatalf("single-pass mismatch: %d/%d vs %d/%d",
@@ -313,7 +375,7 @@ func TestMultiPassNoPassesPanics(t *testing.T) {
 			t.Error("no panic for zero passes")
 		}
 	}()
-	MultiPass(nil, 1, nil, nil)
+	MultiPass(nil, 1, nil)
 }
 
 func TestQuickPartitionPreservesMultiset(t *testing.T) {

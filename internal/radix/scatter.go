@@ -15,16 +15,17 @@ import (
 )
 
 // scatter copies src[lo:hi] to out tuple-at-a-time, advancing the
-// per-partition cursors cur (absolute indexes into out). div, if non-nil,
-// is consulted with the absolute source index; diverted tuples are handed
-// to div.Handle (worker id w) instead of being scattered.
+// per-partition cursors cur (absolute indexes into out). With a non-nil
+// div, ids holds the count scan's lookup of every source tuple (by
+// absolute index); diverted tuples are handed to div.Handle (worker id w)
+// instead of being scattered.
 //
 //skewlint:hotpath
-func scatter(out, src []relation.Tuple, lo, hi int, cur []int, shift, bits uint32, div *Diverter, w int) {
+func scatter(out, src []relation.Tuple, lo, hi int, cur []int, shift, bits uint32, div *Diverter, ids []int32, w int) {
 	for i := lo; i < hi; i++ {
 		t := src[i]
 		if div != nil {
-			if id := div.IDs[i]; id >= 0 {
+			if id := ids[i]; id >= 0 {
 				if div.Handle != nil {
 					div.Handle(w, t, id)
 				}

@@ -3,7 +3,6 @@ package skewjoin
 import (
 	"skewjoin/internal/costmodel"
 	"skewjoin/internal/freqtable"
-	"skewjoin/internal/radix"
 	"skewjoin/internal/relation"
 )
 
@@ -38,10 +37,6 @@ type Recommendation struct {
 	// stay on the blocking operators, which are ~equally fast end-to-end
 	// and cheaper per tuple.
 	Streaming bool
-	// Split, when the recommendation was produced by RecommendSplit,
-	// carries the per-radix-partition CPU/GPU placement decision for the
-	// co-processing backend; nil otherwise.
-	Split *SplitPlan
 }
 
 // PlannerConfig tunes Recommend. The zero value uses CSH's detection
@@ -225,8 +220,8 @@ func Recommend(r Relation, cfg PlannerConfig) Recommendation {
 
 // SplitPlan is the co-processing placement decision: which radix
 // partitions the CPU joins and which the simulated GPU joins, with the
-// cost model's predictions attached. Produced by RecommendSplit and
-// recorded (as executed) in Result.Split.
+// cost model's predictions attached. The split executor plans it after
+// partitioning and records it, as executed, in Result.Split.
 type SplitPlan struct {
 	// Fanout is the radix fanout the partition indices refer to.
 	Fanout int
@@ -301,70 +296,6 @@ func (p *SplitPlan) Recommended() Backend {
 		return BackendGPU
 	}
 	return BackendCPU
-}
-
-// SplitConfig tunes RecommendSplit. The zero value partitions with the
-// CPU defaults, targets the default (A100) device, and calibrates the
-// CPU constants with a micro-run.
-type SplitConfig struct {
-	// Threads is the CPU worker count the plan divides CPU work over
-	// (default: DefaultThreads).
-	Threads int
-	// Bits1/Bits2 are the radix partitioning bits (defaults 6/5, as Cbase).
-	Bits1, Bits2 uint32
-	// Device is the simulated GPU the plan targets (zero fields = A100).
-	Device DeviceConfig
-	// Calibration optionally supplies pre-fitted CPU cost constants; nil
-	// runs Calibrate on the inputs.
-	Calibration *Calibration
-	// MinWinNs / WinFraction are the degeneration thresholds: a split
-	// must be predicted to beat the better single backend by at least
-	// max(MinWinNs, WinFraction·better) or the plan degenerates
-	// (defaults 25ms and 0.10).
-	MinWinNs    int64
-	WinFraction float64
-	// Fragments is the granularity the hot partition's probe side is cut
-	// into when it dominates the makespan (default 8, minimum 2);
-	// negative disables fragmentation, restoring whole-partition
-	// placement.
-	Fragments int
-	// FragmentFactor is the fragmentation trigger: the hot partition
-	// fragments only when its cheaper-backend solo time exceeds
-	// FragmentFactor times the balanced-makespan bound (default 1.2).
-	FragmentFactor float64
-}
-
-// RecommendSplit extends Recommend with the co-processing placement
-// decision: it radix-partitions both inputs, predicts every partition's
-// cost on each backend, and plans the two-bin assignment minimizing
-// predicted makespan. The algorithm-choice fields of the returned
-// Recommendation come from Recommend's sampling rule; Split carries the
-// placement.
-func RecommendSplit(r, s Relation, cfg SplitConfig) Recommendation {
-	rec := Recommend(r, PlannerConfig{})
-	threads := cfg.Threads
-	if threads <= 0 {
-		threads = DefaultThreads()
-	}
-	bits1, bits2 := cfg.Bits1, cfg.Bits2
-	if bits1 == 0 && bits2 == 0 {
-		bits1, bits2 = 6, 5
-	}
-	bits1, bits2 = radix.ClampBits(bits1, bits2)
-	rcfg := radix.Config{Threads: threads, Bits1: bits1, Bits2: bits2}
-	pr := radix.Partition(r.Tuples, rcfg, nil)
-	ps := radix.Partition(s.Tuples, rcfg, nil)
-
-	cal := resolveCalibration(cfg.Calibration, r, s, threads)
-	mcfg := costmodel.Config{
-		Device: cfg.Device, Calib: cal, Threads: threads,
-		MinWinNs: float64(cfg.MinWinNs), WinFraction: cfg.WinFraction,
-		Fragments: cfg.Fragments, FragmentFactor: cfg.FragmentFactor,
-	}
-	costs := costmodel.Costs(pr, ps, mcfg)
-	plan := costmodel.BuildPlan(costs, mcfg)
-	rec.Split = publicSplitPlan(plan, rcfg.Fanout(), cal)
-	return rec
 }
 
 // resolveCalibration returns *cal if provided, else fits constants with a

@@ -16,7 +16,7 @@ import (
 
 // Split is the co-processing execution mode: one join is split across the
 // CPU workers and the simulated GPU, with the per-radix-partition
-// placement chosen by the calibrated cost model (RecommendSplit) and both
+// placement chosen by the calibrated cost model (SplitPlan) and both
 // backends running concurrently. It is an engine mode rather than one of
 // the paper's algorithms, so it is not listed by ExtendedAlgorithms.
 const Split Algorithm = "split"
@@ -122,54 +122,71 @@ func (st *SplitStats) JoinSideNs() int64 {
 	return gpu
 }
 
-// joinSplit is the co-processing executor: radix-partition both inputs
-// (overlapped, as cbase), plan the per-partition placement, then run the
-// CPU join workers and the GPU simulation concurrently and
-// merge both output streams into the volcano consumers.
-func joinSplit(r, s Relation, opts *Options) (Result, error) {
+// splitSetup is the split executor's shared prefix: both inputs
+// partitioned and every partition placed.
+type splitSetup struct {
+	ccfg   cbase.Config // the CPU leg's thread count, radix bits and skew factor
+	dcfg   gpusim.Config
+	pr, ps *radix.Partitioned
+	plan   costmodel.Plan
+	cal    Calibration
+}
+
+// planSplit runs the split executor's shared prefix: it radix-partitions
+// both inputs (overlapped, as cbase), then costs every partition and
+// places it under opts.SplitPolicy. timer records the "partition" and
+// "plan" phases.
+func planSplit(r, s Relation, opts *Options, timer *exec.PhaseTimer) (splitSetup, error) {
 	ctx := opts.Context
 	// The CPU leg is Cbase's join phase: it takes Cbase's defaults for the
 	// thread count, the radix bits and the skew factor.
-	ccfg := cbase.Config{Threads: opts.Threads, Bits1: opts.Bits1, Bits2: opts.Bits2}.Defaults()
-	threads := ccfg.Threads
-	dcfg := opts.Device.Defaults()
-
-	var timer exec.PhaseTimer
-	rcfg := radix.Config{Threads: threads, Bits1: ccfg.Bits1, Bits2: ccfg.Bits2, Ctx: ctx}
-
-	// Shared prefix 1: partition R and S, overlapped like cbase.
-	var pr, ps *radix.Partitioned
+	sp := splitSetup{
+		ccfg: cbase.Config{Threads: opts.Threads, Bits1: opts.Bits1, Bits2: opts.Bits2}.Defaults(),
+		dcfg: opts.Device.Defaults(),
+	}
+	threads := sp.ccfg.Threads
+	rcfg := radix.Config{Threads: threads, Bits1: sp.ccfg.Bits1, Bits2: sp.ccfg.Bits2, Ctx: ctx}
 	timer.Time("partition", func() {
-		pr, ps = radix.PartitionPair(r.Tuples, s.Tuples, rcfg)
+		sp.pr, sp.ps = radix.PartitionPair(r.Tuples, s.Tuples, rcfg)
 	})
 	if err := ctxErr(ctx); err != nil {
-		return Result{}, err
+		return sp, err
 	}
 
-	// Shared prefix 2: cost every partition and place it.
-	cal := resolveCalibration(opts.Calibration, r, s, threads)
+	sp.cal = resolveCalibration(opts.Calibration, r, s, threads)
 	mcfg := costmodel.Config{
-		Device: dcfg, Calib: cal, Threads: threads,
+		Device: sp.dcfg, Calib: sp.cal, Threads: threads,
 		MinWinNs: float64(opts.SplitMinWinNs), WinFraction: opts.SplitWinFraction,
 		Fragments: opts.Fragments,
 	}
-	var plan costmodel.Plan
 	timer.Time("plan", func() {
-		costs := costmodel.Costs(pr, ps, mcfg)
+		costs := costmodel.Costs(sp.pr, sp.ps, mcfg)
 		switch opts.SplitPolicy {
 		case SplitPolicyCPU:
-			plan = costmodel.ForcePlan(costs, mcfg, costmodel.CPU)
+			sp.plan = costmodel.ForcePlan(costs, mcfg, costmodel.CPU)
 		case SplitPolicyGPU:
-			plan = costmodel.ForcePlan(costs, mcfg, costmodel.GPU)
+			sp.plan = costmodel.ForcePlan(costs, mcfg, costmodel.GPU)
 		case SplitPolicyStatic:
-			plan = costmodel.StaticPlan(costs, mcfg)
+			sp.plan = costmodel.StaticPlan(costs, mcfg)
 		default:
-			plan = costmodel.BuildPlan(costs, mcfg)
+			sp.plan = costmodel.BuildPlan(costs, mcfg)
 		}
 	})
-	if err := ctxErr(ctx); err != nil {
+	return sp, ctxErr(ctx)
+}
+
+// joinSplit is the co-processing executor: partition and plan
+// (planSplit), then run the CPU join workers and the GPU simulation
+// concurrently and merge both output streams into the volcano consumers.
+func joinSplit(r, s Relation, opts *Options) (Result, error) {
+	ctx := opts.Context
+	var timer exec.PhaseTimer
+	sp, err := planSplit(r, s, opts, &timer)
+	if err != nil {
 		return Result{}, err
 	}
+	pr, ps, plan := sp.pr, sp.ps, sp.plan
+	threads := sp.ccfg.Threads
 
 	// Consumers: CPU workers own [0,threads), simulated SMs own
 	// [threads, threads+NumSMs). Factories are invoked sequentially here,
@@ -181,7 +198,7 @@ func joinSplit(r, s Relation, opts *Options) (Result, error) {
 			bufs[w].SetFlush(opts.Consumer(w))
 		}
 	}
-	dev := gpusim.NewDevice(dcfg)
+	dev := gpusim.NewDevice(sp.dcfg)
 	if opts.Consumer != nil {
 		dev.SetFlush(func(sm int) outbuf.FlushFunc { return opts.Consumer(threads + sm) })
 	}
@@ -205,7 +222,7 @@ func joinSplit(r, s Relation, opts *Options) (Result, error) {
 			return nil
 		}
 		cpuStats = joinphase.Run(pr, ps, joinphase.Config{
-			Threads: threads, SkewFactor: ccfg.SkewFactor,
+			Threads: threads, SkewFactor: sp.ccfg.SkewFactor,
 			Ctx: ctx, Parts: plan.CPUParts, Ranges: cpuRanges,
 		}, bufs)
 		for _, b := range bufs {
@@ -229,7 +246,7 @@ func joinSplit(r, s Relation, opts *Options) (Result, error) {
 
 	sum := mergeSplitSummaries(outbuf.Summarize(bufs), dev.OutputSummary())
 
-	st := &SplitStats{Plan: publicSplitPlan(plan, pr.Fanout(), cal)}
+	st := &SplitStats{Plan: publicSplitPlan(plan, pr.Fanout(), sp.cal)}
 	st.CPUFragments, st.GPUFragments = st.Plan.FragmentCounts()
 	if pd, ok := timer.Get("partition"); ok {
 		st.PartitionNs = pd.Nanoseconds()

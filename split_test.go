@@ -4,6 +4,8 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"skewjoin/internal/exec"
 )
 
 // recordCollector gathers every batch a join hands its volcano consumers,
@@ -147,6 +149,17 @@ func TestSplitStaticUsesBothBackends(t *testing.T) {
 	}
 }
 
+// testSplitPlan partitions and plans r and s as the split executor does,
+// without running the join, and returns the plan.
+func testSplitPlan(t *testing.T, r, s Relation, opts *Options) *SplitPlan {
+	t.Helper()
+	sp, err := planSplit(r, s, opts, &exec.PhaseTimer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return publicSplitPlan(sp.plan, sp.pr.Fanout(), sp.cal)
+}
+
 // TestRecommendSplitGoldenSkewed is the planner's golden placement test:
 // on a heavily skewed workload against the coupled device, the model must
 // choose a genuine split with the hot partition and the tail on different
@@ -157,16 +170,12 @@ func TestRecommendSplitGoldenSkewed(t *testing.T) {
 		t.Fatal(err)
 	}
 	cal := Calibration{BuildNsPerTuple: 10, ProbeNsPerUnit: 2.5}
-	rec := RecommendSplit(r, s, SplitConfig{
-		Threads: 1, Device: CoupledDevice(), Calibration: &cal,
-	})
-	if !rec.SkewDetected {
+	if !Recommend(r, PlannerConfig{}).SkewDetected {
 		t.Error("zipf-1.1 sample should detect skew")
 	}
-	plan := rec.Split
-	if plan == nil {
-		t.Fatal("RecommendSplit returned no split plan")
-	}
+	plan := testSplitPlan(t, r, s, &Options{
+		Threads: 1, Device: CoupledDevice(), Calibration: &cal,
+	})
 	if !plan.Split || plan.Recommended() != BackendSplit {
 		t.Fatalf("skewed coupled workload should split: %+v", plan)
 	}
@@ -196,13 +205,9 @@ func TestRecommendSplitGoldenUniform(t *testing.T) {
 		t.Fatal(err)
 	}
 	cal := Calibration{BuildNsPerTuple: 10, ProbeNsPerUnit: 2.5}
-	rec := RecommendSplit(r, s, SplitConfig{
+	plan := testSplitPlan(t, r, s, &Options{
 		Threads: 1, Device: CoupledDevice(), Calibration: &cal,
 	})
-	plan := rec.Split
-	if plan == nil {
-		t.Fatal("RecommendSplit returned no split plan")
-	}
 	if plan.Split {
 		t.Fatalf("uniform workload should degenerate: %+v", plan)
 	}
