@@ -16,8 +16,8 @@
 // execute one at a time, each shard's reported execution time measures
 // its share of the join's work undisturbed, and the makespan — the
 // fleet's wall clock with a core per shard — is the slowest shard's sum.
-// The per-shard NM-join busy time (build+probe, thread-CPU clock) rides
-// along as a secondary column.
+// The per-shard NM-join busy time (build+probe, capped at the thread-CPU
+// clock) rides along as a secondary column.
 //
 // The harness gates two properties. At the sweep's deepest skew point
 // (the largest zipf >= 1.0) frag's makespan must beat BOTH hash runs —

@@ -8,11 +8,6 @@ import (
 	"unsafe"
 )
 
-// HasThreadCPUClock reports whether ThreadCPUNs reads a genuine per-thread
-// CPU-time clock. On Linux it does; elsewhere it degrades to monotonic
-// wall time and busy-time measurements regain their scheduler noise.
-const HasThreadCPUClock = true
-
 // clockThreadCPUTimeID is CLOCK_THREAD_CPUTIME_ID from <time.h>: the
 // calling thread's consumed CPU time, which does not advance while the
 // thread is descheduled.

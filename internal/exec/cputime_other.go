@@ -4,11 +4,6 @@ package exec
 
 import "time"
 
-// HasThreadCPUClock reports whether ThreadCPUNs reads a genuine per-thread
-// CPU-time clock. Without one, busy-time measurements fall back to
-// monotonic wall time and absorb time slices other threads consumed.
-const HasThreadCPUClock = false
-
 // ThreadCPUNs falls back to monotonic wall time on platforms without a
 // portable thread CPU clock. Only deltas are meaningful.
 func ThreadCPUNs() int64 { return int64(time.Since(cpuClockEpoch)) }

@@ -33,9 +33,10 @@ func DefaultThreads() int {
 
 // Parallel runs fn(worker) on `threads` goroutines and waits for all of
 // them. worker ranges over [0, threads). Each worker goroutine is pinned
-// to its OS thread for the duration of fn so that ThreadCPUNs deltas taken
-// inside fn are stable — a migrating goroutine would difference two
-// different threads' CPU clocks.
+// to its OS thread for the duration of fn so that a ThreadCPUNs delta
+// taken inside fn is stable — a migrating goroutine would difference two
+// different threads' CPU clocks. The join phase takes one such delta per
+// drain worker, from its Enter hook to its Leave hook (DrainHooked).
 func Parallel(threads int, fn func(worker int)) {
 	if threads <= 1 {
 		runtime.LockOSThread()
@@ -175,7 +176,7 @@ func (q *Queue[T]) Len() int {
 // Drain runs fn on every task using `threads` workers until the queue is
 // fully drained, including tasks pushed by fn itself while draining.
 func (q *Queue[T]) Drain(threads int, fn func(worker int, t T)) {
-	if drainQueue(q, nil, threads, fn) != nil {
+	if drainQueue(q, nil, threads, WorkerHooks{}, fn) != nil {
 		panic("exec: drain with no done channel cannot be cancelled")
 	}
 }
@@ -186,21 +187,44 @@ func (q *Queue[T]) Drain(threads int, fn func(worker int, t T)) {
 // already being executed when ctx fires runs to completion — cancellation
 // is between-task, so a cancelled drain never leaves a task half-applied.
 func (q *Queue[T]) DrainCtx(ctx context.Context, threads int, fn func(worker int, t T)) error {
-	if drainQueue(q, ctx.Done(), threads, fn) != nil {
+	return q.DrainHooked(ctx, threads, WorkerHooks{}, fn)
+}
+
+// WorkerHooks are per-worker callbacks around a drain. Each runs on its
+// worker's goroutine, which Parallel holds on one OS thread: Enter before
+// the worker claims its first task, Leave after it has left the queue,
+// drained or cancelled. A ThreadCPUNs read in each spans exactly the
+// worker's drain. Either may be nil.
+type WorkerHooks struct {
+	Enter func(worker int)
+	Leave func(worker int)
+}
+
+// DrainHooked is DrainCtx with per-worker hooks: every worker runs
+// hooks.Enter before its first task and hooks.Leave after its last, even
+// when ctx was already done.
+func (q *Queue[T]) DrainHooked(ctx context.Context, threads int, hooks WorkerHooks, fn func(worker int, t T)) error {
+	if drainQueue(q, ctx.Done(), threads, hooks, fn) != nil {
 		return ctx.Err()
 	}
 	return nil
 }
 
-// drainQueue implements Drain/DrainCtx. The in-flight counter makes the
-// termination condition exact: the queue is done when it is empty and no
-// worker is still executing a task that could push more. done (may be nil
-// = never) stops workers between tasks; the return value is non-nil iff
-// the drain was cut short.
-func drainQueue[T any](q *Queue[T], done <-chan struct{}, threads int, fn func(worker int, t T)) error {
+// drainQueue implements the Drain methods. The in-flight counter makes
+// the termination condition exact: the queue is done when it is empty and
+// no worker is still executing a task that could push more. done (may be
+// nil = never) stops workers between tasks; the return value is non-nil
+// iff the drain was cut short.
+func drainQueue[T any](q *Queue[T], done <-chan struct{}, threads int, hooks WorkerHooks, fn func(worker int, t T)) error {
 	var inflight atomic.Int64
 	var stopped atomic.Bool
 	Parallel(threads, func(worker int) {
+		if hooks.Enter != nil {
+			hooks.Enter(worker)
+		}
+		if hooks.Leave != nil {
+			defer hooks.Leave(worker)
+		}
 		idle := 0
 		for {
 			if done != nil {

@@ -339,6 +339,73 @@ func TestDrainCtxDeadline(t *testing.T) {
 	}
 }
 
+// TestDrainHookedClockSpansEachWorker pins the hooks a per-worker clock
+// relies on: every worker runs Enter once before its first task and Leave
+// once after its last, on the goroutine that ran its tasks (the per-worker
+// state below is unsynchronised, so the race detector checks that), and a
+// drain cut short, or never started, still runs both.
+func TestDrainHookedClockSpansEachWorker(t *testing.T) {
+	const threads = 4
+	type span struct {
+		enters, leaves, tasks int
+		cpu0, cpuNs           int64
+	}
+	alive, cancelled := context.Background(), func() context.Context {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		return ctx
+	}()
+	for _, tc := range []struct {
+		name      string
+		ctx       context.Context
+		wantTasks int
+	}{
+		{"drained", alive, 300},
+		{"cancelled", cancelled, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := NewQueue(make([]int, 200))
+			var pushed atomic.Int64
+			var spans [threads]span
+			hooks := WorkerHooks{
+				Enter: func(w int) {
+					spans[w].enters++
+					spans[w].cpu0 = ThreadCPUNs()
+				},
+				Leave: func(w int) {
+					spans[w].leaves++
+					spans[w].cpuNs = ThreadCPUNs() - spans[w].cpu0
+				},
+			}
+			err := q.DrainHooked(tc.ctx, threads, hooks, func(w, task int) {
+				if s := &spans[w]; s.enters != 1 || s.leaves != 0 {
+					t.Errorf("worker %d ran a task after %d enters and %d leaves", w, s.enters, s.leaves)
+				}
+				spans[w].tasks++
+				if pushed.Add(1) <= 100 {
+					q.Push(task)
+				}
+			})
+			if (err != nil) != (tc.ctx == cancelled) {
+				t.Errorf("DrainHooked = %v", err)
+			}
+			total := 0
+			for w, s := range spans {
+				if s.enters != 1 || s.leaves != 1 {
+					t.Errorf("worker %d: %d enters, %d leaves; want one each", w, s.enters, s.leaves)
+				}
+				if s.cpuNs < 0 {
+					t.Errorf("worker %d: thread clock went back %d ns between its hooks", w, -s.cpuNs)
+				}
+				total += s.tasks
+			}
+			if total != tc.wantTasks {
+				t.Errorf("%d tasks ran, want %d", total, tc.wantTasks)
+			}
+		})
+	}
+}
+
 func TestParallelCtx(t *testing.T) {
 	var ran atomic.Int32
 	if err := ParallelCtx(context.Background(), 4, func(ctx context.Context, w int) { ran.Add(1) }); err != nil {

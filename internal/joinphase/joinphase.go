@@ -29,6 +29,7 @@ package joinphase
 
 import (
 	"context"
+	"time"
 
 	"skewjoin/internal/chainedtable"
 	"skewjoin/internal/exec"
@@ -41,9 +42,9 @@ import (
 type Config struct {
 	// Threads is the number of workers draining the task queue.
 	Threads int
-	// SkewFactor: a task whose S partition exceeds SkewFactor times the
-	// average S partition size is split into probe sub-tasks. <= 0 disables
-	// splitting.
+	// SkewFactor: a task whose S partition exceeds both SkewFactor times
+	// the average S partition size and the average itself is split into
+	// probe sub-tasks of average size. <= 0 disables splitting.
 	SkewFactor float64
 	// Ctx optionally cancels the phase between join tasks (nil = never).
 	// A cancelled run reports Stats.Canceled and its output is partial.
@@ -69,15 +70,17 @@ type ProbeRange struct {
 	Part, Lo, Hi int
 }
 
-// Stats reports what happened inside the join phase.
+// Stats reports what happened inside the join phase. BuildNs and ProbeNs
+// are CPU busy time: each worker's build and probe wall time, capped at
+// the CPU time its thread consumed over the drain.
 type Stats struct {
 	Tasks         int    // join tasks drained, including probe sub-tasks
 	SplitTasks    int    // oversized tasks that were broken up
 	MaxChain      int    // longest hash chain / largest bucket across all build tables
 	ProbeVisits   uint64 // total bucket entries visited while probing
 	MaxTaskOutput uint64 // results produced by the single largest task
-	BuildNs       int64  // CPU ns spent building tables, summed across workers
-	ProbeNs       int64  // CPU ns spent probing, summed across workers
+	BuildNs       int64  // busy ns spent building tables, summed across workers
+	ProbeNs       int64  // busy ns spent probing, summed across workers
 	Canceled      bool   // Config.Ctx fired before the queue drained
 }
 
@@ -98,8 +101,42 @@ type worker struct {
 	probeVisits   uint64
 	maxTaskOutput uint64
 	splits        int
-	buildNs       int64
-	probeNs       int64
+	buildNs       int64 // wall ns in builds; leave caps build+probe
+	probeNs       int64 // wall ns in probes; leave caps build+probe
+	cpu0          int64 // thread CPU clock when the worker entered the drain
+}
+
+// threadCPUNs is the per-thread CPU clock a worker reads when it enters
+// and when it leaves the drain; a variable so a test can count the reads.
+var threadCPUNs = exec.ThreadCPUNs
+
+// monoEpoch anchors monoNs. time.Since on a time.Now value reads only the
+// monotonic clock, one vDSO call, against the thread CPU clock's syscall.
+var monoEpoch = time.Now()
+
+// monoNs reads the monotonic clock a task's build and probe windows are
+// timed with.
+func monoNs() int64 { return int64(time.Since(monoEpoch)) }
+
+// enter starts the worker's drain: it reads the thread CPU clock, which
+// leave reads again.
+func (w *worker) enter() { w.cpu0 = threadCPUNs() }
+
+// leave ends the worker's drain. Its tasks' build and probe windows were
+// timed on the monotonic clock, which also counts time slices other
+// threads took from this one; the thread CPU clock over the drain does
+// not, but it also counts the queue, the idle back-off and the clock
+// reads. The worker reports the smaller of the two as its busy time, split
+// between build and probe in proportion to their wall times, so BuildNs +
+// ProbeNs never exceeds the CPU time the worker's thread consumed.
+func (w *worker) leave() {
+	cpu := threadCPUNs() - w.cpu0
+	busy := w.buildNs + w.probeNs
+	if busy <= cpu {
+		return
+	}
+	w.buildNs = int64(float64(cpu) * float64(w.buildNs) / float64(busy))
+	w.probeNs = cpu - w.buildNs
 }
 
 // probe probes sSide one tuple at a time: each tuple's bucket counts
@@ -129,19 +166,24 @@ type runner struct {
 // doTask executes one join task on worker w: build (arena-recycled, timed),
 // split if oversized, probe (timed). Deliberately not a lint hot path —
 // the phase timers live here, bracketing the marked helpers that are.
-// Build and probe are timed with the per-thread CPU clock, not wall time:
-// on an oversubscribed host (co-processing runs GPU-sim host workers
-// concurrently) wall deltas absorb other threads' time slices and inflate
-// the busy measurement the cost model calibrates against. exec.Parallel
-// pins each drain worker to its OS thread, so the deltas are well-defined.
+// A task reads only the monotonic clock: once when it starts, once when
+// its build ends and the probe window (split included) begins, and once
+// when its probe ends. The thread CPU clock, a syscall, is read once per
+// worker at each end of its drain (enter, leave), which caps the summed
+// windows at the CPU time the thread consumed: on an oversubscribed host
+// (co-processing runs the simulated GPU beside the CPU workers) wall
+// windows absorb other threads' time slices and would inflate the busy
+// time the cost model calibrates against.
 func (r *runner) doTask(w *worker, t task) {
 	var table *chainedtable.CompactTable
 	var sSide []relation.Tuple
 
+	start := monoNs()
 	if t.part >= 0 {
-		t0 := exec.ThreadCPUNs()
 		table = w.arena.Build(r.pr.Part(t.part))
-		w.buildNs += exec.ThreadCPUNs() - t0
+		built := monoNs()
+		w.buildNs += built - start
+		start = built
 		if mc := table.MaxChain(); mc > w.maxChain {
 			w.maxChain = mc
 		}
@@ -174,9 +216,8 @@ func (r *runner) doTask(w *worker, t task) {
 	}
 
 	before := w.buf.Count()
-	t1 := exec.ThreadCPUNs()
 	w.probe(table, sSide)
-	w.probeNs += exec.ThreadCPUNs() - t1
+	w.probeNs += monoNs() - start
 	if out := w.buf.Count() - before; out > w.maxTaskOutput {
 		w.maxTaskOutput = out
 	}
@@ -198,7 +239,9 @@ func Run(pr, ps *radix.Partitioned, cfg Config, bufs []*outbuf.Buffer) Stats {
 	}
 	splitThreshold := 0
 	if cfg.SkewFactor > 0 {
-		splitThreshold = int(cfg.SkewFactor * float64(avg))
+		// A split keeps the first avg S tuples, so a side of avg or fewer
+		// has nothing to split off, whatever the factor.
+		splitThreshold = max(int(cfg.SkewFactor*float64(avg)), avg)
 	}
 
 	parts := cfg.Parts
@@ -234,13 +277,14 @@ func Run(pr, ps *radix.Partitioned, cfg Config, bufs []*outbuf.Buffer) Stats {
 		w.arena = &chainedtable.Arena{}
 	}
 
-	var drainErr error
-	fn := func(wi int, t task) { r.doTask(&ws[wi], t) }
-	if cfg.Ctx != nil {
-		drainErr = q.DrainCtx(cfg.Ctx, cfg.Threads, fn)
-	} else {
-		q.Drain(cfg.Threads, fn)
+	ctx := cfg.Ctx
+	if ctx == nil {
+		ctx = context.Background() // no done channel: the drain never stops early
 	}
+	drainErr := q.DrainHooked(ctx, cfg.Threads, exec.WorkerHooks{
+		Enter: func(wi int) { ws[wi].enter() },
+		Leave: func(wi int) { ws[wi].leave() },
+	}, func(wi int, t task) { r.doTask(&ws[wi], t) })
 
 	var st Stats
 	st.Canceled = drainErr != nil

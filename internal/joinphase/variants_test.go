@@ -42,7 +42,11 @@ func collectRun(t *testing.T, pr, ps *radix.Partitioned, cfg Config) ([]outbuf.R
 // every shape of run — uniform and skewed input, with and without task
 // splitting, and a probe-range fragment of the hot partition as the split
 // executor's CPU leg runs it — must produce byte-identical sorted output
-// to the oracle's reference join, not merely a matching checksum.
+// to the oracle's reference join, not merely a matching checksum. Splitting
+// only re-deals S tuples among probes of the same table, so every shape
+// must also visit exactly as many bucket entries as its unsplit twin. The
+// sub-unit skew factors put the split threshold below the average
+// partition, where a partition between the two must not be split.
 func TestJoinVariantsByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -54,6 +58,8 @@ func TestJoinVariantsByteIdentical(t *testing.T) {
 		{"skewed", 1.0, 4, false},
 		{"skewed-nosplit", 1.0, -1, false},
 		{"ranges", 1.0, 4, true},
+		{"factor0.5", 0, 0.5, false},
+		{"factor0.9", 0, 0.9, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 10000
@@ -87,6 +93,11 @@ func TestJoinVariantsByteIdentical(t *testing.T) {
 			}
 			if st.ProbeVisits < uint64(len(want)) {
 				t.Errorf("%d probe visits for %d results", st.ProbeVisits, len(want))
+			}
+			unsplit := cfg
+			unsplit.SkewFactor = -1
+			if _, _, ust := collectRun(t, pr, ps, unsplit); st.ProbeVisits != ust.ProbeVisits {
+				t.Errorf("%d probe visits, %d without splitting", st.ProbeVisits, ust.ProbeVisits)
 			}
 			if tc.skewFactor > 0 && tc.theta > 0 && st.SplitTasks == 0 {
 				t.Error("skewed run with splitting enabled split no task")

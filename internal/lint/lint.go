@@ -96,6 +96,7 @@ func DefaultConfig() Config {
 			exec + ".ParallelCtx",
 			exec + ".Queue.Drain",
 			exec + ".Queue.DrainCtx",
+			exec + ".Queue.DrainHooked",
 			exec + ".Group.Go",
 			// The cluster router's shard fan-out spawns one goroutine per
 			// shard; every closure it runs must take and pass the ctx so
